@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +29,7 @@ from .errors import ConfigError, MapFormatError, PcwgProbeError
 from .fiber import FiberSpec, dbeta_dd, dispersion_curve, ModeField
 from .pipeline import (
     TransmissionMap,
+    atomic_write,
     extract_resonances,
     gap_sweep,
     label_branches,
@@ -43,28 +42,15 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 
 
-def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_csv(path: Path, header: str, rows):
     lines = [header]
     lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
 
 
 def _write_json(path: Path, payload):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
 
 
@@ -93,12 +79,24 @@ def _bands_cached(cfg, out_dir: Path, use_cache: bool):
     key = cfgmod.config_hash(cfg, ("slab", "lattice"))
     cache_file = out_dir / ".cache" / f"bands_{key}.json"
     if use_cache and cache_file.exists():
-        with open(cache_file) as fh:
-            return json.load(fh)
+        payload = _read_cache(cache_file)
+        if payload is not None:
+            return payload
+        print(f"bands cache {cache_file} is corrupt; recomputing", file=sys.stderr)
     payload = _bands_payload(cfg)
     if use_cache:
-        _atomic_write(cache_file, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        atomic_write(cache_file, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
+
+
+def _read_cache(cache_file: Path):
+    """The cached bands payload, or None if the file does not hold one."""
+    try:
+        payload = json.loads(cache_file.read_text())
+    except (OSError, ValueError):
+        return None
+    keys = {"lam_z_nm", "n_eff", "gap_norm", "curves"}
+    return payload if isinstance(payload, dict) and keys <= payload.keys() else None
 
 
 def _curves_from_payload(payload):
@@ -124,15 +122,12 @@ def cmd_fiber(cfg, args, out_dir: Path) -> int:
 
     lam_um = lam_nm * 1e-3
     neff = dispersion_curve(fiber, lam_um)
-    rows = []
-    for lam, lam_u, n in zip(lam_nm, lam_um, neff):
-        beta = 2.0 * np.pi * n / lam_u
-        sens = dbeta_dd(fiber, lam_u)
-        rows.append((lam, fiber.d_um, n, beta, sens))
+    beta = 2.0 * np.pi * neff / lam_um
+    d_um = np.full(lam_nm.shape, fiber.d_um)
     _write_csv(
         out_dir / "fiber_dispersion.csv",
         "lambda_nm,d_um,n_eff,beta_rad_per_um,dbeta_dd_omega_over_c_per_um",
-        rows,
+        zip(lam_nm, d_um, neff, beta, dbeta_dd(fiber, lam_um)),
     )
     return EXIT_OK
 
@@ -309,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="YAML run configuration")
     parser.add_argument("--out", metavar="DIR", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="noise seed")
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
     parser.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
     parser.add_argument(
         "--print-effective-config",
@@ -360,15 +354,6 @@ def main(argv=None) -> int:
     out_dir = Path(args.out if args.out is not None else cfg["io"]["out_dir"])
     use_cache = bool(cfg["io"]["cache"]) and not args.no_cache
 
-    limiter = None
-    if args.threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-
-            limiter = threadpool_limits(limits=max(1, args.threads))
-        except ImportError:
-            print("threadpoolctl not available; --threads ignored", file=sys.stderr)
-
     try:
         if args.command == "fiber":
             return cmd_fiber(cfg, args, out_dir)
@@ -385,9 +370,6 @@ def main(argv=None) -> int:
     except PcwgProbeError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.special import jv, kve
+from scipy.special import j0, j1, jv, k0e, k1e, kve
 
 from .errors import ConvergenceError, NoGuidedModeError, ProfileRangeError
 
@@ -27,9 +27,12 @@ C_UM_PER_S = 2.99792458e14  # speed of light [um/s]
 _SELLMEIER_B = (0.6961663, 0.4079426, 0.8974794)
 _SELLMEIER_L2 = (0.0684043**2, 0.1162414**2, 9.896161**2)
 
-# Bracket-scan resolution in n_eff for the characteristic equation.
-_SCAN_STEP = 1e-3
+_J01 = 2.404825557695773  # first zero of J0: the HE11 root has u below it
+_EDGE = 1e-6  # bracket ends keep this far inside (n2, n1)
+_XTOL, _RTOL = 1e-15, 8.9e-16  # root tolerance: _XTOL + _RTOL |n_eff|
+_MAX_ITER = 60
 _RESIDUAL_TOL = 1e-10
+_SCAN_STEP = 1e-3  # n_eff resolution of the fallback bracket scan
 
 
 def silica_index(lam_um):
@@ -59,10 +62,10 @@ class FiberSpec:
         if self.core_index is not None and self.core_index <= self.clad_index:
             raise ValueError("core index must exceed cladding index")
 
-    def n_core(self, lam_um: float) -> float:
+    def n_core(self, lam_um):
         if self.core_index is not None:
             return self.core_index
-        return float(silica_index(lam_um))
+        return silica_index(lam_um)
 
     def with_diameter(self, d_um: float) -> "FiberSpec":
         return FiberSpec(d_um=d_um, core_index=self.core_index, clad_index=self.clad_index)
@@ -87,32 +90,76 @@ class GuidedModePoint:
 def _char_m1(neff, n1, n2, a_k0):
     """Exact m=1 hybrid-mode characteristic function and its scale.
 
-    Roots of the returned ``value`` are the HE1n/EH1n modes.  ``scale``
-    is the magnitude of the balanced terms, used for a relative
-    residual check (it diverges at poles of the Bessel ratios, so
-    pole crossings are rejected by ``value/scale`` staying large).
+    Roots of ``value`` are the HE1n/EH1n modes.  It is Snyder & Love's
+    (J1'/uJ1 + K1'/wK1)(J1'/uJ1 + (n2/n1)^2 K1'/wK1) = (n_eff/n1)^2 (1/u^2 + 1/w^2)^2
+    times u^4 w^4, finite at both light lines.  ``scale`` is the magnitude
+    of the balanced terms, for a relative residual check; it diverges at
+    the poles of J0/J1, so pole crossings fail that check.
     """
     neff = np.asarray(neff, dtype=float)
-    u = a_k0 * np.sqrt(np.maximum(n1**2 - neff**2, 0.0))
-    w = a_k0 * np.sqrt(np.maximum(neff**2 - n2**2, 0.0))
+    u2 = a_k0**2 * np.maximum(n1**2 - neff**2, 0.0)
+    w2 = a_k0**2 * np.maximum(neff**2 - n2**2, 0.0)
+    u, w = np.sqrt(u2), np.sqrt(w2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = (jv(0, u) - jv(2, u)) / (2.0 * u * jv(1, u))
-        # kve ratios: the exponential scaling cancels, stable for large w.
-        q = -(kve(0, w) + kve(2, w)) / (2.0 * w * kve(1, w))
-        c2 = (n2 / n1) ** 2
-        lhs = (p + q) * (p + c2 * q)
-        rhs = (neff / n1) ** 2 * (1.0 / u**2 + 1.0 / w**2) ** 2
+        p = u * j0(u) / j1(u) - 1.0  # u^2 J1'/(u J1)
+        q = -w * k0e(w) / k1e(w) - 1.0  # w^2 K1'/(w K1); scaled Ks stay finite
+        lhs = (p * w2 + q * u2) * (p * w2 + (n2 / n1) ** 2 * q * u2)
+        rhs = (neff / n1) ** 2 * (u2 + w2) ** 2
     return lhs - rhs, np.abs(lhs) + np.abs(rhs)
+
+
+def _he11_roots(n1, n2, a_k0):
+    """HE11 n_eff for broadcast arrays of core index, cladding index and a*k0.
+
+    HE11 is the only root with u below j01, the first zero of J0, so
+    n_eff in (sqrt(max(n2^2, n1^2 - (j01/(a k0))^2)), n1) brackets it away
+    from every pole.  All brackets are refined at once by Anderson-Bjorck
+    regula falsi; elements that do not converge or fail the residual check
+    fall back to the scan of ``_solve_neff``.  Raises NoGuidedModeError if
+    a bracket holds no sign change (diameter too small).
+    """
+    n1, n2, a_k0 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n1, n2, a_k0)))
+    shape = n1.shape
+    n1, n2, a_k0 = n1.ravel(), n2.ravel(), a_k0.ravel()
+    a = np.maximum(n2 + _EDGE, np.sqrt(np.maximum(n1**2 - (_J01 / a_k0) ** 2, 0.0)))
+    b = n1 - _EDGE
+    fa, fb = _char_m1(a, n1, n2, a_k0)[0], _char_m1(b, n1, n2, a_k0)[0]
+    if not np.all(fa * fb < 0):
+        i = np.argmin(fa * fb < 0)
+        v = a_k0[i] * np.sqrt(n1[i] ** 2 - n2[i] ** 2)
+        raise NoGuidedModeError(f"no HE11 root bracketed for V={v:.3f} (diameter too small)")
+    out = np.full(n1.size, np.nan)
+    todo = np.arange(n1.size)  # elements still refining; b is the newest iterate
+    for _ in range(_MAX_ITER):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = _char_m1(c, n1[todo], n2[todo], a_k0[todo])[0]
+        flip = fc * fb < 0
+        m = 1.0 - fc / fb
+        a = np.where(flip, b, a)
+        fa = np.where(flip, fb, np.where(m > 0, m, 0.5) * fa)
+        b, fb = c, fc
+        done = (fc == 0) | (np.abs(b - a) <= _XTOL + _RTOL * np.abs(b))
+        out[todo[done]] = b[done]
+        todo, a, b, fa, fb = (v[~done] for v in (todo, a, b, fa, fb))
+        if not todo.size:
+            break
+    value, scale = _char_m1(out, n1, n2, a_k0)
+    failed = ~(np.abs(value) < _RESIDUAL_TOL * scale)
+    failed[todo] = True  # not converged within _MAX_ITER
+    for i in np.flatnonzero(failed):
+        out[i] = _solve_neff(n1[i], n2[i], a_k0[i])
+    return out.reshape(shape)
 
 
 def _solve_neff(n1, n2, a_k0, scan_step=_SCAN_STEP):
     """Largest m=1 root of the characteristic equation in (n2, n1).
 
-    Scans n_eff at ``scan_step`` resolution, brackets sign changes and
-    refines with Brent's method.  Sign changes caused by poles of the
-    Bessel ratios fail the relative-residual check and are discarded
-    (after one subdivision retry to recover a root sharing the cell
-    with a pole).
+    The fallback of ``_he11_roots`` for elements its bracketed
+    refinement cannot settle.  Scans n_eff at ``scan_step`` resolution,
+    brackets sign changes and refines with Brent's method.  Sign changes
+    caused by poles of the Bessel ratios fail the relative-residual
+    check and are discarded (after one subdivision retry to recover a
+    root sharing the cell with a pole).
     """
 
     def f(x):
@@ -172,99 +219,59 @@ def _solve_neff(n1, n2, a_k0, scan_step=_SCAN_STEP):
     )
 
 
+def he11_neff(spec: FiberSpec, lam_um, d_um=None) -> np.ndarray:
+    """HE11 n_eff of ``spec`` over broadcast wavelengths and diameters
+    (``d_um`` defaults to the spec's own), solved as one array."""
+    lam = np.asarray(lam_um, dtype=float)
+    d = spec.d_um if d_um is None else np.asarray(d_um, dtype=float)
+    a_k0 = np.pi * d / lam  # (d/2) * (2 pi / lambda)
+    return _he11_roots(spec.n_core(lam), spec.clad_index, a_k0)
+
+
 def fundamental_neff(spec: FiberSpec, lam_um: float) -> GuidedModePoint:
-    """Effective index of the fundamental (HE11) mode.
+    """Effective index of the fundamental (HE11) mode: the root of the exact
+    characteristic equation with the largest propagation constant.
 
-    Solves the exact two-medium characteristic equation and returns the
-    root with the largest propagation constant.
-
-    Raises
-    ------
-    NoGuidedModeError
-        If no root is bracketed (diameter too small for the scan).
-    ConvergenceError
-        If bracketed sign changes cannot be refined to tolerance.
+    Raises NoGuidedModeError if no root is bracketed (diameter too small)
+    and ConvergenceError if it cannot be refined to tolerance.
     """
     if lam_um <= 0:
         raise ValueError("wavelength must be positive")
-    n1 = spec.n_core(lam_um)
-    n2 = spec.clad_index
-    a_k0 = np.pi * spec.d_um / lam_um  # (d/2) * (2 pi / lambda)
-    neff = _solve_neff(n1, n2, a_k0)
-    return GuidedModePoint(wavelength_um=lam_um, n_eff=neff)
+    return GuidedModePoint(wavelength_um=lam_um, n_eff=float(he11_neff(spec, lam_um)))
 
 
 def characteristic_residual(spec: FiberSpec, point: GuidedModePoint) -> float:
     """Relative residual of the characteristic equation at a solved point."""
-    n1 = spec.n_core(point.wavelength_um)
-    a_k0 = np.pi * spec.d_um / point.wavelength_um
-    value, scale = _char_m1(point.n_eff, n1, spec.clad_index, a_k0)
+    lam = point.wavelength_um
+    a_k0 = np.pi * spec.d_um / lam
+    value, scale = _char_m1(point.n_eff, spec.n_core(lam), spec.clad_index, a_k0)
     return float(abs(value) / scale)
 
 
 def dispersion_curve(spec: FiberSpec, lam_um: np.ndarray) -> np.ndarray:
-    """n_eff over a wavelength grid, warm-starting each solve from the last.
-
-    Falls back to the full bracket scan whenever continuation fails, so
-    the result is identical to point-by-point ``fundamental_neff`` calls.
-    """
-    lam_um = np.asarray(lam_um, dtype=float)
-    out = np.empty(lam_um.shape)
-    prev = None
-    for i, lam in enumerate(lam_um.ravel()):
-        n1 = spec.n_core(lam)
-        n2 = spec.clad_index
-        a_k0 = np.pi * spec.d_um / lam
-
-        root = None
-        if prev is not None:
-            root = _continue_root(prev, n1, n2, a_k0)
-        if root is None:
-            root = _solve_neff(n1, n2, a_k0)
-        out.ravel()[i] = root
-        prev = root
-    return out
+    """HE11 n_eff over a wavelength grid, solved as one array."""
+    return he11_neff(spec, lam_um)
 
 
-def _continue_root(guess, n1, n2, a_k0):
-    """Refine a nearby root by expanding a local bracket around ``guess``."""
-
-    def f(x):
-        return _char_m1(x, n1, n2, a_k0)[0]
-
-    half = 2e-3
-    for _ in range(6):
-        lo = max(n2 + 1e-9, guess - half)
-        hi = min(n1 - 1e-9, guess + half)
-        flo, fhi = f(lo), f(hi)
-        if np.isfinite(flo) and np.isfinite(fhi) and flo * fhi < 0:
-            root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            value, scale = _char_m1(root, n1, n2, a_k0)
-            if scale > 0 and abs(value) / scale < _RESIDUAL_TOL:
-                return float(root)
-            return None
-        half *= 3.0
-    return None
-
-
-def dbeta_dd(spec: FiberSpec, lam_um: float) -> float:
+def dbeta_dd(spec: FiberSpec, lam_um):
     """Diameter sensitivity d(beta)/d(d) in units of (omega/c) per um.
 
     Centered finite difference with step max(1e-3 um, 1e-3 * d); the
     step sits above the solver noise floor and below truncation error.
+    ``lam_um`` may be a scalar or an array of wavelengths.
     """
     dd = max(1e-3, 1e-3 * spec.d_um)
-    hi = fundamental_neff(spec.with_diameter(spec.d_um + dd), lam_um)
-    lo = fundamental_neff(spec.with_diameter(spec.d_um - dd), lam_um)
+    hi = he11_neff(spec, lam_um, spec.d_um + dd)
+    lo = he11_neff(spec, lam_um, spec.d_um - dd)
     # beta = n_eff * k0, so (dbeta/dd)/k0 reduces to d(n_eff)/dd.
-    return (hi.n_eff - lo.n_eff) / (2.0 * dd)
+    sens = (hi - lo) / (2.0 * dd)
+    return float(sens) if sens.ndim == 0 else sens
 
 
 def exterior_decay(spec: FiberSpec, lam_um: float) -> float:
     """Evanescent decay constant gamma = sqrt(beta^2 - k0^2 n_clad^2) [1/um]."""
-    point = fundamental_neff(spec, lam_um)
-    k0 = 2.0 * np.pi / lam_um
-    return k0 * np.sqrt(point.n_eff**2 - spec.clad_index**2)
+    n_eff = fundamental_neff(spec, lam_um).n_eff
+    return 2.0 * np.pi / lam_um * np.sqrt(n_eff**2 - spec.clad_index**2)
 
 
 class ModeField:
@@ -308,15 +315,7 @@ class ModeField:
 
     def __call__(self, x_um, y_um):
         """Complex field amplitude at transverse position (x, y) from the axis."""
-        x = np.asarray(x_um, dtype=float)
-        y = np.asarray(y_um, dtype=float)
-        r = np.hypot(x, y)
-        return self.radial(r).astype(complex)
-
-
-def mode_field(spec: FiberSpec, lam_um: float, x_um, y_um):
-    """Convenience wrapper: evaluate the normalized HE11 field at (x, y)."""
-    return ModeField(spec, lam_um)(x_um, y_um)
+        return self.radial(np.hypot(x_um, y_um)).astype(complex)
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,38 @@ refined sub-grid, tracked across columns into branches, and mapped to
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
+import os
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .bands import BandCurve, phase_match_crossing
 from .coupling import CouplerConfig, co_transmission, contra_transmission
 from .errors import BandCoverageError, MapFormatError
-from .fiber import C_UM_PER_S, FiberSpec, TaperProfile, dispersion_curve, fundamental_neff
+from .fiber import C_UM_PER_S, FiberSpec, TaperProfile, dispersion_curve, he11_neff
 
 MAP_HEADER_CELL = "lc_mm\\lambda_nm"
+
+
+def atomic_write(path, text: str):
+    """Write ``text`` to ``path`` through a temporary file and ``os.replace``,
+    so readers see either the old file or the complete new one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -50,15 +71,14 @@ class TransmissionMap:
             raise ValueError("transmission values must lie in [0, 1]")
 
     def to_csv(self, path, meta_path=None):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([MAP_HEADER_CELL] + [repr(float(v)) for v in self.wavelengths_nm])
-            for lc, row in zip(self.lc_mm, self.t):
-                writer.writerow([repr(float(lc))] + [repr(float(v)) for v in row])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow([MAP_HEADER_CELL] + [repr(float(v)) for v in self.wavelengths_nm])
+        for lc, row in zip(self.lc_mm, self.t):
+            writer.writerow([repr(float(lc))] + [repr(float(v)) for v in row])
+        atomic_write(path, buf.getvalue())
         if meta_path is not None:
-            with open(meta_path, "w") as fh:
-                json.dump(self.meta, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            atomic_write(meta_path, json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_csv(cls, path, meta_path=None):
@@ -72,7 +92,7 @@ class TransmissionMap:
                 f"{path}: first cell must be {MAP_HEADER_CELL!r}", line=1, column=1
             )
         try:
-            wavelengths = np.array([float(v) for v in header[1:]])
+            wavelengths = np.array(_finite_cells(path, header[1:], line=1, first_column=2))
         except ValueError as exc:
             raise MapFormatError(f"{path}: bad wavelength header: {exc}", line=1) from exc
         if wavelengths.size < 2 or np.any(np.diff(wavelengths) <= 0):
@@ -90,10 +110,11 @@ class TransmissionMap:
                     column=len(row),
                 )
             try:
-                lc.append(float(row[0]))
-                data.append([float(v) for v in row[1:]])
+                values = _finite_cells(path, row, line=i)
             except ValueError as exc:
                 raise MapFormatError(f"{path}: non-numeric cell: {exc}", line=i) from exc
+            lc.append(values[0])
+            data.append(values[1:])
         if not data:
             raise MapFormatError(f"{path}: no data rows", line=2)
         meta = {}
@@ -104,6 +125,17 @@ class TransmissionMap:
             return cls(np.array(wavelengths), np.array(lc), np.array(data), meta)
         except ValueError as exc:
             raise MapFormatError(f"{path}: {exc}") from exc
+
+
+def _finite_cells(path, cells, line, first_column=1):
+    """Cells as floats; a NaN or infinite cell is a MapFormatError."""
+    values = [float(v) for v in cells]
+    for j, v in enumerate(values):
+        if not math.isfinite(v):
+            raise MapFormatError(
+                f"{path}: non-finite cell {cells[j]!r}", line=line, column=first_column + j
+            )
+    return values
 
 
 @dataclass
@@ -217,25 +249,20 @@ def synthesize_map(
     lo, hi = taper.span_mm
     half_lc_mm = 0.5 * coupler.l_c_um * 1e-3
     offsets = np.linspace(-half_lc_mm, half_lc_mm, n_sub) if n_sub > 1 else np.array([0.0])
+    lam_mid_um = float(np.mean(lam_um))
 
     t = np.empty((lc_mm.size, wavelengths_nm.size))
     for i, lc in enumerate(lc_mm):
-        acc = np.zeros(wavelengths_nm.size)
-        for off in offsets:
-            d = float(taper.diameter_at(min(max(lc + off, lo), hi)))
-            sub_fiber = fiber.with_diameter(d)
-            beta_f = 2.0 * np.pi * dispersion_curve(sub_fiber, lam_um) / lam_um
-            t_sub = np.ones(wavelengths_nm.size)
-            for c in curves:
-                delta = 0.5 * (beta_f - betas[c.label])
-                kappa = coupler.kappa_perp(sub_fiber, float(np.mean(lam_um)))
-                if contra[c.label]:
-                    t_br, _ = contra_transmission(kappa, coupler.l_c_um, delta)
-                else:
-                    t_br, _ = co_transmission(kappa, coupler.l_c_um, delta)
-                t_sub = t_sub * t_br
-            acc += t_sub
-        row = acc / offsets.size
+        # one (sub-position x wavelength) fiber solve per taper position
+        d_sub = taper.diameter_at(np.clip(lc + offsets, lo, hi))
+        beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um, d_sub[:, None]) / lam_um
+        kappa = np.array([coupler.kappa_perp(fiber.with_diameter(d), lam_mid_um) for d in d_sub])
+        t_sub = np.ones(beta_f.shape)
+        for c in curves:
+            delta = 0.5 * (beta_f - betas[c.label])
+            transfer = contra_transmission if contra[c.label] else co_transmission
+            t_sub = t_sub * transfer(kappa[:, None], coupler.l_c_um, delta)[0]
+        row = t_sub.sum(axis=0) / offsets.size
         if include_loss:
             d_center = float(taper.diameter_at(lc))
             row = row * coupler.scattering_transmission(d_center)
@@ -434,22 +461,20 @@ def label_branches(points: list, taper: TaperProfile) -> list:
 
 
 def to_bandstructure(points: list, taper: TaperProfile, fiber: FiberSpec) -> list:
-    """Resonances -> (beta, omega) samples through the fiber solver."""
-    out = []
-    for p in points:
-        d = float(taper.diameter_at(p.lc_mm))
-        lam_um = p.lambda_min_nm * 1e-3
-        mode = fundamental_neff(fiber.with_diameter(d), lam_um)
-        out.append(
-            BandPoint(
-                beta_rad_per_um=mode.beta_rad_per_um,
-                omega_rad_per_s=2.0 * np.pi * C_UM_PER_S / lam_um,
-                lambda_nm=p.lambda_min_nm,
-                lc_mm=p.lc_mm,
-                label=p.label,
-            )
+    """Resonances -> (beta, omega) samples through one fiber solve."""
+    lam_um = np.array([p.lambda_min_nm for p in points]) * 1e-3
+    d = taper.diameter_at(np.array([p.lc_mm for p in points]))
+    beta = 2.0 * np.pi * he11_neff(fiber, lam_um, d) / lam_um
+    return [
+        BandPoint(
+            beta_rad_per_um=float(b),
+            omega_rad_per_s=2.0 * np.pi * C_UM_PER_S / lam,
+            lambda_nm=p.lambda_min_nm,
+            lc_mm=p.lc_mm,
+            label=p.label,
         )
-    return out
+        for p, lam, b in zip(points, lam_um.tolist(), beta)
+    ]
 
 
 # ---------------------------------------------------------------------------

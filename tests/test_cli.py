@@ -125,11 +125,48 @@ class TestMapCommand:
         assert run(["--out", cli_out, "map", "analyze", "--in", path]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_analyze_nan_cell_exits_2(self, cli_out, capsys):
+        path = cli_out / "nan.csv"
+        path.write_text(
+            "lc_mm\\lambda_nm,1565.0,1565.5,1566.0\n0.2,0.9,0.9,0.9\n0.3,0.9,nan,0.9\n"
+        )
+        assert run(["--out", cli_out, "map", "analyze", "--in", path]) == 2
+        assert "line 3, column 3" in capsys.readouterr().err
+        assert not (cli_out / "resonances.json").exists()
+
     def test_analyze_missing_input_exits_2(self, cli_out):
         assert run(["--out", cli_out, "map", "analyze", "--in", cli_out / "nope.csv"]) == 2
 
 
+class TestBandsCache:
+    @pytest.mark.parametrize("garbage", ["{\"curves\": [", "[]", "\xff\xfe"])
+    def test_corrupt_cache_is_recomputed(self, cli_out, bands_payload, monkeypatch,
+                                         garbage, capsys):
+        from pcwgprobe import cli
+
+        cache = next((cli_out / ".cache").iterdir())
+        cache.write_text(garbage, encoding="latin-1")
+        solves = []
+
+        def payload(cfg):
+            solves.append(cfg)
+            return bands_payload
+
+        monkeypatch.setattr(cli, "_bands_payload", payload)
+        assert run(["--out", cli_out, "couple", "--sweep", "gap"]) == 0
+        assert len(solves) == 1
+        assert "corrupt" in capsys.readouterr().err
+        assert json.loads(cache.read_text()) == json.loads(json.dumps(bands_payload))
+        assert run(["--out", cli_out, "couple", "--sweep", "gap"]) == 0
+        assert len(solves) == 1  # the rewritten cache is read back
+
+
 class TestGlobalFlags:
+    def test_threads_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "fiber"])
+        assert exc.value.code == 2
+
     def test_print_effective_config(self, capsys):
         assert run(["--print-effective-config"]) == 0
         out = capsys.readouterr().out

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pcwgprobe import config as cfgmod
+from pcwgprobe import fiber as fibermod
 from pcwgprobe.errors import NoGuidedModeError, ProfileRangeError
 from pcwgprobe.fiber import (
     FiberSpec,
+    GuidedModePoint,
     ModeField,
     TaperProfile,
     characteristic_residual,
@@ -12,8 +15,29 @@ from pcwgprobe.fiber import (
     dispersion_curve,
     exterior_decay,
     fundamental_neff,
+    he11_neff,
     silica_index,
 )
+
+J01 = 2.404825557695773
+
+# (diameter um, wavelength um, core index) of the fiber solves the other
+# tests make; None is fused silica.
+TEST_POINTS = [
+    (0.6, 1.6, None), (0.6, 1.6, 1.444), (4.0, 1.6, None), (1.3, 1.58, None),
+    (1.0, 1.55, None), (1.9, 1.62, None), (1.0, 1.6, None), (1.9, 1.6, None),
+    (10.0, 1.6, None), (0.9, 1.6, None), (1.1, 1.55, None), (1.5, 1.6, None),
+    (2.0, 1.6, 1.444), (5.0, 1.6, 1.444), (12.0, 1.6, 1.444), (30.0, 1.6, 1.444),
+] + [(1.2, lam, None) for lam in np.linspace(1.5, 1.7, 9)]
+
+
+def default_map_grid(cfg):
+    """Every (diameter, wavelength) the default ``map synth`` solves."""
+    taper = cfgmod.build_taper(cfg)
+    half_mm = 0.5 * cfgmod.build_coupler(cfg).l_c_um * 1e-3
+    lc = cfgmod.build_lc_grid(cfg)[:, None] + np.linspace(-half_mm, half_mm, 5)
+    d = taper.diameter_at(np.clip(lc, *taper.span_mm)).ravel()
+    return d, cfgmod.build_lambda_grid(cfg) * 1e-3
 
 
 def test_sellmeier_silica_at_1550():
@@ -90,7 +114,84 @@ class TestFundamentalNeff:
         np.testing.assert_allclose(curve, direct, rtol=1e-12)
 
 
+class TestArrayKernel:
+    def test_thick_fiber_returns_he11_not_the_next_root(self):
+        # the scan's top 1e-3 cell holds HE11 and the next m=1 root here, so
+        # a scan alone skips HE11 and lands on u = 5.48
+        n_eff = fundamental_neff(FiberSpec(36.7), 1.2).n_eff
+        assert n_eff == pytest.approx(1.4478370, abs=1e-7)
+        assert np.pi * 36.7 / 1.2 * np.sqrt(silica_index(1.2) ** 2 - n_eff**2) < J01
+
+    def test_continuous_in_diameter_up_to_40um(self):
+        # a jump to another root would break the smooth shrinking of the
+        # steps by orders of magnitude
+        ds = np.arange(0.5, 40.0, 0.005)
+        n_eff = he11_neff(FiberSpec(1.0), 1.2, ds)
+        steps = np.diff(n_eff)
+        assert np.all(steps > 0)
+        assert np.all(np.abs(steps[1:] / steps[:-1] - 1.0) < 0.05)
+        u = np.pi * ds / 1.2 * np.sqrt(silica_index(1.2) ** 2 - n_eff**2)
+        assert np.all(u < J01)
+
+    @pytest.mark.parametrize("d, lam, core", TEST_POINTS)
+    def test_matches_scalar_scan_at_test_points(self, d, lam, core):
+        spec = FiberSpec(d, core_index=core)
+        ref = fibermod._solve_neff(spec.n_core(lam), 1.0, np.pi * d / lam)
+        assert fundamental_neff(spec, lam).n_eff == pytest.approx(ref, rel=1e-12)
+
+    def test_matches_scalar_scan_on_map_grid_sample(self, default_cfg):
+        d, lam = default_map_grid(default_cfg)
+        spec = cfgmod.build_fiber(default_cfg)
+        d, lam = d[::23], lam[::30]
+        kernel = he11_neff(spec, lam[None, :], d[:, None])
+        ref = [
+            [fibermod._solve_neff(spec.n_core(l), 1.0, np.pi * di / l) for l in lam]
+            for di in d
+        ]
+        np.testing.assert_allclose(kernel, ref, rtol=1e-12, atol=0)
+
+    def test_default_map_grid_residuals_without_fallback(self, default_cfg, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fibermod, "_solve_neff", lambda *a: calls.append(a))
+        d, lam = default_map_grid(default_cfg)
+        spec = cfgmod.build_fiber(default_cfg)
+        n_eff = he11_neff(spec, lam[None, :], d[:, None])
+        assert calls == []
+        value, scale = fibermod._char_m1(
+            n_eff, silica_index(lam), 1.0, np.pi * d[:, None] / lam
+        )
+        assert np.max(np.abs(value) / scale) < 1e-10
+        for i, j in [(0, 0), (len(d) // 2, 100), (-1, -1)]:
+            point = GuidedModePoint(float(lam[j]), float(n_eff[i, j]))
+            assert characteristic_residual(spec.with_diameter(d[i]), point) < 1e-10
+
+    @pytest.mark.parametrize("name, value", [("_RESIDUAL_TOL", 0.0), ("_MAX_ITER", 1)])
+    def test_unsettled_elements_fall_back_to_scan(self, monkeypatch, name, value):
+        # a failed residual check or no convergence hands the element to the scan
+        monkeypatch.setattr(fibermod, name, value)
+        monkeypatch.setattr(fibermod, "_solve_neff", lambda n1, n2, a_k0: -a_k0)
+        lams = np.array([1.55, 1.6])
+        np.testing.assert_array_equal(dispersion_curve(FiberSpec(1.2), lams), -np.pi * 1.2 / lams)
+
+    def test_one_unguided_element_raises(self):
+        with pytest.raises(NoGuidedModeError):
+            he11_neff(FiberSpec(1.0), 1.6, np.array([1.0, 0.12]))
+
+
 class TestDiameterSensitivity:
+    def test_vector_matches_scalar_centered_difference(self):
+        spec = FiberSpec(1.5)
+        lams = np.linspace(1.5, 1.7, 7)
+        dd = 1.5e-3
+        scalar = [
+            (fundamental_neff(spec.with_diameter(1.5 + dd), lam).n_eff
+             - fundamental_neff(spec.with_diameter(1.5 - dd), lam).n_eff) / (2 * dd)
+            for lam in lams
+        ]
+        vector = dbeta_dd(spec, lams)
+        np.testing.assert_allclose(vector, scalar, rtol=1e-9, atol=0)
+        assert [dbeta_dd(spec, lam) for lam in lams] == pytest.approx(vector, rel=1e-9)
+
     def test_reference_sensitivity_large_taper(self):
         assert dbeta_dd(FiberSpec(1.9), 1.6) == pytest.approx(0.084, rel=0.20)
 

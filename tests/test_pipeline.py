@@ -257,6 +257,41 @@ class TestMapCsv:
         with pytest.raises(MapFormatError):
             TransmissionMap.from_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "lc_mm\\lambda_nm,1565.0,1566.0,1567.0\n"
+            "0.2,0.9,0.9,0.9\n"
+            f"0.3,0.9,0.9,{cell}\n"
+        )
+        with pytest.raises(MapFormatError) as err:
+            TransmissionMap.from_csv(path)
+        assert (err.value.line, err.value.column) == (3, 4)
+
+    def test_non_finite_wavelength_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("lc_mm\\lambda_nm,1565.0,nan\n0.2,0.9,0.9\n")
+        with pytest.raises(MapFormatError) as err:
+            TransmissionMap.from_csv(path)
+        assert (err.value.line, err.value.column) == (1, 3)
+
+    def test_failed_write_leaves_old_files(self, tmp_path, monkeypatch):
+        old = TransmissionMap([1565.0, 1566.0], [0.2], [[0.9, 0.8]], {"seed": 1})
+        new = TransmissionMap([1565.0, 1566.0], [0.2], [[0.5, 0.4]], {"seed": 2})
+        path, meta = tmp_path / "map.csv", tmp_path / "map.meta.json"
+        old.to_csv(path, meta_path=meta)
+        before = path.read_bytes(), meta.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("pcwgprobe.pipeline.os.replace", fail)
+        with pytest.raises(OSError):
+            new.to_csv(path, meta_path=meta)
+        assert (path.read_bytes(), meta.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["map.csv", "map.meta.json"]
+
 
 def test_fiber_dispersion_consistency_with_detuning(small_setup, te1):
     # the dip of a synthesized single-column spectrum sits at the exact

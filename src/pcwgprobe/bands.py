@@ -17,6 +17,12 @@ formed by laterally grading the hole radius; defect modes are computed
 in a 1 x N-row supercell and identified by their field-energy
 localization on the graded rows.
 
+The rows are mirror-symmetric about the waveguide axis, so Theta is real
+and splits into even and odd blocks (the symmetry reduction of Johnson &
+Joannopoulos, Opt. Express 8, 173 (2001)): every state has an exact
+lateral parity, and its sensitivity to the background index follows from
+its own eigenvector by the Hellmann-Feynman theorem (see PlaneWaveSolver).
+
 Units: lengths in um internally, frequencies reported both normalized
 (L_z/lambda) and absolute (rad/s); beta in rad/um.
 """
@@ -226,113 +232,147 @@ def _hole_factor(q, radius_um, cell_area_um2):
     return out
 
 
-def epsilon_fourier(spec: PCWaveguideSpec, g_vec_rad_per_um) -> complex:
-    """Fourier coefficient of the supercell permittivity at reciprocal vector G.
+def _epsilon_table(spec: PCWaveguideSpec, mz, mx):
+    """eps_hat(G_i - G_j) indexed [dm_z + 2 max(mz), dm_x + 2 max(mx)].
 
-    G = 0 returns the area-weighted average; elsewhere the analytic
-    circular-hole factor summed with per-row structure phases.
+    G = 0 holds the area average; elsewhere the analytic circular-hole
+    factor of every row.  The rows sit symmetrically about x = 0, so their
+    phases pair into cosines: the table is real and even in both indices.
     """
-    g = np.asarray(g_vec_rad_per_um, dtype=float)
-    q = float(np.hypot(g[0], g[1]))
-    area = spec.lam_z_um * spec.width_um
-    radii = spec.row_radii_um()
-    xs = spec.row_positions_um()
-    coeff = 0.0 + 0.0j
-    if q <= 1e-12:
-        coeff += spec.eps_bg
-    for r_um, x in zip(radii, xs):
-        if r_um <= 0:
-            continue
-        factor = _hole_factor(np.array(q), r_um, area)[()]
-        coeff += (1.0 - spec.eps_bg) * factor * np.exp(-1j * g[1] * x)
-    return complex(coeff)
-
-
-def _epsilon_matrix(spec: PCWaveguideSpec, mz, mx):
-    """EPS[i,j] = eps_hat(G_i - G_j) over the truncated basis."""
-    dmz = np.arange(-(mz[-1] - mz[0]), mz[-1] - mz[0] + 1)
-    dmx = np.arange(-(mx[-1] - mx[0]), mx[-1] - mx[0] + 1)
+    dmz = np.arange(-2 * mz[-1], 2 * mz[-1] + 1)
+    dmx = np.arange(-2 * mx[-1], 2 * mx[-1] + 1)
     gz = 2.0 * np.pi / spec.lam_z_um
     gx = 2.0 * np.pi / spec.width_um
     DZ, DX = np.meshgrid(dmz * gz, dmx * gx, indexing="ij")
     q = np.hypot(DZ, DX)
 
     area = spec.lam_z_um * spec.width_um
-    table = np.zeros(q.shape, dtype=complex)
+    table = np.zeros(q.shape)
     table[q <= 1e-12] = spec.eps_bg
     radii = spec.row_radii_um()
     xs = spec.row_positions_um()
     for r_um, x in zip(radii, xs):
         if r_um <= 0:
             continue
-        table += (1.0 - spec.eps_bg) * _hole_factor(q, r_um, area) * np.exp(-1j * DX * x)
-
-    nz, nx = len(mz), len(mx)
-    iz, ix = np.divmod(np.arange(nz * nx), nx)
-    diz = iz[:, None] - iz[None, :] + (len(dmz) - 1) // 2
-    dix = ix[:, None] - ix[None, :] + (len(dmx) - 1) // 2
-    return table[diz, dix]
+        table += (1.0 - spec.eps_bg) * _hole_factor(q, r_um, area) * np.cos(DX * x)
+    return table
 
 
 class PlaneWaveSolver:
     """Dense TE plane-wave solver for one lattice/supercell geometry.
 
-    The inverse permittivity matrix is factored once; each k-point then
-    costs one Hermitian eigensolve.
+    EPS is real and commutes with the mirror (m_z, m_x) -> (m_z, -m_x).
+    The solver works in the mirror-adapted basis, ordered m_z-major: the
+    even sector holds (m_z, 0) and [(m_z, m) + (m_z, -m)]/sqrt(2) for
+    m > 0, the odd sector the differences (364 and 357 vectors for the
+    default supercell); EPS is inverted once per sector.  With
+    K = diag(k + G) and eta = inv(EPS), Theta = K_z eta K_z + K_x eta K_x,
+    and K_x flips the parity (d/dx of an even field is odd), so the x
+    term of each sector's block takes the other sector's eta.
+
+    The holes are air, so EPS = I + (eps_bg - 1) C with C independent of
+    eps_bg, and d(eta)/d(eps_bg) = (eta^2 - eta)/(eps_bg - 1), formed once
+    per sector for ``sensitivity``.
     """
 
     def __init__(self, spec: PCWaveguideSpec):
         self.spec = spec
         self.g, self._mz, self._mx = _basis(spec)
-        eps = _epsilon_matrix(spec, self._mz, self._mx)
-        self.eps_inv = np.linalg.inv(eps)
-        self.eps_inv = 0.5 * (self.eps_inv + self.eps_inv.conj().T)
+        p, px = self._mz[-1], self._mx[-1]
+        table = _epsilon_table(spec, self._mz, self._mx)
+        # EPS between the (m_z, m >= 0) plane waves and the (m_z, +-m) ones
+        iz, m = np.divmod(np.arange(self._mz.size * (px + 1)), px + 1)
+        dz = iz[:, None] - iz[None, :] + 2 * p
+        direct = table[dz, m[:, None] - m[None, :] + 2 * px]
+        mirrored = table[dz, m[:, None] + m[None, :] + 2 * px]
+        w = np.where(m > 0, 1.0, np.sqrt(0.5))
+        # both sectors live in the even basis; the odd one is its m > 0 part
+        self._pos = m > 0
+        self._odd = np.ix_(self._pos, self._pos)
+        eta_e = np.linalg.inv(np.outer(w, w) * (direct + mirrored))
+        eta_o = np.zeros_like(eta_e)
+        eta_o[self._odd] = np.linalg.inv((direct - mirrored)[self._odd])
+        self._eta = [0.5 * (eta + eta.T) for eta in (eta_e, eta_o)]
+        self._d_eta = [(eta @ eta - eta) / (spec.eps_bg - 1.0) for eta in self._eta]
+        self._gz = (iz - p) * (2.0 * np.pi / spec.lam_z_um)
+        self._gx = m * (2.0 * np.pi / spec.width_um)
+        # |m_x| amplitudes of one m_z row -> H(x), keyed by the sector's
+        # vector length (odd omits the global factor i)
+        n_x = 16 * spec.supercell_rows
+        self._x = (np.arange(n_x) + 0.5 - n_x / 2.0) * (spec.width_um / n_x)
+        arg = np.outer(np.arange(px + 1) * (2.0 * np.pi / spec.width_um), self._x)
+        self._phase = {
+            m.size: np.sqrt(2.0) * w[: px + 1, None] * np.cos(arg),
+            m.size - self._mz.size: np.sqrt(2.0) * np.sin(arg[1:]),
+        }
 
     @property
     def n_pw(self):
         return self.g.shape[0]
 
     def solve_k(self, beta_rad_per_um: float, num_bands: int, vectors: bool = False):
-        """Lowest eigenfrequencies (normalized L_z/lambda) at k = (beta, 0)."""
-        kg = self.g.copy()
-        kg[:, 0] += beta_rad_per_um
-        theta = (kg @ kg.T) * self.eps_inv
-        theta = 0.5 * (theta + theta.conj().T)
+        """Lowest eigenfrequencies (normalized L_z/lambda) at k = (beta, 0).
+
+        Returns the lowest ``num_bands`` of both sectors merged and sorted;
+        with ``vectors`` the same states split by sector instead, as
+        {"even": (omega, vecs), "odd": (omega, vecs)} with the
+        eigenvectors as columns in the sector basis.
+        """
+        kz = self._gz + beta_rad_per_um
+        kzz, gxx = np.outer(kz, kz), np.outer(self._gx, self._gx)
+        eta_e, eta_o = self._eta
+        blocks = {"even": kzz * eta_e + gxx * eta_o,
+                  "odd": (kzz * eta_o + gxx * eta_e)[self._odd]}
         nb = min(num_bands, self.n_pw)
-        try:
-            if vectors:
-                vals, vecs = scipy.linalg.eigh(theta, subset_by_index=(0, nb - 1))
-            else:
-                vals = scipy.linalg.eigh(
-                    theta, subset_by_index=(0, nb - 1), eigvals_only=True
+        found = {}
+        for parity, theta in blocks.items():
+            n = min(nb, theta.shape[0])
+            try:
+                res = scipy.linalg.eigh(
+                    theta, subset_by_index=(0, n - 1), eigvals_only=not vectors
                 )
-                vecs = None
-        except scipy.linalg.LinAlgError as exc:
-            raise EigensolverError(
-                f"eigensolve failed at beta={beta_rad_per_um:.6f} rad/um "
-                f"(n_pw={self.n_pw}): {exc}"
-            ) from exc
-        scale = max(abs(vals[-1]), 1.0)
-        if vals[0] < -_NEG_EIG_TOL * scale:
-            raise EigensolverError(
-                f"operator not positive semi-definite at beta={beta_rad_per_um:.6f}: "
-                f"min eigenvalue {vals[0]:.3e} (scale {scale:.3e})"
-            )
-        vals = np.clip(vals, 0.0, None)
-        omega_norm = np.sqrt(vals) * self.spec.lam_z_um / (2.0 * np.pi)
-        return (omega_norm, vecs) if vectors else omega_norm
+            except scipy.linalg.LinAlgError as exc:
+                raise EigensolverError(
+                    f"eigensolve failed at beta={beta_rad_per_um:.6f} rad/um "
+                    f"({parity} sector, n_pw={self.n_pw}): {exc}"
+                ) from exc
+            vals, vecs = res if vectors else (res, None)
+            scale = max(abs(vals[-1]), 1.0)
+            if vals[0] < -_NEG_EIG_TOL * scale:
+                raise EigensolverError(
+                    f"operator not positive semi-definite at beta={beta_rad_per_um:.6f} "
+                    f"({parity} sector): min eigenvalue {vals[0]:.3e} (scale {scale:.3e})"
+                )
+            vals = np.clip(vals, 0.0, None)
+            found[parity] = (np.sqrt(vals) * self.spec.lam_z_um / (2.0 * np.pi), vecs)
+        merged = np.sort(np.concatenate([omega for omega, _ in found.values()]))[:nb]
+        if not vectors:
+            return merged
+        cut = merged[-1]
+        return {p: (om[om <= cut], v[:, om <= cut]) for p, (om, v) in found.items()}
+
+    def sensitivity(self, beta_rad_per_um: float, omega_norm: float, vec) -> float:
+        """S = -d ln(omega)/d ln(n_eff) of one eigenstate (a column of
+        ``solve_k``) at fixed beta, by Hellmann-Feynman:
+        d(w^2)/d(eps_bg) = v^T (dTheta/d eps_bg) v with w = omega/c.
+        """
+        d_eta_e, d_eta_o = self._d_eta
+        if vec.size == self._gz.size:
+            v, d_z, d_x = vec, d_eta_e, d_eta_o
+        else:
+            v, d_z, d_x = np.zeros(self._gz.size), d_eta_o, d_eta_e
+            v[self._pos] = vec
+        kv, gv = (self._gz + beta_rad_per_um) * v, self._gx * v
+        d_eig = kv @ d_z @ kv + gv @ d_x @ gv
+        eig = (2.0 * np.pi * omega_norm / self.spec.lam_z_um) ** 2
+        return float(-self.spec.eps_bg * d_eig / eig)
 
     # -- real-space diagnostics ------------------------------------------
 
-    def field_profile_x(self, vec: np.ndarray, n_x: int = 0):
+    def field_profile_x(self, vec: np.ndarray):
         """|H|^2 integrated over z, on a symmetric transverse grid."""
-        if n_x <= 0:
-            n_x = 16 * self.spec.supercell_rows
-        x = (np.arange(n_x) + 0.5 - n_x / 2.0) * (self.spec.width_um / n_x)
-        gx = self._mx * (2.0 * np.pi / self.spec.width_um)
-        phase = np.exp(1j * np.outer(gx, x))
-        amp = vec.reshape(len(self._mz), len(self._mx)) @ phase
-        return x, np.sum(np.abs(amp) ** 2, axis=0), amp
+        amp = vec.reshape(self._mz.size, -1) @ self._phase[vec.size]
+        return self._x, np.sum(amp**2, axis=0), amp
 
     def localization(self, vec: np.ndarray) -> float:
         """Fraction of |H|^2 energy inside the graded rows."""
@@ -342,17 +382,6 @@ class PlaneWaveSolver:
         if total <= 0 or half <= 0:
             return 0.0
         return float(np.sum(energy[np.abs(x) <= half]) / total)
-
-    def parity_score(self, vec: np.ndarray) -> float:
-        """+1 for H even about the waveguide axis, -1 for odd."""
-        _, _, amp = self.field_profile_x(vec)
-        mirrored = amp[:, ::-1]
-        sym = 0.5 * (amp + mirrored)
-        anti = 0.5 * (amp - mirrored)
-        es, ea = float(np.sum(np.abs(sym) ** 2)), float(np.sum(np.abs(anti) ** 2))
-        if es + ea == 0:
-            return 0.0
-        return (es - ea) / (es + ea)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +393,6 @@ class PlaneWaveSolver:
 class BulkBandsResult:
     curves: list
     gap_norm: tuple | None  # (valence edge, conduction edge) in L_z/lambda
-
-    @property
-    def has_gap(self):
-        return self.gap_norm is not None
 
 
 def default_kpath_norm(n_k: int = 41, start: float = 0.0, stop: float = 0.5):
@@ -466,65 +491,53 @@ class DispersiveIndex:
         return self.n(self.lam_ref_um)
 
 
-def _track_branches(kpath_norm, cand_per_k):
-    """Greedy eigenvector-overlap tracking of defect candidates across k.
+_LOCALIZATION_THRESHOLD = 0.5  # |H|^2 fraction on the graded rows of a defect state
 
-    ``cand_per_k``: list over k of lists of (omega_norm, vec, loc, par).
-    Returns list of branches, each a list of (ik, omega, loc, par).
+
+def _track_branches(cand_per_k):
+    """Greedy eigenvector-overlap tracking of one sector's candidates across k.
+
+    ``cand_per_k``: list over k of lists of (omega_norm, vec, sensitivity).
+    Returns the branches, each a list of (ik, omega_norm, sensitivity).
     """
-    branches = []  # each: {"samples": [(ik, omega, loc, par)], "vec": last vector}
+    branches = []  # each: [samples, last vector]
     for ik, cands in enumerate(cand_per_k):
-        taken = set()
+        free = list(range(len(cands)))
         # extend existing branches first, best overlap wins
         for br in branches:
-            if br["samples"][-1][0] != ik - 1:
+            if br[0][-1][0] != ik - 1 or not free:
                 continue
-            best, best_ov = None, 0.35
-            for j, (om, vec, loc, par) in enumerate(cands):
-                if j in taken:
-                    continue
-                ov = abs(np.vdot(br["vec"], vec))
-                if ov > best_ov:
-                    best, best_ov = j, ov
-            if best is not None:
-                om, vec, loc, par = cands[best]
-                br["samples"].append((ik, om, loc, par))
-                br["vec"] = vec
-                taken.add(best)
-        for j, (om, vec, loc, par) in enumerate(cands):
-            if j not in taken:
-                branches.append({"samples": [(ik, om, loc, par)], "vec": vec})
-    return branches
+            ov, j = max((abs(np.dot(br[1], cands[j][1])), j) for j in free)
+            if ov > 0.35:
+                br[0].append((ik, cands[j][0], cands[j][2]))
+                br[1] = cands[j][1]
+                free.remove(j)
+        branches += [[[(ik, cands[j][0], cands[j][2])], cands[j][1]] for j in free]
+    return [samples for samples, _ in branches]
 
 
 def waveguide_bands(
     spec: PCWaveguideSpec,
     kpath_norm=None,
     num_bands: int | None = None,
-    localization_threshold: float = 0.5,
-    require_defect: bool = True,
     dispersive: DispersiveIndex | None = None,
 ) -> WaveguideBandsResult:
     """Supercell bands with the graded-defect branches identified and labeled.
 
-    Defect branches are eigenstates inside the bulk stop band whose
-    |H|^2 energy fraction on the graded rows exceeds
-    ``localization_threshold``; they are tracked across k by eigenvector
-    overlap.  The even branch with negative group velocity (connected to
-    the conduction-band edge) is labeled TE-1; its odd-parity
-    counterpart, when present, TE-1-odd.
+    Defect branches are eigenstates inside the bulk stop band with more
+    than half of their |H|^2 energy on the graded rows, tracked across k
+    by eigenvector overlap within their mirror sector.  The even branch
+    with negative group velocity (connected to the conduction-band edge)
+    is labeled TE-1; its odd counterpart, when present, TE-1-odd.
 
-    With ``dispersive`` given, the defect branches are made
-    self-consistent with the wavelength-dependent slab index: the local
-    sensitivity of each sample to the background index is measured from
-    a second fixed-index solve, and each sample frequency then solves
-    omega = omega_2D(beta; n_eff(lambda(omega))).
+    With ``dispersive`` given, the bands are solved at its reference
+    index and each defect sample then solves the fixed point
+    omega = omega_ref (n_ref / n_eff(lambda(omega)))^S, with
+    S = -d ln(omega)/d ln(n_eff) from its own eigenvector
+    (``PlaneWaveSolver.sensitivity``).
     """
     if dispersive is not None:
-        return _waveguide_bands_dispersive(
-            spec, dispersive, kpath_norm, num_bands, localization_threshold,
-            require_defect,
-        )
+        spec = spec.with_n_eff(dispersive.n_ref)
     if not spec.grading:
         raise ValueError("waveguide_bands needs a graded defect")
     if kpath_norm is None:
@@ -540,54 +553,57 @@ def waveguide_bands(
 
     solver = PlaneWaveSolver(spec)
     all_omega = np.empty((kpath_norm.size, num_bands))
-    cand_per_k = []
+    cand_per_k = {"even": [], "odd": []}
     for i, bn in enumerate(kpath_norm):
-        omega, vecs = solver.solve_k(
-            bn * 2.0 * np.pi / spec.lam_z_um, num_bands, vectors=True
-        )
-        all_omega[i] = omega
+        beta = bn * 2.0 * np.pi / spec.lam_z_um
+        states = solver.solve_k(beta, num_bands, vectors=True)
+        all_omega[i] = np.sort(np.concatenate([omega for omega, _ in states.values()]))
         # Defect states live in the k-resolved stop band: below the local
         # conduction-band edge (which disperses along Gamma-X), above the
         # local valence edge.
         lo, hi = local_gap(bulk, bn)
-        cands = []
-        inside = np.where((omega > lo) & (omega < hi * (1.0 - 1e-9)))[0]
-        for j in inside:
-            loc = solver.localization(vecs[:, j])
-            if loc > localization_threshold:
-                cands.append((omega[j], vecs[:, j], loc, solver.parity_score(vecs[:, j])))
-        cand_per_k.append(cands)
+        for parity, (omega, vecs) in states.items():
+            inside = np.flatnonzero((omega > lo) & (omega < hi * (1.0 - 1e-9)))
+            cand_per_k[parity].append([
+                (omega[j], vecs[:, j], solver.sensitivity(beta, omega[j], vecs[:, j]))
+                for j in inside
+                if solver.localization(vecs[:, j]) > _LOCALIZATION_THRESHOLD
+            ])
 
-    branches = [
-        b for b in _track_branches(kpath_norm, cand_per_k) if len(b["samples"]) >= 3
-    ]
+    branches = sorted(  # by first k-point, then frequency
+        ((parity, samples) for parity, cands in cand_per_k.items()
+         for samples in _track_branches(cands) if len(samples) >= 3),
+        key=lambda b: b[1][0][:2],
+    )
     if not branches:
-        if require_defect:
-            raise NoDefectModeError(
-                "no localized branch found inside the gap "
-                f"({gap[0]:.4f}, {gap[1]:.4f}); grading too weak or threshold too strict"
-            )
-        return WaveguideBandsResult([], gap, kpath_norm, all_omega, spec)
-
-    curves = []
-    for br in branches:
-        ik = np.array([s[0] for s in br["samples"]])
-        om = np.array([s[1] for s in br["samples"]])
-        par = float(np.mean([s[3] for s in br["samples"]]))
-        beta = kpath_norm[ik] * 2.0 * np.pi / spec.lam_z_um
-        order = np.argsort(beta)
-        parity = "even" if par > 0.5 else ("odd" if par < -0.5 else "mixed")
-        curves.append(
-            BandCurve(
-                label="defect",
-                beta_rad_per_um=beta[order],
-                omega_norm=om[order],
-                lam_z_um=spec.lam_z_um,
-                parity=parity,
-            )
+        raise NoDefectModeError(
+            "no localized branch found inside the gap "
+            f"({gap[0]:.4f}, {gap[1]:.4f}); grading too weak"
         )
 
+    curves, sensitivities = [], []
+    for parity, samples in branches:
+        ik, om, s = (np.array(v) for v in zip(*samples))
+        beta = kpath_norm[ik] * 2.0 * np.pi / spec.lam_z_um
+        order = np.argsort(beta)
+        curves.append(BandCurve("defect", beta[order], om[order], spec.lam_z_um, parity))
+        sensitivities.append(s[order])
+
     _label_defect_curves(curves)
+    if dispersive is not None:
+        from scipy.optimize import brentq
+
+        n_ref = dispersive.n_ref
+        for curve, sens in zip(curves, sensitivities):
+            for i, (w1, s_i) in enumerate(zip(curve.omega_norm, sens)):
+
+                def fixed_point(w):
+                    return w - w1 * (n_ref / dispersive.n(spec.lam_z_um / w)) ** s_i
+
+                try:
+                    curve.omega_norm[i] = brentq(fixed_point, 0.6 * w1, 1.6 * w1, xtol=1e-13)
+                except ValueError:
+                    pass  # no sign change: leave at fixed-index value
     return WaveguideBandsResult(curves, gap, kpath_norm, all_omega, spec)
 
 
@@ -610,121 +626,33 @@ def _label_defect_curves(curves):
         c.label = f"defect-{i}"
 
 
-_SENSITIVITY_STEP = 0.015  # relative n_eff step used to probe d(omega)/d(n_eff)
-
-
-def _waveguide_bands_dispersive(
-    spec, dispersive, kpath_norm, num_bands, localization_threshold, require_defect
-):
-    from scipy.optimize import brentq
-
-    n_ref = dispersive.n_ref
-    base = waveguide_bands(
-        spec.with_n_eff(n_ref), kpath_norm, num_bands, localization_threshold,
-        require_defect,
-    )
-    n_lo = n_ref * (1.0 - _SENSITIVITY_STEP)
-    probe = waveguide_bands(
-        spec.with_n_eff(n_lo), base.kpath_norm, num_bands, localization_threshold,
-        require_defect=False,
-    )
-
-    for curve in base.curves:
-        # local sensitivity exponent S: omega ~ n_eff^-S (S < 1: the air
-        # holes do not scale with the background index)
-        s_default = _edge_sensitivity(spec, n_ref, n_lo)
-        s_beta, s_val = [], []
-        try:
-            partner = probe.curve(curve.label)
-        except KeyError:
-            partner = None
-        if partner is not None:
-            common, ia, ib = np.intersect1d(
-                np.round(curve.beta_norm, 9), np.round(partner.beta_norm, 9),
-                return_indices=True,
-            )
-            for bi, pj in zip(ia, ib):
-                w1, w2 = curve.omega_norm[bi], partner.omega_norm[pj]
-                if w1 > 0 and w2 > 0:
-                    s_beta.append(curve.beta_norm[bi])
-                    s_val.append(np.log(w2 / w1) / np.log(n_ref / n_lo))
-        if s_beta:
-            s_of_beta = lambda b: np.interp(b, s_beta, s_val)  # noqa: E731
-        else:
-            s_of_beta = lambda b: s_default  # noqa: E731
-
-        lamz = spec.lam_z_um
-        new_omega = np.empty_like(curve.omega_norm)
-        for i, (bn, w1) in enumerate(zip(curve.beta_norm, curve.omega_norm)):
-            s_i = float(s_of_beta(bn))
-
-            def fixed_point(w):
-                n_w = dispersive.n(lamz / w)
-                return w - w1 * (n_ref / n_w) ** s_i
-
-            try:
-                new_omega[i] = brentq(fixed_point, 0.6 * w1, 1.6 * w1, xtol=1e-13)
-            except ValueError:
-                new_omega[i] = w1  # no sign change: leave at fixed-index value
-        curve.omega_norm = new_omega
-    return base
-
-
-def _edge_sensitivity(spec, n_ref, n_lo):
-    """Global fallback exponent from the conduction-band edge at X."""
-    betas = np.array([0.5])
-    hi = PlaneWaveSolver(spec.bulk().with_n_eff(n_ref)).solve_k(
-        betas[0] * 2 * np.pi / spec.lam_z_um, 2
-    )[1]
-    lo = PlaneWaveSolver(spec.bulk().with_n_eff(n_lo)).solve_k(
-        betas[0] * 2 * np.pi / spec.lam_z_um, 2
-    )[1]
-    return float(np.log(lo / hi) / np.log(n_ref / n_lo))
-
-
 def defect_profile(spec: PCWaveguideSpec, curve: BandCurve, beta_norm: float):
     """Signed lateral amplitude of a defect branch at one k-point.
 
     Returns (x_um, u) with u the m_z = 0 harmonic of H (the component
     that phase-matches a co-reduced external wave), normalized to unit
-    power: integral |u|^2 dx = 1.  u keeps the lateral sign, so odd
-    branches yield an antisymmetric profile.
+    power: integral |u|^2 dx = 1.  The state is the localized one of the
+    curve's own mirror sector nearest the curve's frequency; u keeps the
+    lateral sign, so odd branches yield an antisymmetric profile.
     """
     solver = PlaneWaveSolver(spec)
-    nb = 2 * spec.supercell_rows + 8
-    omega, vecs = solver.solve_k(
-        beta_norm * 2.0 * np.pi / spec.lam_z_um, nb, vectors=True
+    states = solver.solve_k(
+        beta_norm * 2.0 * np.pi / spec.lam_z_um, 2 * spec.supercell_rows + 8, vectors=True
     )
+    omega, vecs = states["odd" if curve.parity == "odd" else "even"]
     target = float(np.interp(beta_norm, curve.beta_norm, curve.omega_norm))
-    want_odd = curve.parity == "odd"
-    best, best_score = None, np.inf
-    for j in range(nb):
-        if solver.localization(vecs[:, j]) < 0.4:
-            continue
-        par = solver.parity_score(vecs[:, j])
-        if want_odd and par > -0.5:
-            continue
-        if not want_odd and par < 0.5:
-            continue
-        score = abs(omega[j] - target)
-        if score < best_score:
-            best, best_score = j, score
-    if best is None:
+    localized = [j for j in range(omega.size) if solver.localization(vecs[:, j]) >= 0.4]
+    if not localized:
         raise NoDefectModeError(
             f"no localized {curve.parity} state found at beta_norm={beta_norm:.4f}"
         )
-    vec = vecs[:, best]
-    n_x = 16 * spec.supercell_rows
-    x = (np.arange(n_x) + 0.5 - n_x / 2.0) * (spec.width_um / n_x)
-    mz0 = (len(solver._mz) - 1) // 2
-    gx = solver._mx * (2.0 * np.pi / spec.width_um)
-    u = vec.reshape(len(solver._mz), len(solver._mx))[mz0] @ np.exp(1j * np.outer(gx, x))
-    # fix the arbitrary global phase so u is (nearly) real positive at its peak
-    peak = np.argmax(np.abs(u))
-    u = u * np.exp(-1j * np.angle(u[peak]))
-    dx = spec.width_um / n_x
-    u = u / np.sqrt(np.sum(np.abs(u) ** 2) * dx)
-    return x, u
+    best = min(localized, key=lambda j: abs(omega[j] - target))
+    x, _, amp = solver.field_profile_x(vecs[:, best])
+    u = amp[(solver._mz.size - 1) // 2]
+    # fix the arbitrary sign so u is positive at its peak
+    u = u * np.sign(u[np.argmax(np.abs(u))])
+    dx = spec.width_um / x.size
+    return x, u / np.sqrt(np.sum(u**2) * dx)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def _bands_payload(cfg):
 
 
 def _bands_cached(cfg, out_dir: Path, use_cache: bool):
-    key = cfgmod.config_hash(cfg, ("slab", "lattice"))
+    key = cfgmod.bands_cache_key(cfg)
     cache_file = out_dir / ".cache" / f"bands_{key}.json"
     if use_cache and cache_file.exists():
         payload = _read_cache(cache_file)

@@ -131,15 +131,36 @@ def effective_config_yaml(cfg: dict) -> str:
     return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
 
 
-def config_hash(cfg: dict, sections) -> str:
-    """Stable short hash of selected config sections (cache key)."""
-    payload = json.dumps({s: cfg[s] for s in sections}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+# Bump whenever the bands a config yields change: older caches are then not read.
+BANDS_CACHE_VERSION = 2
+
+
+def bands_cache_key(cfg: dict) -> str:
+    """Stable short hash of everything the cached bands depend on."""
+    payload = {"version": BANDS_CACHE_VERSION, "slab": cfg["slab"], "lattice": cfg["lattice"]}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # -- typed builders ----------------------------------------------------------
 
 
+def _section(name: str):
+    """Decorates a builder: a value it rejects becomes a ConfigError naming the section."""
+
+    def decorate(build):
+        def checked(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config section {name!r}: {exc}") from exc
+
+        checked.__name__, checked.__doc__ = build.__name__, build.__doc__
+        return checked
+
+    return decorate
+
+
+@_section("fiber")
 def build_fiber(cfg: dict, d_um=None) -> FiberSpec:
     f = cfg["fiber"]
     return FiberSpec(
@@ -149,6 +170,7 @@ def build_fiber(cfg: dict, d_um=None) -> FiberSpec:
     )
 
 
+@_section("fiber")
 def build_taper(cfg: dict) -> TaperProfile:
     f = cfg["fiber"]
     if f["taper_csv"]:
@@ -156,6 +178,7 @@ def build_taper(cfg: dict) -> TaperProfile:
     return TaperProfile.exponential(float(f["taper_waist_um"]), float(f["taper_pull_mm"]))
 
 
+@_section("slab")
 def build_slab(cfg: dict) -> SlabSpec:
     s = cfg["slab"]
     return SlabSpec(
@@ -166,6 +189,7 @@ def build_slab(cfg: dict) -> SlabSpec:
     )
 
 
+@_section("lattice")
 def build_lattice(cfg: dict):
     """PCWaveguideSpec plus the dispersive-index handle (or None)."""
     lat = cfg["lattice"]
@@ -193,11 +217,13 @@ def build_lattice(cfg: dict):
     return spec, dispersive
 
 
+@_section("lattice")
 def build_kpath(cfg: dict):
     lat = cfg["lattice"]
     return default_kpath_norm(int(lat["k_points"]), float(lat["k_start"]), float(lat["k_stop"]))
 
 
+@_section("coupler")
 def build_coupler(cfg: dict, gap_nm=None, dx_um=None) -> CouplerConfig:
     c = cfg["coupler"]
     return CouplerConfig(
@@ -215,6 +241,7 @@ def build_coupler(cfg: dict, gap_nm=None, dx_um=None) -> CouplerConfig:
     )
 
 
+@_section("grids")
 def build_lambda_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
     start, stop, step = (
@@ -229,6 +256,7 @@ def build_lambda_grid(cfg: dict) -> np.ndarray:
     return np.arange(start, stop + 1e-9, step)
 
 
+@_section("grids")
 def build_lc_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
     n = int(g["lc_points"])
@@ -237,6 +265,7 @@ def build_lc_grid(cfg: dict) -> np.ndarray:
     return np.linspace(float(g["lc_start_mm"]), float(g["lc_stop_mm"]), n)
 
 
+@_section("grids")
 def build_gap_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
     if float(g["gap_step_nm"]) <= 0 or float(g["gap_stop_nm"]) <= float(g["gap_start_nm"]):
@@ -246,6 +275,7 @@ def build_gap_grid(cfg: dict) -> np.ndarray:
     )
 
 
+@_section("grids")
 def build_dx_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
     n = int(g["dx_points"])

@@ -83,23 +83,6 @@ class CouplerConfig:
         return 1.0 - float(np.clip(loss, 0.0, 0.5))
 
 
-@dataclass(frozen=True)
-class CouplingMetrics:
-    """Efficiency numbers extracted from one coupling measurement."""
-
-    t_min: float
-    t_max: float
-    gamma: float
-    r_max: float | None = None
-    r_sq: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.t_min <= self.t_max <= 1.0:
-            raise ValueError("need 0 <= T_min <= T_max <= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("ideality must lie in [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # Two-mode transfer functions
 # ---------------------------------------------------------------------------

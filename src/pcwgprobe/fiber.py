@@ -108,6 +108,12 @@ def _char_m1(neff, n1, n2, a_k0):
     return lhs - rhs, np.abs(lhs) + np.abs(rhs)
 
 
+def _he11_bracket(n1, n2, a_k0):
+    """n_eff interval holding HE11 and no other m=1 root: u below j01."""
+    lo = np.maximum(n2 + _EDGE, np.sqrt(np.maximum(n1**2 - (_J01 / a_k0) ** 2, 0.0)))
+    return lo, n1 - _EDGE
+
+
 def _he11_roots(n1, n2, a_k0):
     """HE11 n_eff for broadcast arrays of core index, cladding index and a*k0.
 
@@ -121,8 +127,7 @@ def _he11_roots(n1, n2, a_k0):
     n1, n2, a_k0 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n1, n2, a_k0)))
     shape = n1.shape
     n1, n2, a_k0 = n1.ravel(), n2.ravel(), a_k0.ravel()
-    a = np.maximum(n2 + _EDGE, np.sqrt(np.maximum(n1**2 - (_J01 / a_k0) ** 2, 0.0)))
-    b = n1 - _EDGE
+    a, b = _he11_bracket(n1, n2, a_k0)
     fa, fb = _char_m1(a, n1, n2, a_k0)[0], _char_m1(b, n1, n2, a_k0)[0]
     if not np.all(fa * fb < 0):
         i = np.argmin(fa * fb < 0)
@@ -152,69 +157,37 @@ def _he11_roots(n1, n2, a_k0):
 
 
 def _solve_neff(n1, n2, a_k0, scan_step=_SCAN_STEP):
-    """Largest m=1 root of the characteristic equation in (n2, n1).
+    """HE11 root of the characteristic equation, found by a scan.
 
     The fallback of ``_he11_roots`` for elements its bracketed
-    refinement cannot settle.  Scans n_eff at ``scan_step`` resolution,
-    brackets sign changes and refines with Brent's method.  Sign changes
-    caused by poles of the Bessel ratios fail the relative-residual
-    check and are discarded (after one subdivision retry to recover a
-    root sharing the cell with a pole).
+    refinement cannot settle.  Scans the same HE11 bracket, which holds
+    no pole, at ``scan_step`` resolution (closed by its upper end),
+    brackets sign changes and refines them with Brent's method; the root
+    must pass the relative-residual check.
     """
 
     def f(x):
         return _char_m1(x, n1, n2, a_k0)[0]
 
-    def try_bracket(lo, hi, depth=0):
-        try:
-            root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        except ValueError:
-            return None
-        value, scale = _char_m1(root, n1, n2, a_k0)
-        if scale > 0 and abs(value) / scale < _RESIDUAL_TOL:
-            return float(root)
-        if depth >= 1:
-            return None
-        # Pole and root may share the cell: subdivide once and rescan.
-        sub = np.linspace(lo, hi, 41)
-        vals = f(sub)
-        for j in range(len(sub) - 1, 0, -1):
-            if np.isfinite(vals[j - 1]) and np.isfinite(vals[j]) and vals[j - 1] * vals[j] < 0:
-                found = try_bracket(sub[j - 1], sub[j], depth + 1)
-                if found is not None:
-                    return found
-        return None
-
-    eps = max(1e-9, scan_step * 1e-3)
-    grid = np.arange(n2 + eps, n1 - eps, scan_step)
-    if grid.size < 2:
-        raise NoGuidedModeError(
-            f"index window ({n2}, {n1}) narrower than the scan resolution"
-        )
-    if grid[-1] < n1 - eps:
-        # close the top cell: the fundamental root crowds the core index
-        # for thick fibers and must stay bracketed
-        grid = np.append(grid, n1 - eps)
+    lo, hi = _he11_bracket(n1, n2, a_k0)
+    if not lo < hi:
+        raise NoGuidedModeError(f"empty HE11 bracket in the index window ({n2}, {n1})")
+    grid = np.append(np.arange(lo, hi, scan_step), hi)
     vals = f(grid)
     finite = np.isfinite(vals)
-    crossings = [
-        i
-        for i in range(len(grid) - 1)
-        if finite[i] and finite[i + 1] and vals[i] * vals[i + 1] < 0
-    ]
-    if not crossings:
+    crossings = np.flatnonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0))
+    if not crossings.size:
         raise NoGuidedModeError(
             f"no guided m=1 solution bracketed for V={a_k0 * np.sqrt(n1**2 - n2**2):.3f} "
             f"(diameter too small for the numerical bracket)"
         )
-    rejected = 0
-    for i in reversed(crossings):
-        root = try_bracket(grid[i], grid[i + 1])
-        if root is not None:
-            return root
-        rejected += 1
+    for i in crossings[::-1]:
+        root = brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        value, scale = _char_m1(root, n1, n2, a_k0)
+        if scale > 0 and abs(value) / scale < _RESIDUAL_TOL:
+            return float(root)
     raise ConvergenceError(
-        f"{rejected} bracketed sign change(s) all failed the residual check "
+        f"{crossings.size} bracketed sign change(s) all failed the residual check "
         f"(V={a_k0 * np.sqrt(n1**2 - n2**2):.3f})"
     )
 

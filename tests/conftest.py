@@ -65,7 +65,7 @@ def bands_payload(bands_result, default_spec):
 @pytest.fixture
 def cli_out(tmp_path, bands_payload, default_cfg):
     """Output dir with the bands cache pre-seeded (CLI tests stay fast)."""
-    key = cfgmod.config_hash(default_cfg, ("slab", "lattice"))
+    key = cfgmod.bands_cache_key(default_cfg)
     cache = tmp_path / ".cache"
     cache.mkdir()
     with open(cache / f"bands_{key}.json", "w") as fh:

@@ -5,41 +5,53 @@ from pcwgprobe.bands import (
     BandCurve,
     PCWaveguideSpec,
     PlaneWaveSolver,
+    _basis,
+    _epsilon_table,
+    _hole_factor,
     bulk_bands,
     default_kpath_norm,
     defect_profile,
-    epsilon_fourier,
     local_gap,
     phase_match_crossing,
+    thinning_shift,
     waveguide_bands,
 )
+from pcwgprobe.coupling import CouplerConfig, WaveguideProfile, lateral_profile
 from pcwgprobe.errors import BandCoverageError, NoDefectModeError
-from pcwgprobe.fiber import FiberSpec
+from pcwgprobe.fiber import FiberSpec, ModeField
+from pcwgprobe.slab import SlabSpec
 
 
 def bulk_spec(**kw):
     return PCWaveguideSpec(grading=(), supercell_rows=1, **kw)
 
 
+def table_of(spec):
+    """The epsilon table and the index of its G = 0 entry."""
+    _, mz, mx = _basis(spec)
+    return _epsilon_table(spec, mz, mx), (2 * mz[-1], 2 * mx[-1])
+
+
 class TestEpsilonFourier:
     def test_uniform_lattice_when_r_zero(self):
         spec = bulk_spec(r_frac=0.0)
-        assert epsilon_fourier(spec, (0.0, 0.0)) == pytest.approx(spec.eps_bg)
-        g1 = 2 * np.pi / spec.lam_z_um
-        assert abs(epsilon_fourier(spec, (g1, 0.0))) < 1e-14
+        table, zero = table_of(spec)
+        assert table[zero] == pytest.approx(spec.eps_bg)
+        table[zero] = 0.0
+        assert np.max(np.abs(table)) < 1e-14
 
     def test_zero_order_is_area_average(self):
         spec = bulk_spec()
         f = spec.fill_fraction()
         expected = f * 1.0 + (1.0 - f) * spec.eps_bg
-        assert epsilon_fourier(spec, (0.0, 0.0)) == pytest.approx(expected, rel=1e-12)
+        table, zero = table_of(spec)
+        assert table[zero] == pytest.approx(expected, rel=1e-12)
 
-    def test_hermitian_symmetry(self):
-        spec = PCWaveguideSpec()
-        g = (2 * np.pi / spec.lam_z_um, 3 * 2 * np.pi / spec.width_um)
-        plus = epsilon_fourier(spec, g)
-        minus = epsilon_fourier(spec, (-g[0], -g[1]))
-        assert minus == pytest.approx(np.conj(plus), rel=1e-12)
+    def test_table_real_and_even(self):
+        table, _ = table_of(PCWaveguideSpec())
+        assert table.dtype == np.float64
+        np.testing.assert_array_equal(table, table[::-1, :])
+        np.testing.assert_array_equal(table, table[:, ::-1])
 
 
 class TestBulkBands:
@@ -118,7 +130,7 @@ class TestWaveguideBands:
         beta_norm = 0.42
         omega, vecs = solver.solve_k(
             beta_norm * 2 * np.pi / default_spec.lam_z_um, 42, vectors=True
-        )
+        )["even"]
         target = float(np.interp(beta_norm, te1.beta_norm, te1.omega_norm))
         j = int(np.argmin(np.abs(omega - target)))
         assert solver.localization(vecs[:, j]) > 0.5
@@ -237,3 +249,114 @@ class TestSpecValidation:
     def test_too_small_supercell_rejected(self):
         with pytest.raises(ValueError):
             PCWaveguideSpec(grading=(0.25, 0.3, 0.32, 0.34), supercell_rows=9)
+
+
+def complex_theta(spec, beta):
+    """Theta in the full plane-wave basis, built the way the solver did
+    before the mirror reduction: complex structure phases, one Hermitian
+    matrix."""
+    g, mz, mx = _basis(spec)
+    dmz = np.arange(-2 * mz[-1], 2 * mz[-1] + 1)
+    dmx = np.arange(-2 * mx[-1], 2 * mx[-1] + 1)
+    DZ, DX = np.meshgrid(
+        dmz * 2 * np.pi / spec.lam_z_um, dmx * 2 * np.pi / spec.width_um, indexing="ij"
+    )
+    q = np.hypot(DZ, DX)
+    table = np.where(q <= 1e-12, spec.eps_bg, 0.0).astype(complex)
+    for r_um, x in zip(spec.row_radii_um(), spec.row_positions_um()):
+        area = spec.lam_z_um * spec.width_um
+        table += (1 - spec.eps_bg) * _hole_factor(q, r_um, area) * np.exp(-1j * DX * x)
+    iz, ix = np.divmod(np.arange(g.shape[0]), mx.size)
+    eps = table[iz[:, None] - iz[None, :] + 2 * mz[-1], ix[:, None] - ix[None, :] + 2 * mx[-1]]
+    eta = np.linalg.inv(eps)
+    kg = g + np.array([beta, 0.0])
+    theta = (kg @ kg.T) * 0.5 * (eta + eta.conj().T)
+    return 0.5 * (theta + theta.conj().T)
+
+
+class TestSectorSolve:
+    @pytest.mark.parametrize("beta_norm", [0.30, 0.41, 0.50])
+    def test_sectors_match_full_complex_operator(self, default_spec, beta_norm):
+        import scipy.linalg
+
+        beta = beta_norm * 2 * np.pi / default_spec.lam_z_um
+        vals = scipy.linalg.eigh(
+            complex_theta(default_spec, beta), subset_by_index=(0, 41), eigvals_only=True
+        )
+        full = np.sqrt(vals) * default_spec.lam_z_um / (2 * np.pi)
+        solver = PlaneWaveSolver(default_spec)
+        np.testing.assert_allclose(solver.solve_k(beta, 42), full, rtol=1e-12, atol=0)
+        states = solver.solve_k(beta, 42, vectors=True)
+        split = np.sort(np.concatenate([states["even"][0], states["odd"][0]]))
+        np.testing.assert_array_equal(split, solver.solve_k(beta, 42))
+        assert [v.shape[0] for _, v in states.values()] == [364, 357]
+
+    def test_fixed_index_outputs_equal_complex_solver(self, default_spec):
+        # reference values of the complex full-basis solver (same spec)
+        bulk = bulk_bands(default_spec.bulk())
+        np.testing.assert_allclose(
+            bulk.gap_norm, (0.2036085020153604, 0.2844247073689588), rtol=1e-10
+        )
+        np.testing.assert_allclose(
+            [c.omega_norm[20] for c in bulk.curves],
+            [0.11767514363475354, 0.3655819742099958, 0.563502097256742,
+             0.5704357597558801, 0.5893777296229562, 0.7245462146517634],
+            rtol=1e-10,
+        )
+        res = waveguide_bands(default_spec, kpath_norm=np.linspace(0.30, 0.50, 26))
+        expected = {
+            "TE-1": [0.3325384326185176, 0.2922412243754883,
+                     0.2743203382496572, 0.27087375571139255],
+            "TE-1-odd": [0.3417052207329587, 0.30233083212737466,
+                         0.2846133432428801, 0.28170560947575546],
+        }
+        for label, omega in expected.items():
+            curve = res.curve(label)
+            assert curve.beta_norm.size == 26
+            np.testing.assert_allclose(curve.omega_norm[[0, 13, 21, 25]], omega, rtol=1e-10)
+        shift = thinning_shift(default_spec, SlabSpec(340.0), 300.0)
+        assert shift.d_omega_norm["TE-1"] == pytest.approx(0.00676761159380856, rel=1e-10)
+        assert shift.d_omega_norm["TE-2"] == pytest.approx(0.07292320983276274, rel=1e-10)
+
+    def test_lateral_fwhm_equals_complex_solver(self, default_spec, te1):
+        # criterion 10's geometry at the phase-match point of the complex solver
+        beta, lam_nm = 4.503143398584199, 1613.9727459194082
+        x, u = defect_profile(default_spec, te1, beta * default_spec.lam_z_um / (2 * np.pi))
+        assert np.isrealobj(u)
+        wg = WaveguideProfile(x_um=x, u=u, beta_rad_per_um=beta, lam_um=lam_nm * 1e-3,
+                              slab_t_um=0.34, eps_bg=default_spec.n_eff**2)
+        fiber, coupler = FiberSpec(1.0), CouplerConfig()
+        result = lateral_profile(
+            ModeField(fiber, lam_nm * 1e-3), wg, 400.0, coupler.l_c_um,
+            np.linspace(-4.0, 4.0, 81),
+            kappa_at_center=coupler.kappa_perp(fiber, lam_nm * 1e-3, 400.0),
+        )
+        assert result.fwhm_um == pytest.approx(2.5510035301570917, rel=1e-10)
+
+    def test_sensitivity_matches_central_difference(self, default_spec):
+        kpath = np.linspace(0.30, 0.50, 26)[14:]
+        te1 = waveguide_bands(default_spec, kpath_norm=kpath).curve("TE-1")
+        h = 1e-5
+        solver, up, down = (
+            PlaneWaveSolver(default_spec.with_n_eff(default_spec.n_eff * f))
+            for f in (1.0, 1.0 + h, 1.0 - h)
+        )
+        for beta_norm in (0.42, 0.46, 0.468, 0.5):
+            beta = beta_norm * 2 * np.pi / default_spec.lam_z_um
+            omega, vecs = solver.solve_k(beta, 42, vectors=True)["even"]
+            j = int(np.argmin(np.abs(omega - np.interp(beta_norm, te1.beta_norm, te1.omega_norm))))
+            log_omega = []
+            for other in (up, down):
+                om, vv = other.solve_k(beta, 42, vectors=True)["even"]
+                log_omega.append(np.log(om[np.argmax(np.abs(vv.T @ vecs[:, j]))]))
+            s_fd = -(log_omega[0] - log_omega[1]) / (np.log(1.0 + h) - np.log(1.0 - h))
+            s_hf = solver.sensitivity(beta, omega[j], vecs[:, j])
+            assert 0.5 < s_hf < 1.0
+            assert s_hf == pytest.approx(s_fd, abs=1e-4)
+
+    def test_te1_sample_at_the_avoided_crossing(self, te1):
+        # beta_norm 0.468 sits at an avoided crossing of TE-1 with another
+        # even state; a finite-step sensitivity mixed the two there
+        at = np.isclose(te1.beta_norm, 0.468)
+        assert at.sum() == 1
+        assert te1.lambda_nm[at][0] == pytest.approx(1785.2, abs=0.5)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from pcwgprobe import config as cfgmod
 from pcwgprobe.cli import main
 
 
@@ -36,6 +37,18 @@ class TestFiberCommand:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("grids: {lambda_step_um: 1.0}\n")
         assert run(["--config", cfg, "fiber"]) == 2
+
+    @pytest.mark.parametrize("yaml_text, command, key", [
+        ("lattice: {supercell_rows: 16}\n", "bands", "supercell_rows"),
+        ("fiber: {d_um: -1}\n", "fiber", "fiber diameter"),
+    ])
+    def test_invalid_config_value_exits_2(self, tmp_path, capsys, yaml_text, command, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml_text)
+        assert run(["--config", cfg, "--out", tmp_path, command]) == 2
+        err = capsys.readouterr().err
+        assert "config" in err and key in err
+        assert "Traceback" not in err
 
     def test_profile_input(self, tmp_path):
         taper = tmp_path / "taper.csv"
@@ -159,6 +172,31 @@ class TestBandsCache:
         assert json.loads(cache.read_text()) == json.loads(json.dumps(bands_payload))
         assert run(["--out", cli_out, "couple", "--sweep", "gap"]) == 0
         assert len(solves) == 1  # the rewritten cache is read back
+
+    def test_unversioned_cache_is_not_read(self, cli_out, bands_payload, default_cfg,
+                                           monkeypatch):
+        # a cache keyed by the slab and lattice sections alone was written by
+        # an earlier solver whose bands differ
+        import hashlib
+
+        from pcwgprobe import cli
+
+        cache_dir = cli_out / ".cache"
+        for f in cache_dir.iterdir():
+            f.unlink()
+        old = json.dumps({s: default_cfg[s] for s in ("slab", "lattice")}, sort_keys=True)
+        old_key = hashlib.sha256(old.encode()).hexdigest()[:16]
+        (cache_dir / f"bands_{old_key}.json").write_text(json.dumps(bands_payload))
+        solves = []
+
+        def payload(cfg):
+            solves.append(cfg)
+            return bands_payload
+
+        monkeypatch.setattr(cli, "_bands_payload", payload)
+        assert run(["--out", cli_out, "couple", "--sweep", "gap"]) == 0
+        assert len(solves) == 1
+        assert (cache_dir / f"bands_{cfgmod.bands_cache_key(default_cfg)}.json").exists()
 
 
 class TestGlobalFlags:

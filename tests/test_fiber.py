@@ -122,6 +122,11 @@ class TestArrayKernel:
         assert n_eff == pytest.approx(1.4478370, abs=1e-7)
         assert np.pi * 36.7 / 1.2 * np.sqrt(silica_index(1.2) ** 2 - n_eff**2) < J01
 
+    def test_scan_fallback_stays_in_the_he11_bracket(self):
+        # scanning all of (n2, n1) here returned the next m = 1 root, 1.4469263
+        n_eff = fibermod._solve_neff(silica_index(1.2), 1.0, np.pi * 36.7 / 1.2)
+        assert n_eff == pytest.approx(1.4478370, abs=1e-7)
+
     def test_continuous_in_diameter_up_to_40um(self):
         # a jump to another root would break the smooth shrinking of the
         # steps by orders of magnitude

@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
-from .errors import EigensolverError, NoDefectModeError
-from .fiber import C_UM_PER_S
+from .errors import BandCoverageError, EigensolverError, NoDefectModeError
+from .fiber import C_UM_PER_S, dispersion_curve
+from .roots import bracketed_roots
 from .slab import SlabSpec, slab_effective_index
 
 _NEG_EIG_TOL = 1e-8
@@ -107,13 +107,8 @@ class PCWaveguideSpec:
     def row_radii_um(self) -> np.ndarray:
         """Hole radius per supercell row, center row first in the middle."""
         n = self.supercell_rows
-        center = (n - 1) // 2
-        radii = np.empty(n)
-        for j in range(n):
-            dist = abs(j - center)
-            frac = self.grading[dist] if dist < len(self.grading) else self.r_frac
-            radii[j] = frac * self.lam_x_um
-        return radii
+        dist = np.minimum(np.abs(np.arange(n) - (n - 1) // 2), len(self.grading))
+        return np.array(tuple(self.grading) + (self.r_frac,))[dist] * self.lam_x_um
 
     def row_positions_um(self) -> np.ndarray:
         n = self.supercell_rows
@@ -318,6 +313,8 @@ class PlaneWaveSolver:
         {"even": (omega, vecs), "odd": (omega, vecs)} with the
         eigenvectors as columns in the sector basis.
         """
+        import scipy.linalg
+
         kz = self._gz + beta_rad_per_um
         kzz, gxx = np.outer(kz, kz), np.outer(self._gx, self._gx)
         eta_e, eta_o = self._eta
@@ -483,7 +480,8 @@ class DispersiveIndex:
     vertical_order: int = 0
     lam_ref_um: float = 1.6
 
-    def n(self, lam_um: float) -> float:
+    def n(self, lam_um):
+        """Slab index at scalar or array wavelengths."""
         return slab_effective_index(self.slab, lam_um, self.vertical_order)
 
     @property
@@ -591,36 +589,27 @@ def waveguide_bands(
 
     _label_defect_curves(curves)
     if dispersive is not None:
-        from scipy.optimize import brentq
-
         n_ref = dispersive.n_ref
-        for curve, sens in zip(curves, sensitivities):
-            for i, (w1, s_i) in enumerate(zip(curve.omega_norm, sens)):
+        w1, sens = np.concatenate([c.omega_norm for c in curves]), np.concatenate(sensitivities)
 
-                def fixed_point(w):
-                    return w - w1 * (n_ref / dispersive.n(spec.lam_z_um / w)) ** s_i
+        def fixed_point(w, w1, s):
+            return w - w1 * (n_ref / dispersive.n(spec.lam_z_um / w)) ** s
 
-                try:
-                    curve.omega_norm[i] = brentq(fixed_point, 0.6 * w1, 1.6 * w1, xtol=1e-13)
-                except ValueError:
-                    pass  # no sign change: leave at fixed-index value
+        # all samples of all curves at once
+        w = bracketed_roots(fixed_point, 0.6 * w1, 1.6 * w1, (w1, sens), xtol=1e-13)
+        w = np.where(np.isnan(w), w1, w)  # no sign change: keep the fixed-index value
+        ends = np.cumsum([c.omega_norm.size for c in curves])[:-1]
+        for curve, part in zip(curves, np.split(w, ends)):
+            curve.omega_norm = part
     return WaveguideBandsResult(curves, gap, kpath_norm, all_omega, spec)
 
 
 def _label_defect_curves(curves):
     """Assign TE-1 / TE-1-odd labels by slope sign and lateral parity."""
-    neg_even = [c for c in curves if c.mean_slope() < 0 and c.parity == "even"]
-    neg_odd = [c for c in curves if c.mean_slope() < 0 and c.parity == "odd"]
-    neg_even.sort(key=lambda c: float(np.mean(c.omega_norm)))
-    neg_odd.sort(key=lambda c: float(np.mean(c.omega_norm)))
-    if neg_even:
-        neg_even[0].label = "TE-1"
-        for i, c in enumerate(neg_even[1:], start=2):
-            c.label = f"TE-1-even-{i}"
-    if neg_odd:
-        neg_odd[0].label = "TE-1-odd"
-        for i, c in enumerate(neg_odd[1:], start=2):
-            c.label = f"TE-1-odd-{i}"
+    for parity, first in (("even", "TE-1"), ("odd", "TE-1-odd")):
+        neg = [c for c in curves if c.mean_slope() < 0 and c.parity == parity]
+        for i, c in enumerate(sorted(neg, key=lambda c: float(np.mean(c.omega_norm))), 1):
+            c.label = first if i == 1 else f"TE-1-{parity}-{i}"
     rest = [c for c in curves if c.label == "defect"]
     for i, c in enumerate(rest, start=1):
         c.label = f"defect-{i}"
@@ -681,9 +670,6 @@ def phase_match_crossing(curve: BandCurve, fiber_spec, lam_window_nm=None) -> Ph
     BandCoverageError
         If no crossing lies on the sampled interval.
     """
-    from .errors import BandCoverageError
-    from .fiber import dispersion_curve
-
     lam_um = curve.lam_z_um / curve.omega_norm
     mask = np.ones(lam_um.size, dtype=bool)
     if lam_window_nm is not None:
@@ -764,20 +750,11 @@ def thinning_shift(
     for tag, n_eff in (("thick", n0_thick), ("thin", n0_thin)):
         res = waveguide_bands(spec.with_n_eff(n_eff), kpath_norm=kpath_norm)
         te1[tag] = res.curve("TE-1")
-    common = np.intersect1d(
-        np.round(te1["thick"].beta_norm, 9), np.round(te1["thin"].beta_norm, 9)
-    )
+    k_thick, k_thin = (np.round(te1[tag].beta_norm, 9) for tag in ("thick", "thin"))
+    common, i_thick, i_thin = np.intersect1d(k_thick, k_thin, return_indices=True)
     if common.size == 0:
         raise NoDefectModeError("TE-1 branches at the two thicknesses share no k-points")
-    shift_te1 = float(
-        np.mean(
-            [
-                te1["thin"].omega_norm[np.round(te1["thin"].beta_norm, 9) == b][0]
-                - te1["thick"].omega_norm[np.round(te1["thick"].beta_norm, 9) == b][0]
-                for b in common
-            ]
-        )
-    )
+    shift_te1 = float(np.mean(te1["thin"].omega_norm[i_thin] - te1["thick"].omega_norm[i_thick]))
 
     edge = {}
     for tag, n_eff in (("thick", n1_thick), ("thin", n1_thin)):

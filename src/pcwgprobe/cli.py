@@ -112,9 +112,12 @@ def cmd_fiber(cfg, args, out_dir: Path) -> int:
     if args.profile:
         from .fiber import TaperProfile
 
-        taper = TaperProfile.from_csv(args.profile)
         if args.lc_mm is None:
             raise ConfigError("--profile needs --lc-mm to pick the position")
+        try:
+            taper = TaperProfile.from_csv(args.profile)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"taper profile: {exc}") from exc
         d_um = float(taper.diameter_at(args.lc_mm))
     else:
         d_um = args.d_um if args.d_um is not None else cfg["fiber"]["d_um"]
@@ -364,7 +367,7 @@ def main(argv=None) -> int:
         if args.command == "map":
             return cmd_map(cfg, args, out_dir, use_cache, args.seed)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, MapFormatError, FileNotFoundError) as exc:
+    except (ConfigError, MapFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PcwgProbeError as exc:

@@ -132,7 +132,7 @@ def effective_config_yaml(cfg: dict) -> str:
 
 
 # Bump whenever the bands a config yields change: older caches are then not read.
-BANDS_CACHE_VERSION = 2
+BANDS_CACHE_VERSION = 3
 
 
 def bands_cache_key(cfg: dict) -> str:
@@ -249,9 +249,10 @@ def build_lambda_grid(cfg: dict) -> np.ndarray:
         float(g["lambda_stop_nm"]),
         float(g["lambda_step_nm"]),
     )
-    if step <= 0 or stop <= start:
+    if not (step > 0 and stop > start > 0):
         raise ConfigError(
-            f"empty wavelength grid: start={start}, stop={stop}, step={step}"
+            f"wavelength grid needs 0 < start < stop and step > 0: "
+            f"start={start}, stop={stop}, step={step}"
         )
     return np.arange(start, stop + 1e-9, step)
 

@@ -54,23 +54,28 @@ class CouplerConfig:
             raise ValueError("need gap >= 0 and L_c > 0")
         if self.kappa_ref_l < 0:
             raise ValueError("coupling amplitude must be >= 0")
+        if not self.d_kappa_um > 0 or (self.g0_nm is not None and not self.g0_nm > 0):
+            raise ValueError("need d_kappa > 0 and g0 > 0 (or g0 null)")
 
-    def decay_per_um(self, fiber: FiberSpec, lam_um: float) -> float:
-        """Gap decay rate of kappa: the fiber exterior decay constant."""
+    def decay_per_um(self, fiber: FiberSpec, lam_um: float, d_um=None):
+        """Gap decay rate of kappa: the fiber exterior decay constant,
+        over broadcast diameters ``d_um`` (default: the fiber's own)."""
         if self.g0_nm is not None:
             return 1e3 / self.g0_nm
-        return exterior_decay(fiber, lam_um)
+        return exterior_decay(fiber, lam_um, d_um)
 
-    def kappa_perp(self, fiber: FiberSpec, lam_um: float, gap_nm=None) -> float:
-        """Parametric kappa_perp(g, d) [1/um].
+    def kappa_perp(self, fiber: FiberSpec, lam_um: float, gap_nm=None, d_um=None):
+        """Parametric kappa_perp(g, d) [1/um], broadcast over gaps and diameters.
 
         kappa = (kappa_ref_l / L_c) e^(-gamma(d) (g - g_ref)) e^(-(d_ref - d)/d_kappa)
         """
-        g = self.gap_nm if gap_nm is None else gap_nm
-        gamma = self.decay_per_um(fiber, lam_um)
+        g = self.gap_nm if gap_nm is None else np.asarray(gap_nm, dtype=float)
+        d = fiber.d_um if d_um is None else np.asarray(d_um, dtype=float)
+        gamma = self.decay_per_um(fiber, lam_um, d_um)
         kappa_ref = self.kappa_ref_l / self.l_c_um
-        size = np.exp(-(self.d_ref_um - fiber.d_um) / self.d_kappa_um)
-        return kappa_ref * size * float(np.exp(-gamma * (g - self.g_ref_nm) * 1e-3))
+        size = np.exp(-(self.d_ref_um - d) / self.d_kappa_um)
+        kappa = kappa_ref * size * np.exp(-gamma * (g - self.g_ref_nm) * 1e-3)
+        return float(kappa) if np.ndim(kappa) == 0 else kappa
 
     def scattering_transmission(self, d_um: float, gap_nm=None) -> float:
         """Off-resonance power transmission 1 - loss(g, d), broadband."""
@@ -98,6 +103,7 @@ def contra_transmission(kappa_per_um, l_um, delta_per_um):
     kappa = np.asarray(kappa_per_um, dtype=float)
     delta = np.asarray(delta_per_um, dtype=float)
     kappa, delta = np.broadcast_arrays(kappa, delta)
+    l_um = np.float64(l_um)  # an overflowing L^2 is inf, not an OverflowError
     x = kappa**2 - delta**2  # s^2, either sign
     sl2 = np.abs(x) * l_um**2
     root = np.sqrt(np.sqrt(sl2))  # |s| L enters only via sinh^2/sin^2
@@ -246,12 +252,9 @@ def _refined_extrema(t: np.ndarray):
     for j in range(1, len(t) - 1):
         left, mid, right = t[j - 1], t[j], t[j + 1]
         curv = left - 2.0 * mid + right
-        if mid > left and mid > right:
+        if (mid > left and mid > right) or (mid < left and mid < right):
             val = mid - (right - left) ** 2 / (8.0 * curv) if curv != 0 else mid
-            maxima.append(val)
-        elif mid < left and mid < right:
-            val = mid - (right - left) ** 2 / (8.0 * curv) if curv != 0 else mid
-            minima.append(val)
+            (maxima if mid > left else minima).append(val)
     return maxima, minima
 
 

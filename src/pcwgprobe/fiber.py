@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.special import j0, j1, jv, k0e, k1e, kve
 
 from .errors import ConvergenceError, NoGuidedModeError, ProfileRangeError
+from .roots import bracketed_roots
 
 C_UM_PER_S = 2.99792458e14  # speed of light [um/s]
 
@@ -55,7 +54,7 @@ class FiberSpec:
     clad_index: float = 1.0
 
     def __post_init__(self):
-        if self.d_um <= 0:
+        if not self.d_um > 0:
             raise ValueError(f"fiber diameter must be positive, got {self.d_um}")
         if self.clad_index < 1.0:
             raise ValueError(f"cladding index must be >= 1, got {self.clad_index}")
@@ -114,46 +113,27 @@ def _he11_bracket(n1, n2, a_k0):
     return lo, n1 - _EDGE
 
 
+def _he11_f(neff, n1, n2, a_k0):
+    return _char_m1(neff, n1, n2, a_k0)[0]
+
+
 def _he11_roots(n1, n2, a_k0):
     """HE11 n_eff for broadcast arrays of core index, cladding index and a*k0.
 
     HE11 is the only root with u below j01, the first zero of J0, so
     n_eff in (sqrt(max(n2^2, n1^2 - (j01/(a k0))^2)), n1) brackets it away
-    from every pole.  All brackets are refined at once by Anderson-Bjorck
-    regula falsi; elements that do not converge or fail the residual check
-    fall back to the scan of ``_solve_neff``.  Raises NoGuidedModeError if
-    a bracket holds no sign change (diameter too small).
+    from every pole.  All brackets are refined at once by
+    ``bracketed_roots``; elements that hold no sign change, do not converge
+    or fail the residual check fall back to the scan of ``_solve_neff``,
+    which raises NoGuidedModeError when the diameter is too small.
     """
     n1, n2, a_k0 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n1, n2, a_k0)))
-    shape = n1.shape
-    n1, n2, a_k0 = n1.ravel(), n2.ravel(), a_k0.ravel()
     a, b = _he11_bracket(n1, n2, a_k0)
-    fa, fb = _char_m1(a, n1, n2, a_k0)[0], _char_m1(b, n1, n2, a_k0)[0]
-    if not np.all(fa * fb < 0):
-        i = np.argmin(fa * fb < 0)
-        v = a_k0[i] * np.sqrt(n1[i] ** 2 - n2[i] ** 2)
-        raise NoGuidedModeError(f"no HE11 root bracketed for V={v:.3f} (diameter too small)")
-    out = np.full(n1.size, np.nan)
-    todo = np.arange(n1.size)  # elements still refining; b is the newest iterate
-    for _ in range(_MAX_ITER):
-        c = b - fb * (b - a) / (fb - fa)
-        fc = _char_m1(c, n1[todo], n2[todo], a_k0[todo])[0]
-        flip = fc * fb < 0
-        m = 1.0 - fc / fb
-        a = np.where(flip, b, a)
-        fa = np.where(flip, fb, np.where(m > 0, m, 0.5) * fa)
-        b, fb = c, fc
-        done = (fc == 0) | (np.abs(b - a) <= _XTOL + _RTOL * np.abs(b))
-        out[todo[done]] = b[done]
-        todo, a, b, fa, fb = (v[~done] for v in (todo, a, b, fa, fb))
-        if not todo.size:
-            break
+    out = bracketed_roots(_he11_f, a, b, (n1, n2, a_k0), _XTOL, _RTOL, _MAX_ITER)
     value, scale = _char_m1(out, n1, n2, a_k0)
-    failed = ~(np.abs(value) < _RESIDUAL_TOL * scale)
-    failed[todo] = True  # not converged within _MAX_ITER
-    for i in np.flatnonzero(failed):
-        out[i] = _solve_neff(n1[i], n2[i], a_k0[i])
-    return out.reshape(shape)
+    for i in np.flatnonzero(~(np.abs(value) < _RESIDUAL_TOL * scale)):
+        out.flat[i] = _solve_neff(n1.flat[i], n2.flat[i], a_k0.flat[i])
+    return out
 
 
 def _solve_neff(n1, n2, a_k0, scan_step=_SCAN_STEP):
@@ -162,34 +142,31 @@ def _solve_neff(n1, n2, a_k0, scan_step=_SCAN_STEP):
     The fallback of ``_he11_roots`` for elements its bracketed
     refinement cannot settle.  Scans the same HE11 bracket, which holds
     no pole, at ``scan_step`` resolution (closed by its upper end),
-    brackets sign changes and refines them with Brent's method; the root
-    must pass the relative-residual check.
+    refines every sign change at once and returns the highest root that
+    passes the relative-residual check.
     """
-
-    def f(x):
-        return _char_m1(x, n1, n2, a_k0)[0]
-
     lo, hi = _he11_bracket(n1, n2, a_k0)
     if not lo < hi:
         raise NoGuidedModeError(f"empty HE11 bracket in the index window ({n2}, {n1})")
     grid = np.append(np.arange(lo, hi, scan_step), hi)
-    vals = f(grid)
-    finite = np.isfinite(vals)
-    crossings = np.flatnonzero(finite[:-1] & finite[1:] & (vals[:-1] * vals[1:] < 0))
+    vals = _he11_f(grid, n1, n2, a_k0)
+    crossings = np.flatnonzero(vals[:-1] * vals[1:] < 0)
     if not crossings.size:
         raise NoGuidedModeError(
             f"no guided m=1 solution bracketed for V={a_k0 * np.sqrt(n1**2 - n2**2):.3f} "
             f"(diameter too small for the numerical bracket)"
         )
-    for i in crossings[::-1]:
-        root = brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        value, scale = _char_m1(root, n1, n2, a_k0)
-        if scale > 0 and abs(value) / scale < _RESIDUAL_TOL:
-            return float(root)
-    raise ConvergenceError(
-        f"{crossings.size} bracketed sign change(s) all failed the residual check "
-        f"(V={a_k0 * np.sqrt(n1**2 - n2**2):.3f})"
+    roots = bracketed_roots(
+        _he11_f, grid[crossings], grid[crossings + 1], (n1, n2, a_k0), _XTOL, _RTOL
     )
+    value, scale = _char_m1(roots, n1, n2, a_k0)
+    passed = np.flatnonzero(np.abs(value) < _RESIDUAL_TOL * scale)
+    if not passed.size:
+        raise ConvergenceError(
+            f"{crossings.size} bracketed sign change(s) all failed the residual check "
+            f"(V={a_k0 * np.sqrt(n1**2 - n2**2):.3f})"
+        )
+    return float(roots[passed[-1]])
 
 
 def he11_neff(spec: FiberSpec, lam_um, d_um=None) -> np.ndarray:
@@ -241,10 +218,12 @@ def dbeta_dd(spec: FiberSpec, lam_um):
     return float(sens) if sens.ndim == 0 else sens
 
 
-def exterior_decay(spec: FiberSpec, lam_um: float) -> float:
-    """Evanescent decay constant gamma = sqrt(beta^2 - k0^2 n_clad^2) [1/um]."""
-    n_eff = fundamental_neff(spec, lam_um).n_eff
-    return 2.0 * np.pi / lam_um * np.sqrt(n_eff**2 - spec.clad_index**2)
+def exterior_decay(spec: FiberSpec, lam_um, d_um=None):
+    """Evanescent decay constant gamma = sqrt(beta^2 - k0^2 n_clad^2) [1/um]
+    over broadcast wavelengths and diameters, as ``he11_neff``."""
+    n_eff = he11_neff(spec, lam_um, d_um)
+    gamma = 2.0 * np.pi / np.asarray(lam_um) * np.sqrt(n_eff**2 - spec.clad_index**2)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 class ModeField:
@@ -304,13 +283,17 @@ class TaperProfile:
     l_c_mm: tuple
     d_um: tuple
     name: str = "taper"
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _interp: object = field(init=False, repr=False, compare=False)  # PchipInterpolator
 
     def __post_init__(self):
+        from scipy.interpolate import PchipInterpolator
+
         lc = np.asarray(self.l_c_mm, dtype=float)
         d = np.asarray(self.d_um, dtype=float)
         if lc.ndim != 1 or lc.size < 2 or lc.shape != d.shape:
             raise ValueError("profile needs matching 1-D l_c and d arrays (>= 2 samples)")
+        if not np.all(np.isfinite(lc) & np.isfinite(d)):
+            raise ValueError("profile values must be finite")
         if not np.all(np.diff(lc) > 0):
             raise ValueError("l_c samples must be strictly increasing")
         if np.any(d <= 0):
@@ -363,6 +346,8 @@ class TaperProfile:
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["l_c_mm", "d_um"]:
                 raise ValueError(f"{path}: expected header 'l_c_mm,d_um'")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        lc, d = zip(*rows)
-        return cls(lc, d, name=name or str(path))
+            rows = [r for r in reader if r]
+        if any(len(r) != 2 for r in rows):
+            raise ValueError(f"{path}: every row needs two cells, l_c_mm and d_um")
+        lc, d = np.array(rows, dtype=float).reshape(-1, 2).T
+        return cls(tuple(lc), tuple(d), name=name or str(path))

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +82,11 @@ class TransmissionMap:
 
     @classmethod
     def from_csv(cls, path, meta_path=None):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise MapFormatError(f"{path}: not a text file: {exc}") from exc
         if not rows:
             raise MapFormatError(f"{path}: empty file", line=1)
         header = rows[0]
@@ -119,8 +122,10 @@ class TransmissionMap:
             raise MapFormatError(f"{path}: no data rows", line=2)
         meta = {}
         if meta_path is not None:
-            with open(meta_path) as fh:
-                meta = json.load(fh)
+            try:
+                meta = json.loads(Path(meta_path).read_text())
+            except ValueError as exc:  # also UnicodeDecodeError
+                raise MapFormatError(f"{meta_path}: not a JSON sidecar: {exc}") from exc
         try:
             return cls(np.array(wavelengths), np.array(lc), np.array(data), meta)
         except ValueError as exc:
@@ -149,15 +154,7 @@ class ResonancePoint:
     ambiguous: bool = False
 
     def to_dict(self):
-        return {
-            "lc_mm": self.lc_mm,
-            "lambda_min_nm": self.lambda_min_nm,
-            "t_min": self.t_min,
-            "label": self.label,
-            "fit_width_nm": self.fit_width_nm,
-            "branch": self.branch,
-            "ambiguous": self.ambiguous,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -169,13 +166,7 @@ class BandPoint:
     label: str = "unassigned"
 
     def to_dict(self):
-        return {
-            "beta_rad_per_um": self.beta_rad_per_um,
-            "omega_rad_per_s": self.omega_rad_per_s,
-            "lambda_nm": self.lambda_nm,
-            "lc_mm": self.lc_mm,
-            "label": self.label,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +242,17 @@ def synthesize_map(
     offsets = np.linspace(-half_lc_mm, half_lc_mm, n_sub) if n_sub > 1 else np.array([0.0])
     lam_mid_um = float(np.mean(lam_um))
 
+    d_sub = taper.diameter_at(np.clip(lc_mm[:, None] + offsets, lo, hi))  # (lc, sub-position)
+    kappa = coupler.kappa_perp(fiber, lam_mid_um, d_um=d_sub)  # one solve for all of them
     t = np.empty((lc_mm.size, wavelengths_nm.size))
     for i, lc in enumerate(lc_mm):
         # one (sub-position x wavelength) fiber solve per taper position
-        d_sub = taper.diameter_at(np.clip(lc + offsets, lo, hi))
-        beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um, d_sub[:, None]) / lam_um
-        kappa = np.array([coupler.kappa_perp(fiber.with_diameter(d), lam_mid_um) for d in d_sub])
+        beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um, d_sub[i, :, None]) / lam_um
         t_sub = np.ones(beta_f.shape)
         for c in curves:
             delta = 0.5 * (beta_f - betas[c.label])
             transfer = contra_transmission if contra[c.label] else co_transmission
-            t_sub = t_sub * transfer(kappa[:, None], coupler.l_c_um, delta)[0]
+            t_sub = t_sub * transfer(kappa[i, :, None], coupler.l_c_um, delta)[0]
         row = t_sub.sum(axis=0) / offsets.size
         if include_loss:
             d_center = float(taper.diameter_at(lc))
@@ -490,15 +481,6 @@ class GapSweepRow:
     gamma: float
     kappa_l: float
 
-    def to_dict(self):
-        return {
-            "gap_nm": self.gap_nm,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "gamma": self.gamma,
-            "kappa_l": self.kappa_l,
-        }
-
 
 def gap_sweep(
     gaps_nm,
@@ -525,14 +507,14 @@ def gap_sweep(
     beta_br = _branch_beta_of_lambda(curve, lam_nm)
     delta = 0.5 * (beta_f - beta_br)
 
+    gaps_nm = np.asarray(gaps_nm, dtype=float)
     rows = []
-    for g in np.asarray(gaps_nm, dtype=float):
-        kappa = coupler.kappa_perp(fiber, float(np.mean(lam_um)), gap_nm=g)
+    for g, kappa in zip(gaps_nm, coupler.kappa_perp(fiber, float(np.mean(lam_um)), gaps_nm)):
         t, _ = contra_transmission(kappa, coupler.l_c_um, delta)
         if include_loss:
             t = t * coupler.scattering_transmission(fiber.d_um, gap_nm=g)
         t_min, t_max = float(np.min(t)), float(np.max(t))
-        ratio = min(max(1.0 - t_min / t_max, 0.0), 1.0 - 1e-15)
+        ratio = min(max(1.0 - t_min / t_max, 0.0) if t_max > 0 else 1.0, 1.0 - 1e-15)
         rows.append(
             GapSweepRow(
                 gap_nm=float(g),

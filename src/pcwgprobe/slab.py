@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import ModeCutoffError
+from .errors import ConvergenceError, ModeCutoffError
+from .roots import bracketed_roots
 
 # Mode-weighted air fill of the perforated membrane; see module docstring
 # for the calibration (order-0 index 2.6000 at t=340 nm, n_Si=3.4, 1.6 um).
@@ -56,12 +56,13 @@ class SlabSpec:
                         effective_hole_fill=self.effective_hole_fill)
 
 
-def slab_effective_index(slab: SlabSpec, lam_um: float, vertical_order: int = 0) -> float:
+def slab_effective_index(slab: SlabSpec, lam_um, vertical_order: int = 0):
     """TE effective index of the symmetric slab, given vertical mode order.
 
     Solves kappa*t = m*pi + 2*atan(gamma/kappa) on the homogenized core
     (see module docstring); the left side is strictly decreasing in
-    n_eff, so the root is unique.
+    n_eff, so the root is unique.  ``lam_um`` may be an array: all
+    wavelengths are solved at once.
 
     Raises
     ------
@@ -69,29 +70,34 @@ def slab_effective_index(slab: SlabSpec, lam_um: float, vertical_order: int = 0)
         If the requested order is below cutoff at this thickness
         (V = k0 t sqrt(n_core^2 - n_clad^2) <= m*pi).
     """
-    if lam_um <= 0:
+    lam = np.asarray(lam_um, dtype=float)
+    if not np.all(lam > 0):
         raise ValueError("wavelength must be positive")
     if vertical_order < 0:
         raise ValueError("vertical order must be >= 0")
     m = int(vertical_order)
     t_um = slab.t_nm * 1e-3
-    k0 = 2.0 * np.pi / lam_um
+    k0 = 2.0 * np.pi / lam
     eps_core = slab.core_permittivity()
     n_core = np.sqrt(eps_core)
     n_clad = slab.n_clad
 
     v = k0 * t_um * np.sqrt(eps_core - n_clad**2)
-    if v <= m * np.pi:
+    if np.any(v <= m * np.pi):
+        i = np.argmin(v)
         raise ModeCutoffError(
-            f"TE order {m} below cutoff at t={slab.t_nm} nm, lambda={lam_um} um "
-            f"(V={v:.3f} <= {m}*pi)"
+            f"TE order {m} below cutoff at t={slab.t_nm} nm, lambda={lam.flat[i]} um "
+            f"(V={v.flat[i]:.3f} <= {m}*pi)"
         )
 
-    def f(n_eff):
+    def f(n_eff, k0):
         kappa = k0 * np.sqrt(eps_core - n_eff**2)
         gamma = k0 * np.sqrt(n_eff**2 - n_clad**2)
         return kappa * t_um - m * np.pi - 2.0 * np.arctan2(gamma, kappa)
 
     lo = n_clad * (1.0 + 1e-12) + 1e-12
     hi = n_core * (1.0 - 1e-12)
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    n_eff = bracketed_roots(f, lo, hi, (k0,), xtol=1e-14, rtol=8.9e-16)
+    if np.any(np.isnan(n_eff)):
+        raise ConvergenceError(f"slab index did not converge at t={slab.t_nm} nm")
+    return float(n_eff) if n_eff.ndim == 0 else n_eff

@@ -360,3 +360,39 @@ class TestSectorSolve:
         at = np.isclose(te1.beta_norm, 0.468)
         assert at.sum() == 1
         assert te1.lambda_nm[at][0] == pytest.approx(1785.2, abs=0.5)
+
+
+class TestDispersiveFixedPoint:
+    # the default dispersive samples of the per-sample brentq fixed point that
+    # the array solve replaced (beta_norm 0.30 ... 0.50 in 26 steps)
+    PREVIOUS = {
+        "TE-1": [
+            0.3294667418149444, 0.32673925551018457, 0.32401660400170784,
+            0.3213009634203356, 0.31859475766062895, 0.3159007908932474,
+            0.313222727430953, 0.3105765862279342, 0.3079149939970397,
+            0.3053071919175773, 0.30273464024571584, 0.30013347413999447,
+            0.29767640140979396, 0.2952409363394044, 0.29287318962275577,
+            0.2906355953494264, 0.2883212941163328, 0.2862458240890935,
+            0.28429284288440987, 0.2825007672058757, 0.2809160697027464,
+            0.2800813685476548, 0.278302263428818, 0.27747213615306543,
+            0.2769565231933684, 0.27678235848559285,
+        ],
+        "TE-1-odd": [
+            0.3370961878859131, 0.33506982779625794, 0.3323691746969362,
+            0.3296670780345978, 0.3269724136135035, 0.32428941424555474,
+            0.321621953773278, 0.3189741460130204, 0.3163505720465059,
+            0.31375636005245655, 0.311197636568472, 0.3086812603558103,
+            0.306215574205527, 0.3038075918801263, 0.30147357497478017,
+            0.29922330839007083, 0.2970739596680014, 0.2950527495045017,
+            0.2931180496812131, 0.2913958334100626, 0.28985398609244567,
+            0.288529278325305, 0.28745301832951053, 0.28665495220838205,
+            0.2861618043386204, 0.2859950948041047,
+        ],
+    }
+
+    def test_samples_equal_the_per_sample_solve(self, te1, te1_odd):
+        for curve in (te1, te1_odd):
+            np.testing.assert_allclose(curve.beta_norm, np.linspace(0.30, 0.50, 26), rtol=1e-12)
+            np.testing.assert_allclose(
+                curve.omega_norm, self.PREVIOUS[curve.label], rtol=1e-10, atol=0
+            )

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pcwgprobe import cli
 from pcwgprobe import config as cfgmod
 from pcwgprobe.cli import main
 
@@ -59,6 +64,23 @@ class TestFiberCommand:
         with open(tmp_path / "fiber_dispersion.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["d_um"]) == pytest.approx(1.2)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n0.0,0.6\n1.0,1.2\n",  # wrong header
+        "l_c_mm,d_um\n0.0,0.6\n1.0,x\n",  # non-numeric cell
+        "l_c_mm,d_um\n",  # header and no rows
+    ])
+    def test_malformed_profile_exits_2(self, tmp_path, capsys, text):
+        taper = tmp_path / "taper.csv"
+        taper.write_text(text)
+        assert run(["--out", tmp_path, "fiber", "--profile", taper, "--lc-mm", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "taper profile" in err and "Traceback" not in err
+
+    def test_lc_mm_is_checked_before_the_profile_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run(["--out", tmp_path, "fiber", "--profile", missing]) == 2
+        assert "--lc-mm" in capsys.readouterr().err
 
 
 class TestBandsCommand:
@@ -173,10 +195,11 @@ class TestBandsCache:
         assert run(["--out", cli_out, "couple", "--sweep", "gap"]) == 0
         assert len(solves) == 1  # the rewritten cache is read back
 
+    @pytest.mark.parametrize("version", [None, 2])
     def test_unversioned_cache_is_not_read(self, cli_out, bands_payload, default_cfg,
-                                           monkeypatch):
-        # a cache keyed by the slab and lattice sections alone was written by
-        # an earlier solver whose bands differ
+                                           monkeypatch, version):
+        # a cache keyed by the slab and lattice sections alone, or by an older
+        # version, was written by an earlier solver whose bands differ
         import hashlib
 
         from pcwgprobe import cli
@@ -184,7 +207,10 @@ class TestBandsCache:
         cache_dir = cli_out / ".cache"
         for f in cache_dir.iterdir():
             f.unlink()
-        old = json.dumps({s: default_cfg[s] for s in ("slab", "lattice")}, sort_keys=True)
+        keyed = {s: default_cfg[s] for s in ("slab", "lattice")}
+        if version is not None:
+            keyed["version"] = version
+        old = json.dumps(keyed, sort_keys=True)
         old_key = hashlib.sha256(old.encode()).hexdigest()[:16]
         (cache_dir / f"bands_{old_key}.json").write_text(json.dumps(bands_payload))
         solves = []
@@ -210,6 +236,25 @@ class TestGlobalFlags:
         out = capsys.readouterr().out
         assert "lam_z_nm: 500.0" in out
         assert "gap_nm: 700.0" in out
+
+    def test_start_up_leaves_optimize_interpolate_and_linalg_unimported(self, cli_out):
+        script = (
+            "import sys\n"
+            "import pcwgprobe.cli as cli\n"
+            "heavy = ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            f"assert cli.main(['--out', {str(cli_out)!r}, 'bands']) == 0\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "[]"  # after the import
+        assert lines[-1] == "[]"  # after a warm bands run
+        assert any(line.startswith("TE-1 crosses") for line in lines)
 
     def test_outputs_end_with_single_newline(self, tmp_path):
         assert run(["--out", tmp_path, "fiber", "--d-um", "1.0"]) == 0

@@ -225,6 +225,26 @@ class TestCouplerConfig:
         assert k1 > k2 > 0
         assert k1 * cfg.l_c_um == pytest.approx(cfg.kappa_ref_l)
 
+    def test_batched_kappa_equals_per_diameter_loop(self):
+        cfg = CouplerConfig()
+        d = np.linspace(0.8, 2.4, 12).reshape(3, 4)
+        batched = cfg.kappa_perp(FiberSpec(1.5), 1.595, d_um=d)
+        loop = [[cfg.kappa_perp(FiberSpec(float(x)), 1.595) for x in row] for row in d]
+        np.testing.assert_allclose(batched, loop, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            cfg.decay_per_um(FiberSpec(1.5), 1.595, d),
+            [[exterior_decay(FiberSpec(float(x)), 1.595) for x in row] for row in d],
+            rtol=1e-14, atol=0,
+        )
+
+    def test_batched_kappa_over_gaps(self):
+        cfg = CouplerConfig()
+        gaps = np.arange(250.0, 801.0, 25.0)
+        batched = cfg.kappa_perp(FiberSpec(1.9), 1.6, gaps)
+        loop = [cfg.kappa_perp(FiberSpec(1.9), 1.6, float(g)) for g in gaps]
+        np.testing.assert_allclose(batched, loop, rtol=1e-14, atol=0)
+        assert isinstance(loop[0], float)
+
     def test_scattering_bounded(self):
         cfg = CouplerConfig()
         for d in (0.8, 1.0, 1.9):

@@ -288,6 +288,19 @@ class TestTaperProfile:
         profile = TaperProfile.from_csv(path)
         assert profile.diameter_at(1.0) == 1.2
 
+    @pytest.mark.parametrize("text", [
+        "a,b\n0.0,0.6\n1.0,1.2\n",  # wrong header
+        "l_c_mm,d_um\n0.0,0.6\n1.0,x\n",  # non-numeric cell
+        "l_c_mm,d_um\n",  # header only
+        "l_c_mm,d_um\n0.0,0.6\n1.0\n",  # short row
+        "l_c_mm,d_um\n0.0,0.6\n1.0,nan\n",  # non-finite cell
+    ])
+    def test_malformed_csv_is_a_value_error(self, tmp_path, text):
+        path = tmp_path / "taper.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            TaperProfile.from_csv(path)
+
     def test_exponential_reaches_full_diameter(self):
         profile = TaperProfile.exponential(0.6, 5.5, full_um=125.0)
         assert profile.diameter_at(5.5) == pytest.approx(125.0, rel=1e-9)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pcwgprobe.errors import ModeCutoffError
@@ -65,3 +66,31 @@ def test_validation():
         SlabSpec(340.0, effective_hole_fill=1.5)
     with pytest.raises(ValueError):
         slab_effective_index(SlabSpec(340.0), -1.0, 0)
+
+
+@pytest.mark.parametrize("order, lam_max", [(0, 2.5), (1, 1.9)])
+def test_array_equals_scalar_calls_and_brentq(order, lam_max):
+    from scipy.optimize import brentq
+
+    slab = SlabSpec(340.0)
+    lams = np.linspace(0.9, lam_max, 24).reshape(4, 6)
+    n_eff = slab_effective_index(slab, lams, order)
+    assert n_eff.shape == lams.shape
+    scalar = [[slab_effective_index(slab, float(lam), order) for lam in row] for row in lams]
+    np.testing.assert_array_equal(n_eff, scalar)
+
+    eps, t_um = slab.core_permittivity(), slab.t_nm * 1e-3
+
+    def f(n, k0):
+        kappa, gamma = k0 * np.sqrt(eps - n**2), k0 * np.sqrt(n**2 - 1.0)
+        return kappa * t_um - order * np.pi - 2.0 * np.arctan2(gamma, kappa)
+
+    lo, hi = 1.0 + 2e-12, np.sqrt(eps) * (1.0 - 1e-12)
+    ref = [[brentq(f, lo, hi, args=(2 * np.pi / lam,), xtol=1e-14, rtol=8.9e-16) for lam in row]
+           for row in lams]
+    np.testing.assert_allclose(n_eff, ref, rtol=1e-14, atol=0)
+
+
+def test_cutoff_anywhere_in_an_array_is_signaled():
+    with pytest.raises(ModeCutoffError, match="lambda=2.0"):
+        slab_effective_index(SlabSpec(340.0), np.array([1.5, 2.0]), 1)

@@ -195,11 +195,21 @@ class TestBandsCache:
         assert run(["--out", cli_out, "couple", "--sweep", "gap"]) == 0
         assert len(solves) == 1  # the rewritten cache is read back
 
-    @pytest.mark.parametrize("version", [None, 2])
     def test_unversioned_cache_is_not_read(self, cli_out, bands_payload, default_cfg,
-                                           monkeypatch, version):
-        # a cache keyed by the slab and lattice sections alone, or by an older
-        # version, was written by an earlier solver whose bands differ
+                                           monkeypatch):
+        # a cache keyed by the slab and lattice sections alone was written by
+        # an earlier solver whose bands differ
+        keyed = {s: default_cfg[s] for s in ("slab", "lattice")}
+        self.check_old_cache_is_not_read(cli_out, bands_payload, default_cfg, monkeypatch, keyed)
+
+    def test_version_2_cache_is_not_read(self, cli_out, bands_payload, default_cfg,
+                                         monkeypatch):
+        # version 2 caches hold dispersive samples of the per-sample brentq solve
+        keyed = {"version": 2, "slab": default_cfg["slab"], "lattice": default_cfg["lattice"]}
+        self.check_old_cache_is_not_read(cli_out, bands_payload, default_cfg, monkeypatch, keyed)
+
+    @staticmethod
+    def check_old_cache_is_not_read(cli_out, bands_payload, default_cfg, monkeypatch, keyed):
         import hashlib
 
         from pcwgprobe import cli
@@ -207,11 +217,8 @@ class TestBandsCache:
         cache_dir = cli_out / ".cache"
         for f in cache_dir.iterdir():
             f.unlink()
-        keyed = {s: default_cfg[s] for s in ("slab", "lattice")}
-        if version is not None:
-            keyed["version"] = version
-        old = json.dumps(keyed, sort_keys=True)
-        old_key = hashlib.sha256(old.encode()).hexdigest()[:16]
+        old_key = hashlib.sha256(json.dumps(keyed, sort_keys=True).encode()).hexdigest()[:16]
+        assert old_key != cfgmod.bands_cache_key(default_cfg)
         (cache_dir / f"bands_{old_key}.json").write_text(json.dumps(bands_payload))
         solves = []
 
@@ -223,7 +230,6 @@ class TestBandsCache:
         assert run(["--out", cli_out, "couple", "--sweep", "gap"]) == 0
         assert len(solves) == 1
         assert (cache_dir / f"bands_{cfgmod.bands_cache_key(default_cfg)}.json").exists()
-
 
 class TestGlobalFlags:
     def test_threads_flag_is_gone(self):

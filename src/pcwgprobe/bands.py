@@ -29,7 +29,7 @@ Units: lengths in um internally, frequencies reported both normalized
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .roots import bracketed_roots
 from .slab import SlabSpec, slab_effective_index
 
 _NEG_EIG_TOL = 1e-8
+_EIG_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,6 @@ class BandCurve:
     def lambda_nm(self):
         return 1e3 * self.lam_z_um / self.omega_norm
 
-    @property
-    def omega_rad_per_s(self):
-        return 2.0 * np.pi * C_UM_PER_S * self.omega_norm / self.lam_z_um
-
     def group_index(self) -> np.ndarray:
         """n_g = c d(beta)/d(omega), centered differences of the samples."""
         bn = self.beta_norm
@@ -253,6 +250,18 @@ def _epsilon_table(spec: PCWaveguideSpec, mz, mx):
     return table
 
 
+def _spd_inverse(eps, parity):
+    """Inverse of a sector's EPS block from its Cholesky factor, which fails
+    (EigensolverError) unless the block is positive definite."""
+    from scipy.linalg import lapack
+
+    chol, info = lapack.dpotrf(eps)
+    inv, info = lapack.dpotri(chol) if info == 0 else (None, info)
+    if info != 0:
+        raise EigensolverError(f"{parity}-sector EPS block is not positive definite")
+    return np.triu(inv) + np.triu(inv, 1).T
+
+
 class PlaneWaveSolver:
     """Dense TE plane-wave solver for one lattice/supercell geometry.
 
@@ -264,6 +273,10 @@ class PlaneWaveSolver:
     K = diag(k + G) and eta = inv(EPS), Theta = K_z eta K_z + K_x eta K_x,
     and K_x flips the parity (d/dx of an even field is odd), so the x
     term of each sector's block takes the other sector's eta.
+
+    EPS is inverted by Cholesky, which fails unless each block is positive
+    definite; each Theta block, a sum of Hadamard products of rank-1 PSD
+    matrices with PD eta blocks, is then PSD by the Schur product theorem.
 
     The holes are air, so EPS = I + (eps_bg - 1) C with C independent of
     eps_bg, and d(eta)/d(eps_bg) = (eta^2 - eta)/(eps_bg - 1), formed once
@@ -284,10 +297,9 @@ class PlaneWaveSolver:
         # both sectors live in the even basis; the odd one is its m > 0 part
         self._pos = m > 0
         self._odd = np.ix_(self._pos, self._pos)
-        eta_e = np.linalg.inv(np.outer(w, w) * (direct + mirrored))
-        eta_o = np.zeros_like(eta_e)
-        eta_o[self._odd] = np.linalg.inv((direct - mirrored)[self._odd])
-        self._eta = [0.5 * (eta + eta.T) for eta in (eta_e, eta_o)]
+        eta_o = np.zeros((m.size, m.size))
+        eta_o[self._odd] = _spd_inverse((direct - mirrored)[self._odd], "odd")
+        self._eta = [_spd_inverse(np.outer(w, w) * (direct + mirrored), "even"), eta_o]
         self._d_eta = [(eta @ eta - eta) / (spec.eps_bg - 1.0) for eta in self._eta]
         self._gz = (iz - p) * (2.0 * np.pi / spec.lam_z_um)
         self._gx = m * (2.0 * np.pi / spec.width_um)
@@ -305,13 +317,17 @@ class PlaneWaveSolver:
     def n_pw(self):
         return self.g.shape[0]
 
-    def solve_k(self, beta_rad_per_um: float, num_bands: int, vectors: bool = False):
-        """Lowest eigenfrequencies (normalized L_z/lambda) at k = (beta, 0).
+    def solve_k(self, beta_rad_per_um: float, num_bands: int | None = None, window=None):
+        """Eigenfrequencies (normalized L_z/lambda) at k = (beta, 0).
 
-        Returns the lowest ``num_bands`` of both sectors merged and sorted;
-        with ``vectors`` the same states split by sector instead, as
-        {"even": (omega, vecs), "odd": (omega, vecs)} with the
-        eigenvectors as columns in the sector basis.
+        With ``num_bands``: the lowest ``num_bands`` of both sectors,
+        merged and sorted; a negative lowest eigenvalue raises
+        EigensolverError.  With ``window=(lo, hi)``, 0 <= lo < hi: only the
+        states with lo < omega < hi (LAPACK syevr computes just those), as
+        {"even": (omega, vecs), "odd": (omega, vecs)} with the eigenvectors
+        as columns in the sector basis.  A window cannot see the lowest
+        eigenvalue, but Theta is PSD by construction (see the class notes);
+        each vector must satisfy |Theta v - w^2 v| <= 1e-9 w^2.
         """
         import scipy.linalg
 
@@ -320,33 +336,40 @@ class PlaneWaveSolver:
         eta_e, eta_o = self._eta
         blocks = {"even": kzz * eta_e + gxx * eta_o,
                   "odd": (kzz * eta_o + gxx * eta_e)[self._odd]}
-        nb = min(num_bands, self.n_pw)
+        to_omega = self.spec.lam_z_um / (2.0 * np.pi)
         found = {}
         for parity, theta in blocks.items():
-            n = min(nb, theta.shape[0])
+            where = f"at beta={beta_rad_per_um:.6f} rad/um ({parity} sector, n_pw={self.n_pw})"
             try:
-                res = scipy.linalg.eigh(
-                    theta, subset_by_index=(0, n - 1), eigvals_only=not vectors
-                )
-            except scipy.linalg.LinAlgError as exc:
-                raise EigensolverError(
-                    f"eigensolve failed at beta={beta_rad_per_um:.6f} rad/um "
-                    f"({parity} sector, n_pw={self.n_pw}): {exc}"
-                ) from exc
-            vals, vecs = res if vectors else (res, None)
-            scale = max(abs(vals[-1]), 1.0)
-            if vals[0] < -_NEG_EIG_TOL * scale:
-                raise EigensolverError(
-                    f"operator not positive semi-definite at beta={beta_rad_per_um:.6f} "
-                    f"({parity} sector): min eigenvalue {vals[0]:.3e} (scale {scale:.3e})"
-                )
-            vals = np.clip(vals, 0.0, None)
-            found[parity] = (np.sqrt(vals) * self.spec.lam_z_um / (2.0 * np.pi), vecs)
-        merged = np.sort(np.concatenate([omega for omega, _ in found.values()]))[:nb]
-        if not vectors:
-            return merged
-        cut = merged[-1]
-        return {p: (om[om <= cut], v[:, om <= cut]) for p, (om, v) in found.items()}
+                if window is None:
+                    vals = scipy.linalg.eigh(theta, eigvals_only=True, subset_by_index=(
+                        0, min(num_bands, theta.shape[0]) - 1))
+                else:  # ValueError: not lo < hi, a stop band closed to rounding
+                    bounds = (np.asarray(window) / to_omega) ** 2
+                    vals, vecs = scipy.linalg.eigh(theta, subset_by_value=tuple(bounds))
+            except (scipy.linalg.LinAlgError, ValueError) as exc:
+                raise EigensolverError(f"eigensolve failed {where}: {exc}") from exc
+            if window is None:
+                scale = max(abs(vals[-1]), 1.0)
+                if vals[0] < -_NEG_EIG_TOL * scale:
+                    raise EigensolverError(f"operator not positive semi-definite {where}: "
+                                           f"min eigenvalue {vals[0]:.3e} (scale {scale:.3e})")
+                found[parity] = np.sqrt(np.clip(vals, 0.0, None)) * to_omega
+                continue
+            omega = np.sqrt(vals) * to_omega
+            keep = (omega > window[0]) & (omega < window[1])  # syevr's interval is half-open
+            # compress copies the kept columns out of LAPACK's n x n
+            # workspace, which a view would keep alive as long as the vectors
+            vals, vecs = vals[keep], vecs.compress(keep, axis=1)
+            # one product per state: a single matrix product here slowed the
+            # eigensolves after it by a third (OpenBLAS threads, 2 cores)
+            res = [np.linalg.norm(theta @ v - w * v) / w for w, v in zip(vals, vecs.T)]
+            if not all(r <= _EIG_RESIDUAL_TOL for r in res):
+                raise EigensolverError(f"eigenvector residual {max(res):.3e} {where}")
+            found[parity] = (omega[keep], vecs)
+        if window is not None:
+            return found
+        return np.sort(np.concatenate(list(found.values())))[:num_bands]
 
     def sensitivity(self, beta_rad_per_um: float, omega_norm: float, vec) -> float:
         """S = -d ln(omega)/d ln(n_eff) of one eigenstate (a column of
@@ -414,15 +437,8 @@ def bulk_bands(spec: PCWaveguideSpec, kpath_norm=None, num_bands: int = 6) -> Bu
 
     beta = kpath_norm * 2.0 * np.pi / spec.lam_z_um
     order = np.argsort(beta)
-    curves = [
-        BandCurve(
-            label=f"bulk-{b + 1}",
-            beta_rad_per_um=beta[order],
-            omega_norm=omega[order, b],
-            lam_z_um=spec.lam_z_um,
-        )
-        for b in range(num_bands)
-    ]
+    curves = [BandCurve(f"bulk-{b + 1}", beta[order], omega[order, b], spec.lam_z_um)
+              for b in range(num_bands)]
     gap = None
     if num_bands >= 2:
         lo = float(np.max(omega[:, 0]))
@@ -445,6 +461,17 @@ def local_gap(bulk: BulkBandsResult, beta_norm: float) -> tuple:
     return lo, hi
 
 
+def _defect_windows(spec: PCWaveguideSpec, kpath_norm):
+    """The bulk stop band, and the window of the defect search at each k:
+    the local stop band, its upper edge pulled in by 1e-9 relative so that
+    a state on that edge is not taken."""
+    bulk = bulk_bands(spec.bulk(), kpath_norm=default_kpath_norm(26), num_bands=2)
+    if bulk.gap_norm is None:
+        raise NoDefectModeError("uniform lattice shows no Gamma-X stop band")
+    gaps = (local_gap(bulk, bn) for bn in kpath_norm)
+    return bulk.gap_norm, [(lo, hi * (1.0 - 1e-9)) for lo, hi in gaps]
+
+
 # ---------------------------------------------------------------------------
 # Supercell waveguide bands
 # ---------------------------------------------------------------------------
@@ -454,9 +481,6 @@ def local_gap(bulk: BulkBandsResult, beta_norm: float) -> tuple:
 class WaveguideBandsResult:
     curves: list  # labeled defect BandCurves
     gap_norm: tuple | None
-    kpath_norm: np.ndarray
-    all_omega_norm: np.ndarray  # (n_k, num_bands), for diagnostics
-    spec: PCWaveguideSpec = field(repr=False, default=None)
 
     def curve(self, label: str) -> BandCurve:
         for c in self.curves:
@@ -517,14 +541,14 @@ def _track_branches(cand_per_k):
 def waveguide_bands(
     spec: PCWaveguideSpec,
     kpath_norm=None,
-    num_bands: int | None = None,
     dispersive: DispersiveIndex | None = None,
 ) -> WaveguideBandsResult:
     """Supercell bands with the graded-defect branches identified and labeled.
 
     Defect branches are eigenstates inside the bulk stop band with more
     than half of their |H|^2 energy on the graded rows, tracked across k
-    by eigenvector overlap within their mirror sector.  The even branch
+    by eigenvector overlap within their mirror sector; each k solves only
+    the states in its local stop band (``_defect_windows``).  The even branch
     with negative group velocity (connected to the conduction-band edge)
     is labeled TE-1; its odd counterpart, when present, TE-1-odd.
 
@@ -541,31 +565,17 @@ def waveguide_bands(
     if kpath_norm is None:
         kpath_norm = default_kpath_norm(23, 0.28, 0.5)
     kpath_norm = np.asarray(kpath_norm, dtype=float)
-    if num_bands is None:
-        num_bands = 2 * spec.supercell_rows + 8
-
-    bulk = bulk_bands(spec.bulk(), kpath_norm=default_kpath_norm(26), num_bands=2)
-    gap = bulk.gap_norm
-    if gap is None:
-        raise NoDefectModeError("uniform lattice shows no Gamma-X stop band")
+    gap, windows = _defect_windows(spec, kpath_norm)
 
     solver = PlaneWaveSolver(spec)
-    all_omega = np.empty((kpath_norm.size, num_bands))
     cand_per_k = {"even": [], "odd": []}
-    for i, bn in enumerate(kpath_norm):
+    for bn, window in zip(kpath_norm, windows):
         beta = bn * 2.0 * np.pi / spec.lam_z_um
-        states = solver.solve_k(beta, num_bands, vectors=True)
-        all_omega[i] = np.sort(np.concatenate([omega for omega, _ in states.values()]))
-        # Defect states live in the k-resolved stop band: below the local
-        # conduction-band edge (which disperses along Gamma-X), above the
-        # local valence edge.
-        lo, hi = local_gap(bulk, bn)
-        for parity, (omega, vecs) in states.items():
-            inside = np.flatnonzero((omega > lo) & (omega < hi * (1.0 - 1e-9)))
+        for parity, (omega, vecs) in solver.solve_k(beta, window=window).items():
             cand_per_k[parity].append([
-                (omega[j], vecs[:, j], solver.sensitivity(beta, omega[j], vecs[:, j]))
-                for j in inside
-                if solver.localization(vecs[:, j]) > _LOCALIZATION_THRESHOLD
+                (w, v, solver.sensitivity(beta, w, v))
+                for w, v in zip(omega, vecs.T)
+                if solver.localization(v) > _LOCALIZATION_THRESHOLD
             ])
 
     branches = sorted(  # by first k-point, then frequency
@@ -601,7 +611,7 @@ def waveguide_bands(
         ends = np.cumsum([c.omega_norm.size for c in curves])[:-1]
         for curve, part in zip(curves, np.split(w, ends)):
             curve.omega_norm = part
-    return WaveguideBandsResult(curves, gap, kpath_norm, all_omega, spec)
+    return WaveguideBandsResult(curves, gap)
 
 
 def _label_defect_curves(curves):
@@ -621,27 +631,24 @@ def defect_profile(spec: PCWaveguideSpec, curve: BandCurve, beta_norm: float):
     Returns (x_um, u) with u the m_z = 0 harmonic of H (the component
     that phase-matches a co-reduced external wave), normalized to unit
     power: integral |u|^2 dx = 1.  The state is the localized one of the
-    curve's own mirror sector nearest the curve's frequency; u keeps the
+    curve's own mirror sector, inside the stop-band window of
+    ``waveguide_bands``, nearest the curve's frequency; u keeps the
     lateral sign, so odd branches yield an antisymmetric profile.
     """
+    _, (window,) = _defect_windows(spec, [beta_norm])
     solver = PlaneWaveSolver(spec)
-    states = solver.solve_k(
-        beta_norm * 2.0 * np.pi / spec.lam_z_um, 2 * spec.supercell_rows + 8, vectors=True
-    )
+    states = solver.solve_k(beta_norm * 2.0 * np.pi / spec.lam_z_um, window=window)
     omega, vecs = states["odd" if curve.parity == "odd" else "even"]
     target = float(np.interp(beta_norm, curve.beta_norm, curve.omega_norm))
     localized = [j for j in range(omega.size) if solver.localization(vecs[:, j]) >= 0.4]
     if not localized:
-        raise NoDefectModeError(
-            f"no localized {curve.parity} state found at beta_norm={beta_norm:.4f}"
-        )
+        raise NoDefectModeError(f"no localized {curve.parity} state at beta_norm={beta_norm:.4f}")
     best = min(localized, key=lambda j: abs(omega[j] - target))
     x, _, amp = solver.field_profile_x(vecs[:, best])
     u = amp[(solver._mz.size - 1) // 2]
     # fix the arbitrary sign so u is positive at its peak
     u = u * np.sign(u[np.argmax(np.abs(u))])
-    dx = spec.width_um / x.size
-    return x, u / np.sqrt(np.sum(u**2) * dx)
+    return x, u / np.sqrt(np.sum(u**2) * spec.width_um / x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -658,12 +665,12 @@ class PhaseMatchPoint:
     fiber_d_um: float
 
 
-def phase_match_crossing(curve: BandCurve, fiber_spec, lam_window_nm=None) -> PhaseMatchPoint:
+def phase_match_crossing(curve: BandCurve, fiber_spec) -> PhaseMatchPoint:
     """Crossing of a PCWG branch with the fiber dispersion curve.
 
     Solves beta_fiber(lambda) = beta_branch(lambda) on the branch's
-    sampled interval (optionally restricted to ``lam_window_nm``); both
-    curves are exact, the branch linearly interpolated between samples.
+    sampled interval; both curves are exact, the branch linearly
+    interpolated between samples.
 
     Raises
     ------
@@ -671,16 +678,8 @@ def phase_match_crossing(curve: BandCurve, fiber_spec, lam_window_nm=None) -> Ph
         If no crossing lies on the sampled interval.
     """
     lam_um = curve.lam_z_um / curve.omega_norm
-    mask = np.ones(lam_um.size, dtype=bool)
-    if lam_window_nm is not None:
-        mask = (lam_um * 1e3 >= lam_window_nm[0]) & (lam_um * 1e3 <= lam_window_nm[1])
-        if mask.sum() < 2:
-            raise BandCoverageError(
-                f"branch {curve.label!r} has <2 samples in window {lam_window_nm}"
-            )
-    nf = dispersion_curve(fiber_spec, lam_um[mask])
-    beta_fiber = 2.0 * np.pi * nf / lam_um[mask]
-    diff = curve.beta_rad_per_um[mask] - beta_fiber
+    beta_fiber = 2.0 * np.pi * dispersion_curve(fiber_spec, lam_um) / lam_um
+    diff = curve.beta_rad_per_um - beta_fiber
     sign = np.where(np.sign(diff[:-1]) != np.sign(diff[1:]))[0]
     if sign.size == 0:
         raise BandCoverageError(
@@ -689,9 +688,9 @@ def phase_match_crossing(curve: BandCurve, fiber_spec, lam_window_nm=None) -> Ph
         )
     i = int(sign[0])
     t = diff[i] / (diff[i] - diff[i + 1])
-    beta = float((1 - t) * curve.beta_rad_per_um[mask][i] + t * curve.beta_rad_per_um[mask][i + 1])
-    omega = float((1 - t) * curve.omega_norm[mask][i] + t * curve.omega_norm[mask][i + 1])
-    ng = curve.group_index()[mask]
+    beta = float((1 - t) * curve.beta_rad_per_um[i] + t * curve.beta_rad_per_um[i + 1])
+    omega = float((1 - t) * curve.omega_norm[i] + t * curve.omega_norm[i + 1])
+    ng = curve.group_index()
     ng_star = float((1 - t) * ng[i] + t * ng[i + 1])
     return PhaseMatchPoint(
         beta_rad_per_um=beta,

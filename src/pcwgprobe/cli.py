@@ -25,7 +25,7 @@ from .bands import (
     waveguide_bands,
 )
 from .coupling import lateral_profile, WaveguideProfile
-from .errors import ConfigError, MapFormatError, PcwgProbeError
+from .errors import ConfigError, MapFormatError, PcwgProbeError, ProfileRangeError
 from .fiber import FiberSpec, dbeta_dd, dispersion_curve, ModeField
 from .pipeline import (
     TransmissionMap,
@@ -59,14 +59,7 @@ def _write_json(path: Path, payload):
 
 def _bands_payload(cfg):
     spec, dispersive = cfgmod.build_lattice(cfg)
-    kpath = cfgmod.build_kpath(cfg)
-    num_bands = cfg["lattice"]["num_bands"]
-    res = waveguide_bands(
-        spec,
-        kpath_norm=kpath,
-        num_bands=None if num_bands is None else int(num_bands),
-        dispersive=dispersive,
-    )
+    res = waveguide_bands(spec, kpath_norm=cfgmod.build_kpath(cfg), dispersive=dispersive)
     return {
         "lam_z_nm": spec.lam_z_nm,
         "n_eff": spec.n_eff,
@@ -367,7 +360,7 @@ def main(argv=None) -> int:
         if args.command == "map":
             return cmd_map(cfg, args, out_dir, use_cache, args.seed)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, MapFormatError, OSError) as exc:
+    except (ConfigError, MapFormatError, ProfileRangeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PcwgProbeError as exc:

@@ -56,7 +56,6 @@ DEFAULTS = {
         "k_start": 0.30,
         "k_stop": 0.50,
         "k_points": 26,
-        "num_bands": None,
     },
     "coupler": {
         "gap_nm": 700.0,
@@ -143,6 +142,16 @@ def bands_cache_key(cfg: dict) -> str:
 
 # -- typed builders ----------------------------------------------------------
 
+# Most points of any one grid: far above every default (at most 241), far
+# below a grid whose arrays no longer fit in memory.
+MAX_GRID_POINTS = 100_000
+
+
+def _check_points(count: float, keys: str) -> None:
+    """ConfigError naming ``keys`` unless ``count`` is at most MAX_GRID_POINTS."""
+    if not count <= MAX_GRID_POINTS:
+        raise ConfigError(f"config {keys}: {count:.3g} grid points, over {MAX_GRID_POINTS}")
+
 
 def _section(name: str):
     """Decorates a builder: a value it rejects becomes a ConfigError naming the section."""
@@ -151,7 +160,7 @@ def _section(name: str):
         def checked(*args, **kwargs):
             try:
                 return build(*args, **kwargs)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"config section {name!r}: {exc}") from exc
 
         checked.__name__, checked.__doc__ = build.__name__, build.__doc__
@@ -220,6 +229,7 @@ def build_lattice(cfg: dict):
 @_section("lattice")
 def build_kpath(cfg: dict):
     lat = cfg["lattice"]
+    _check_points(float(lat["k_points"]), "'lattice.k_points'")
     return default_kpath_norm(int(lat["k_points"]), float(lat["k_start"]), float(lat["k_stop"]))
 
 
@@ -254,12 +264,14 @@ def build_lambda_grid(cfg: dict) -> np.ndarray:
             f"wavelength grid needs 0 < start < stop and step > 0: "
             f"start={start}, stop={stop}, step={step}"
         )
+    _check_points((stop - start) / step + 1, "'grids.lambda_start_nm/stop_nm/step_nm'")
     return np.arange(start, stop + 1e-9, step)
 
 
 @_section("grids")
 def build_lc_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
+    _check_points(float(g["lc_points"]), "'grids.lc_points'")
     n = int(g["lc_points"])
     if n < 1 or float(g["lc_stop_mm"]) <= float(g["lc_start_mm"]):
         raise ConfigError("empty taper-position grid")
@@ -269,16 +281,17 @@ def build_lc_grid(cfg: dict) -> np.ndarray:
 @_section("grids")
 def build_gap_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
-    if float(g["gap_step_nm"]) <= 0 or float(g["gap_stop_nm"]) <= float(g["gap_start_nm"]):
+    start, stop, step = (float(g[k]) for k in ("gap_start_nm", "gap_stop_nm", "gap_step_nm"))
+    if step <= 0 or stop <= start:
         raise ConfigError("empty gap grid")
-    return np.arange(
-        float(g["gap_start_nm"]), float(g["gap_stop_nm"]) + 1e-9, float(g["gap_step_nm"])
-    )
+    _check_points((stop - start) / step + 1, "'grids.gap_start_nm/stop_nm/step_nm'")
+    return np.arange(start, stop + 1e-9, step)
 
 
 @_section("grids")
 def build_dx_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
+    _check_points(float(g["dx_points"]), "'grids.dx_points'")
     n = int(g["dx_points"])
     span = float(g["dx_span_um"])
     if n < 5 or span <= 0:

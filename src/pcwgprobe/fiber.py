@@ -96,15 +96,17 @@ def _char_m1(neff, n1, n2, a_k0):
     the poles of J0/J1, so pole crossings fail that check.
     """
     neff = np.asarray(neff, dtype=float)
-    u2 = a_k0**2 * np.maximum(n1**2 - neff**2, 0.0)
-    w2 = a_k0**2 * np.maximum(neff**2 - n2**2, 0.0)
-    u, w = np.sqrt(u2), np.sqrt(w2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # absurd indices or diameters overflow to inf or nan here; such values
+    # fail the residual check and end in the fallback's error
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u2 = a_k0**2 * np.maximum(n1**2 - neff**2, 0.0)
+        w2 = a_k0**2 * np.maximum(neff**2 - n2**2, 0.0)
+        u, w = np.sqrt(u2), np.sqrt(w2)
         p = u * j0(u) / j1(u) - 1.0  # u^2 J1'/(u J1)
         q = -w * k0e(w) / k1e(w) - 1.0  # w^2 K1'/(w K1); scaled Ks stay finite
         lhs = (p * w2 + q * u2) * (p * w2 + (n2 / n1) ** 2 * q * u2)
         rhs = (neff / n1) ** 2 * (u2 + w2) ** 2
-    return lhs - rhs, np.abs(lhs) + np.abs(rhs)
+        return lhs - rhs, np.abs(lhs) + np.abs(rhs)
 
 
 def _he11_bracket(n1, n2, a_k0):

@@ -6,6 +6,7 @@ from pcwgprobe.bands import (
     PCWaveguideSpec,
     PlaneWaveSolver,
     _basis,
+    _defect_windows,
     _epsilon_table,
     _hole_factor,
     bulk_bands,
@@ -17,13 +18,20 @@ from pcwgprobe.bands import (
     waveguide_bands,
 )
 from pcwgprobe.coupling import CouplerConfig, WaveguideProfile, lateral_profile
-from pcwgprobe.errors import BandCoverageError, NoDefectModeError
+from pcwgprobe.errors import BandCoverageError, EigensolverError, NoDefectModeError
 from pcwgprobe.fiber import FiberSpec, ModeField
 from pcwgprobe.slab import SlabSpec
 
 
 def bulk_spec(**kw):
     return PCWaveguideSpec(grading=(), supercell_rows=1, **kw)
+
+
+def lowest_states(solver, beta, n=42):
+    """The states of the lowest ``n`` merged eigenvalues, by sector: a
+    window from 0 to just above the n-th one."""
+    top = solver.solve_k(beta, n)[-1]
+    return solver.solve_k(beta, window=(0.0, top * (1.0 + 1e-9)))
 
 
 def table_of(spec):
@@ -128,9 +136,7 @@ class TestWaveguideBands:
     def test_defect_state_localization(self, default_spec, te1):
         solver = PlaneWaveSolver(default_spec)
         beta_norm = 0.42
-        omega, vecs = solver.solve_k(
-            beta_norm * 2 * np.pi / default_spec.lam_z_um, 42, vectors=True
-        )["even"]
+        omega, vecs = lowest_states(solver, beta_norm * 2 * np.pi / default_spec.lam_z_um)["even"]
         target = float(np.interp(beta_norm, te1.beta_norm, te1.omega_norm))
         j = int(np.argmin(np.abs(omega - target)))
         assert solver.localization(vecs[:, j]) > 0.5
@@ -286,9 +292,9 @@ class TestSectorSolve:
         full = np.sqrt(vals) * default_spec.lam_z_um / (2 * np.pi)
         solver = PlaneWaveSolver(default_spec)
         np.testing.assert_allclose(solver.solve_k(beta, 42), full, rtol=1e-12, atol=0)
-        states = solver.solve_k(beta, 42, vectors=True)
+        states = lowest_states(solver, beta)
         split = np.sort(np.concatenate([states["even"][0], states["odd"][0]]))
-        np.testing.assert_array_equal(split, solver.solve_k(beta, 42))
+        np.testing.assert_allclose(split, full, rtol=1e-12, atol=0)
         assert [v.shape[0] for _, v in states.values()] == [364, 357]
 
     def test_fixed_index_outputs_equal_complex_solver(self, default_spec):
@@ -343,11 +349,11 @@ class TestSectorSolve:
         )
         for beta_norm in (0.42, 0.46, 0.468, 0.5):
             beta = beta_norm * 2 * np.pi / default_spec.lam_z_um
-            omega, vecs = solver.solve_k(beta, 42, vectors=True)["even"]
+            omega, vecs = lowest_states(solver, beta)["even"]
             j = int(np.argmin(np.abs(omega - np.interp(beta_norm, te1.beta_norm, te1.omega_norm))))
             log_omega = []
             for other in (up, down):
-                om, vv = other.solve_k(beta, 42, vectors=True)["even"]
+                om, vv = lowest_states(other, beta)["even"]
                 log_omega.append(np.log(om[np.argmax(np.abs(vv.T @ vecs[:, j]))]))
             s_fd = -(log_omega[0] - log_omega[1]) / (np.log(1.0 + h) - np.log(1.0 - h))
             s_hf = solver.sensitivity(beta, omega[j], vecs[:, j])
@@ -360,6 +366,75 @@ class TestSectorSolve:
         at = np.isclose(te1.beta_norm, 0.468)
         assert at.sum() == 1
         assert te1.lambda_nm[at][0] == pytest.approx(1785.2, abs=0.5)
+
+
+def sector_blocks(solver, beta):
+    """The even and odd Theta blocks at beta, formed as ``solve_k`` forms them."""
+    kz = solver._gz + beta
+    kzz, gxx = np.outer(kz, kz), np.outer(solver._gx, solver._gx)
+    eta_e, eta_o = solver._eta
+    return {"even": kzz * eta_e + gxx * eta_o, "odd": (kzz * eta_o + gxx * eta_e)[solver._odd]}
+
+
+class TestWindowSolve:
+    def test_window_states_equal_the_lowest_42_inside_it(self, default_spec):
+        import scipy.linalg
+
+        kpath = np.linspace(0.30, 0.50, 26)  # the default path
+        _, windows = _defect_windows(default_spec, kpath)
+        solver = PlaneWaveSolver(default_spec)
+        for bn, (lo, hi) in zip(kpath, windows):
+            beta = bn * 2 * np.pi / default_spec.lam_z_um
+            states = solver.solve_k(beta, window=(lo, hi))
+            for parity, theta in sector_blocks(solver, beta).items():
+                vals, ref = scipy.linalg.eigh(theta, subset_by_index=(0, 41))
+                om_ref = np.sqrt(vals) * default_spec.lam_z_um / (2 * np.pi)
+                inside = (om_ref > lo) & (om_ref < hi)
+                omega, vecs = states[parity]
+                assert omega.size == inside.sum() > 0
+                np.testing.assert_allclose(omega, om_ref[inside], rtol=1e-12, atol=0)
+                overlap = np.abs(np.sum(vecs * ref[:, inside], axis=0))
+                np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("one_state", [False, True])
+    def test_window_vectors_own_their_memory(self, default_spec, one_state):
+        # a view into LAPACK's n x n workspace would keep it alive as long
+        # as any kept column
+        beta = 0.42 * 2 * np.pi / default_spec.lam_z_um
+        _, (window,) = _defect_windows(default_spec, [0.42])
+        solver = PlaneWaveSolver(default_spec)
+        states = solver.solve_k(beta, window=window)
+        if one_state:  # a single column is C- and F-contiguous at once
+            w = states["even"][0][0]
+            states = solver.solve_k(beta, window=(w * (1 - 1e-9), w * (1 + 1e-9)))
+            assert states["even"][1].shape[1] == 1
+        for _, vecs in states.values():
+            assert vecs.base is None or vecs.flags.owndata
+
+    def test_eps_block_not_positive_definite_raises(self, monkeypatch):
+        import pcwgprobe.bands as bands
+
+        table = bands._epsilon_table
+        monkeypatch.setattr(bands, "_epsilon_table", lambda *args: -table(*args))
+        with pytest.raises(EigensolverError, match="not positive definite"):
+            PlaneWaveSolver(PCWaveguideSpec())
+
+    def test_eigenvector_residual_check_raises(self, default_spec):
+        beta = 0.42 * 2 * np.pi / default_spec.lam_z_um
+        _, (window,) = _defect_windows(default_spec, [0.42])
+        solver = PlaneWaveSolver(default_spec)
+        # eigh reads one triangle of Theta; a corrupted other triangle is
+        # seen only by the residual
+        eta = solver._eta[0]
+        solver._eta[0] = eta + np.triu(1e-3 * np.abs(eta), 1)
+        with pytest.raises(EigensolverError, match="residual"):
+            solver.solve_k(beta, window=window)
+
+    def test_lowest_eigenvalue_check_raises(self, default_spec):
+        solver = PlaneWaveSolver(default_spec.bulk())
+        solver._eta = [-eta for eta in solver._eta]
+        with pytest.raises(EigensolverError, match="not positive semi-definite"):
+            solver.solve_k(2.0, 6)
 
 
 class TestDispersiveFixedPoint:

@@ -46,11 +46,20 @@ class TestFiberCommand:
     @pytest.mark.parametrize("yaml_text, command, key", [
         ("lattice: {supercell_rows: 16}\n", "bands", "supercell_rows"),
         ("fiber: {d_um: -1}\n", "fiber", "fiber diameter"),
+        # the key no longer sizes anything; an old config that sets it is rejected
+        ("lattice: {num_bands: 42}\n", "bands", "'lattice.num_bands'"),
+        # grid sizes are capped before anything is allocated
+        ("grids: {lambda_step_nm: 1.0e-12}\n", "fiber", "lambda_start_nm/stop_nm/step_nm"),
+        ("lattice: {k_points: 100000000000}\n", "bands", "lattice.k_points"),
+        ("lattice: {k_points: .inf}\n", "bands", "lattice.k_points"),
+        ("grids: {lc_points: 100000000000}\n", "map synth", "grids.lc_points"),
+        ("grids: {dx_points: 100000000000}\n", "couple --sweep lateral", "grids.dx_points"),
+        ("grids: {gap_step_nm: 1.0e-12}\n", "couple --sweep gap", "gap_start_nm/stop_nm/step_nm"),
     ])
-    def test_invalid_config_value_exits_2(self, tmp_path, capsys, yaml_text, command, key):
-        cfg = tmp_path / "cfg.yaml"
+    def test_invalid_config_value_exits_2(self, cli_out, capsys, yaml_text, command, key):
+        cfg = cli_out / "cfg.yaml"
         cfg.write_text(yaml_text)
-        assert run(["--config", cfg, "--out", tmp_path, command]) == 2
+        assert run(["--config", cfg, "--out", cli_out] + command.split()) == 2
         err = capsys.readouterr().err
         assert "config" in err and key in err
         assert "Traceback" not in err
@@ -76,6 +85,13 @@ class TestFiberCommand:
         assert run(["--out", tmp_path, "fiber", "--profile", taper, "--lc-mm", "0.5"]) == 2
         err = capsys.readouterr().err
         assert "taper profile" in err and "Traceback" not in err
+
+    def test_lc_mm_outside_the_profile_exits_2(self, tmp_path, capsys):
+        taper = tmp_path / "taper.csv"
+        taper.write_text("l_c_mm,d_um\n0,2.0\n1,1.0\n")
+        assert run(["--out", tmp_path, "fiber", "--profile", taper, "--lc-mm", "3.0"]) == 2
+        err = capsys.readouterr().err
+        assert "outside sampled range" in err and "Traceback" not in err
 
     def test_lc_mm_is_checked_before_the_profile_is_read(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
@@ -168,6 +184,21 @@ class TestMapCommand:
         assert run(["--out", cli_out, "map", "analyze", "--in", path]) == 2
         assert "line 3, column 3" in capsys.readouterr().err
         assert not (cli_out / "resonances.json").exists()
+
+    def test_analyze_lc_outside_the_taper_exits_2(self, cli_out, capsys):
+        # one clear dip per row, drifting in wavelength; the default taper
+        # spans l_c 0 ... 5.5 mm
+        lam = np.arange(1565.0, 1580.0, 0.5)
+        rows = ["lc_mm\\lambda_nm," + ",".join(repr(float(v)) for v in lam)]
+        for i in range(4):
+            t = np.full(lam.size, 0.95)
+            t[9 + i: 12 + i] = (0.5, 0.1, 0.5)
+            rows.append(repr(6.0 + 0.02 * i) + "," + ",".join(repr(float(v)) for v in t))
+        path = cli_out / "beyond.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert run(["--out", cli_out, "map", "analyze", "--in", path]) == 2
+        err = capsys.readouterr().err
+        assert "outside sampled range" in err and "Traceback" not in err
 
     def test_analyze_missing_input_exits_2(self, cli_out):
         assert run(["--out", cli_out, "map", "analyze", "--in", cli_out / "nope.csv"]) == 2

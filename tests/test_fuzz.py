@@ -3,8 +3,12 @@ values or the cells of a map CSV, ``main`` ends in exit 0, 2 or 3 and
 prints no traceback.
 
 The examples are derandomized, so the suite stays deterministic; raise
-``max_examples`` locally to search further.  Grids stay small: the wavelength and gap steps are fixed and their
-fuzzed ends bounded, so no example solves more than a few hundred roots.
+``max_examples`` locally to search further.  Grids stay small: the
+wavelength and gap steps default to coarse values and their fuzzed ends
+are bounded; a fuzzed step or point count is either small or past the
+config's grid cap, never a large grid that is still allowed.  Any
+RuntimeWarning (an overflow or invalid value inside a kernel) fails a
+test.
 """
 
 import contextlib
@@ -12,11 +16,15 @@ import csv
 import io
 import math
 
+import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pcwgprobe.cli import main
+from pcwgprobe.config import MAX_GRID_POINTS
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FUZZ = settings(
     max_examples=60,
@@ -40,6 +48,21 @@ BOUNDED = st.one_of(
     st.text(max_size=3),
     st.none(),
 )
+STEP = st.one_of(
+    st.floats(1e-300, 1e-9),  # past the cap on any range the ends can give
+    st.floats(10.0, 2500.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -25.0]),
+    st.text(max_size=3),
+    st.none(),
+)
+COUNT = st.one_of(
+    st.integers(-3, 9),
+    st.integers(MAX_GRID_POINTS + 1, 10**15),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 2.5]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
 CONFIG_KEYS = {
     ("fiber", "d_um"): ODD,
     ("fiber", "core_index"): ODD,
@@ -56,7 +79,14 @@ CONFIG_KEYS = {
     ("grids", "lambda_stop_nm"): BOUNDED,
     ("grids", "gap_start_nm"): BOUNDED,
     ("grids", "gap_stop_nm"): BOUNDED,
+    ("grids", "lambda_step_nm"): STEP,
+    ("grids", "gap_step_nm"): STEP,
+    ("grids", "lc_points"): COUNT,
+    ("grids", "dx_points"): COUNT,
+    ("lattice", "k_points"): COUNT,
 }
+COMMANDS = [["fiber"], ["couple", "--sweep", "gap"], ["couple", "--sweep", "lateral"],
+            ["map", "synth"]]
 SMALL_GRIDS = {"lambda_step_nm": 25.0, "gap_step_nm": 100.0}
 
 
@@ -77,8 +107,34 @@ def configs(draw):
 
 
 @FUZZ
-@given(cfg=configs(), command=st.sampled_from([["fiber"], ["couple", "--sweep", "gap"]]))
+@given(cfg=configs(), command=st.sampled_from(COMMANDS))
+# a cladding index whose square overflows (a RuntimeWarning in the HE11 kernel)
+@example(cfg={"grids": SMALL_GRIDS, "fiber": {"clad_index": 1.3407807929942597e154}},
+         command=["fiber"])
 def test_config_values_keep_the_exit_code_contract(cli_out, cfg, command):
+    path = cli_out / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    code, text = run_main(["--config", path, "--out", cli_out] + command)
+    assert code in (0, 2, 3), text
+    assert "Traceback" not in text
+
+
+# each grid-sizing key with a command that builds its grid
+GRID_KEYS = {
+    ("grids", "lambda_step_nm"): (STEP, ["fiber"]),
+    ("grids", "gap_step_nm"): (STEP, ["couple", "--sweep", "gap"]),
+    ("grids", "lc_points"): (COUNT, ["map", "synth"]),
+    ("grids", "dx_points"): (COUNT, ["couple", "--sweep", "lateral"]),
+    ("lattice", "k_points"): (COUNT, ["bands"]),
+}
+
+
+@settings(FUZZ, max_examples=30)
+@given(data=st.data(), key=st.sampled_from(sorted(GRID_KEYS)))
+def test_grid_sizes_keep_the_exit_code_contract(cli_out, data, key):
+    strategy, command = GRID_KEYS[key]
+    cfg = {"grids": dict(SMALL_GRIDS)}
+    cfg.setdefault(key[0], {})[key[1]] = data.draw(strategy)
     path = cli_out / "fuzz.yaml"
     path.write_text(yaml.safe_dump(cfg))
     code, text = run_main(["--config", path, "--out", cli_out] + command)

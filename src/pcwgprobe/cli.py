@@ -246,6 +246,7 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
 
 def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
     if args.mode == "synth":
+        lam_nm, lc_mm = cfgmod.build_map_grids(cfg)
         payload = _bands_cached(cfg, out_dir, use_cache)
         curves = [c for c in _curves_from_payload(payload) if c.label == "TE-1"]
         if not curves:
@@ -258,8 +259,8 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
             curves,
             coupler,
             fiber,
-            wavelengths_nm=cfgmod.build_lambda_grid(cfg),
-            lc_mm=cfgmod.build_lc_grid(cfg),
+            wavelengths_nm=lam_nm,
+            lc_mm=lc_mm,
             noise_sigma=float(cfg["grids"]["noise_sigma"]),
             seed=seed,
             include_loss=bool(cfg["coupler"]["include_loss"]),

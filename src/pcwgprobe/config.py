@@ -145,6 +145,9 @@ def bands_cache_key(cfg: dict) -> str:
 # Most points of any one grid: far above every default (at most 241), far
 # below a grid whose arrays no longer fit in memory.
 MAX_GRID_POINTS = 100_000
+# Most cells of the transmission map (taper positions x wavelengths): far
+# above the default 12,050, small enough that each map array (80 MB) fits.
+MAX_MAP_CELLS = 10_000_000
 
 
 def _check_points(count: float, keys: str) -> None:
@@ -276,6 +279,17 @@ def build_lc_grid(cfg: dict) -> np.ndarray:
     if n < 1 or float(g["lc_stop_mm"]) <= float(g["lc_start_mm"]):
         raise ConfigError("empty taper-position grid")
     return np.linspace(float(g["lc_start_mm"]), float(g["lc_stop_mm"]), n)
+
+
+def build_map_grids(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Wavelength (nm) and taper-position (mm) grids of the map, capped in cell count."""
+    lam_nm, lc_mm = build_lambda_grid(cfg), build_lc_grid(cfg)
+    if lam_nm.size * lc_mm.size > MAX_MAP_CELLS:
+        raise ConfigError(
+            f"config 'grids.lc_points' x 'grids.lambda_start_nm/stop_nm/step_nm': "
+            f"{lc_mm.size * lam_nm.size:.3g} map cells, over {MAX_MAP_CELLS}"
+        )
+    return lam_nm, lc_mm
 
 
 @_section("grids")

@@ -86,14 +86,18 @@ class GuidedModePoint:
         return 2.0 * np.pi * C_UM_PER_S / self.wavelength_um
 
 
-def _char_m1(neff, n1, n2, a_k0):
-    """Exact m=1 hybrid-mode characteristic function and its scale.
+def _char_m1(neff, n1, n2, a_k0, slope=False):
+    """Exact m=1 hybrid-mode characteristic function and its scale (or slope).
 
     Roots of ``value`` are the HE1n/EH1n modes.  It is Snyder & Love's
     (J1'/uJ1 + K1'/wK1)(J1'/uJ1 + (n2/n1)^2 K1'/wK1) = (n_eff/n1)^2 (1/u^2 + 1/w^2)^2
     times u^4 w^4, finite at both light lines.  ``scale`` is the magnitude
     of the balanced terms, for a relative residual check; it diverges at
-    the poles of J0/J1, so pole crossings fail that check.
+    the poles of J0/J1, so pole crossings fail that check.  With ``slope``
+    the pair is (value, d value/d n_eff), from the same Bessel values: with
+    r = J0/J1(u) and s = K0/K1(w), the recurrences give dp/du = 2r - u - u r^2
+    and dq/dw = w - 2s - w s^2; d(w^2)/dn_eff = -d(u^2)/dn_eff = 2 (a k0)^2 n_eff,
+    and u^2 + w^2 is constant, so the right side's slope is 2 n_eff/n1^2 (u^2 + w^2)^2.
     """
     neff = np.asarray(neff, dtype=float)
     # absurd indices or diameters overflow to inf or nan here; such values
@@ -102,11 +106,17 @@ def _char_m1(neff, n1, n2, a_k0):
         u2 = a_k0**2 * np.maximum(n1**2 - neff**2, 0.0)
         w2 = a_k0**2 * np.maximum(neff**2 - n2**2, 0.0)
         u, w = np.sqrt(u2), np.sqrt(w2)
-        p = u * j0(u) / j1(u) - 1.0  # u^2 J1'/(u J1)
-        q = -w * k0e(w) / k1e(w) - 1.0  # w^2 K1'/(w K1); scaled Ks stay finite
-        lhs = (p * w2 + q * u2) * (p * w2 + (n2 / n1) ** 2 * q * u2)
-        rhs = (neff / n1) ** 2 * (u2 + w2) ** 2
-        return lhs - rhs, np.abs(lhs) + np.abs(rhs)
+        r, s = j0(u) / j1(u), k0e(w) / k1e(w)  # scaled Ks stay finite
+        p, q = u * r - 1.0, -w * s - 1.0  # u^2 J1'/(u J1), w^2 K1'/(w K1)
+        lhs_a, lhs_b = p * w2 + q * u2, p * w2 + (n2 / n1) ** 2 * q * u2
+        lhs, rhs = lhs_a * lhs_b, (neff / n1) ** 2 * (u2 + w2) ** 2
+        if not slope:
+            return lhs - rhs, np.abs(lhs) + np.abs(rhs)
+        dw2 = 2.0 * a_k0**2 * neff
+        dpw = p * dw2 - (2.0 * r - u - u * r**2) * w2 * dw2 / (2.0 * u)  # d(p w^2)/dn_eff
+        dqu = (w - 2.0 * s - w * s**2) * u2 * dw2 / (2.0 * w) - q * dw2  # d(q u^2)/dn_eff
+        drhs = 2.0 * neff / n1**2 * (u2 + w2) ** 2
+        return lhs - rhs, (dpw + dqu) * lhs_b + lhs_a * (dpw + (n2 / n1) ** 2 * dqu) - drhs
 
 
 def _he11_bracket(n1, n2, a_k0):
@@ -116,7 +126,7 @@ def _he11_bracket(n1, n2, a_k0):
 
 
 def _he11_f(neff, n1, n2, a_k0):
-    return _char_m1(neff, n1, n2, a_k0)[0]
+    return _char_m1(neff, n1, n2, a_k0, slope=True)
 
 
 def _he11_roots(n1, n2, a_k0):
@@ -124,10 +134,10 @@ def _he11_roots(n1, n2, a_k0):
 
     HE11 is the only root with u below j01, the first zero of J0, so
     n_eff in (sqrt(max(n2^2, n1^2 - (j01/(a k0))^2)), n1) brackets it away
-    from every pole.  All brackets are refined at once by
-    ``bracketed_roots``; elements that hold no sign change, do not converge
-    or fail the residual check fall back to the scan of ``_solve_neff``,
-    which raises NoGuidedModeError when the diameter is too small.
+    from every pole.  ``bracketed_roots`` refines them all at once by Newton
+    steps on ``_char_m1``'s analytic slope; an element with no sign change,
+    no convergence or a failed residual check falls back to the scan of
+    ``_solve_neff``, which raises NoGuidedModeError for too thin a fiber.
     """
     n1, n2, a_k0 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n1, n2, a_k0)))
     a, b = _he11_bracket(n1, n2, a_k0)
@@ -151,7 +161,7 @@ def _solve_neff(n1, n2, a_k0, scan_step=_SCAN_STEP):
     if not lo < hi:
         raise NoGuidedModeError(f"empty HE11 bracket in the index window ({n2}, {n1})")
     grid = np.append(np.arange(lo, hi, scan_step), hi)
-    vals = _he11_f(grid, n1, n2, a_k0)
+    vals = _char_m1(grid, n1, n2, a_k0)[0]
     crossings = np.flatnonzero(vals[:-1] * vals[1:] < 0)
     if not crossings.size:
         raise NoGuidedModeError(

@@ -1,6 +1,6 @@
-"""The package's one root finder: Anderson-Bjorck regula falsi over arrays of
-brackets, one vectorized function call per step for all of them.  It solves
-the fiber's HE11 index, the slab index and the dispersive band fixed point.
+"""The package's one root finder, over arrays of brackets with one vectorized
+call per step: safeguarded Newton (rtsafe) given the slope, as for the HE11
+index, else Anderson-Bjorck regula falsi (slab index, dispersive fixed point).
 """
 
 from __future__ import annotations
@@ -11,30 +11,50 @@ import numpy as np
 def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, max_iter=60):
     """Roots of ``f(x, *args) = 0`` in the brackets (a, b), elementwise.
 
-    ``a``, ``b`` and ``args`` broadcast to one shape; ``f`` maps an array
-    of abscissae and the matching elements of ``args`` to the function
-    values.  An element stops once its bracket is narrower than
-    ``xtol + rtol * |x|`` or ``f`` vanishes.  Elements whose bracket holds
-    no sign change, or that do not settle within ``max_iter`` steps, are NaN.
+    ``a``, ``b`` and ``args`` broadcast to one shape; ``f`` maps an array of
+    abscissae and the matching elements of ``args`` to the values, or to a
+    ``(value, slope)`` pair.  Each iterate, from ``b`` on, is the newest end
+    of a sign-change bracket.  With a slope the step is Newton's, or bisection
+    where Newton's would leave the bracket; a Newton step of at most
+    ``xtol + rtol * |x|`` settles the element, unevaluated, where it lands.
+    Without one the step is Anderson-Bjorck regula falsi.  An element also
+    stops once its bracket is narrower than that or ``f`` vanishes.  Elements
+    with no sign change, or not settled within ``max_iter`` steps, are NaN.
     """
     a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
     shape = a.shape
     a, b, args = a.ravel(), b.ravel(), [p.ravel() for p in args]
     fa, fb = f(a, *args), f(b, *args)
+    if newton := isinstance(fb, tuple):
+        (fa, _), (fb, g) = fa, fb
     out = np.full(a.size, np.nan)
     todo = np.flatnonzero(fa * fb < 0)  # elements still refining; b is the newest iterate
-    a, b, fa, fb = a[todo], b[todo], fa[todo], fb[todo]
+    # g is the slope at b (Newton) or the scaled value at a (regula falsi)
+    a, b, fb, g = a[todo], b[todo], fb[todo], (g if newton else fa)[todo]
     for _ in range(max_iter):
         if not todo.size:
             break
-        c = b - fb * (b - a) / (fb - fa)
-        fc = f(c, *(p[todo] for p in args))
-        flip = fc * fb < 0
-        m = 1.0 - fc / fb
-        a = np.where(flip, b, a)
-        fa = np.where(flip, fb, np.where(m > 0, m, 0.5) * fa)
+        if newton:
+            # a zero slope bisects; a step that rounds to b lands inside
+            step = np.divide(fb, g, out=np.full(fb.shape, np.inf), where=g != 0)
+            inside = (step * (b - a) >= 0) & (np.abs(step) < np.abs(b - a))
+            c = np.where(inside, b - step, 0.5 * (a + b))
+            settled = inside & (np.abs(step) <= xtol + rtol * np.abs(c))
+            out[todo[settled]] = c[settled]
+            todo, a, b, c, fb = (v[~settled] for v in (todo, a, b, c, fb))
+            if not todo.size:
+                break
+            fc, g = f(c, *(p[todo] for p in args))
+            a = np.where(fc * fb < 0, b, a)
+        else:
+            c = b - fb * (b - a) / (fb - g)
+            fc = f(c, *(p[todo] for p in args))
+            flip = fc * fb < 0
+            m = 1.0 - fc / fb
+            a = np.where(flip, b, a)
+            g = np.where(flip, fb, np.where(m > 0, m, 0.5) * g)
         b, fb = c, fc
         done = (fc == 0) | (np.abs(b - a) <= xtol + rtol * np.abs(b))
         out[todo[done]] = b[done]
-        todo, a, b, fa, fb = (v[~done] for v in (todo, a, b, fa, fb))
+        todo, a, b, fb, g = (v[~done] for v in (todo, a, b, fb, g))
     return out.reshape(shape)

@@ -148,6 +148,16 @@ class TestMapCommand:
         assert len(points) == len(bandpoints) >= 45
         assert {p["label"] for p in points} >= {"TE-1"}
 
+    def test_map_cell_count_is_capped_before_synthesis(self, cli_out, capsys, monkeypatch):
+        # each grid passes its own cap, but the map would be 100000 x 99984 cells
+        monkeypatch.setattr(cli, "synthesize_map", lambda *a, **k: pytest.fail("synthesized"))
+        cfg = cli_out / "cfg.yaml"
+        cfg.write_text("grids: {lc_points: 100000, lambda_step_nm: 0.0006001}\n")
+        assert run(["--config", cfg, "--out", cli_out, "map", "synth"]) == 2
+        err = capsys.readouterr().err
+        assert "'grids.lc_points'" in err and "'grids.lambda_start_nm/stop_nm/step_nm'" in err
+        assert "Traceback" not in err
+
     def test_seed_controls_noise(self, cli_out):
         assert run(["--out", cli_out, "--seed", "1", "map", "synth"]) == 0
         first = (cli_out / "map.csv").read_bytes()

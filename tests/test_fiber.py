@@ -183,6 +183,56 @@ class TestArrayKernel:
             he11_neff(FiberSpec(1.0), 1.6, np.array([1.0, 0.12]))
 
 
+class TestCharacteristicSlope:
+    """The analytic d(value)/d(n_eff) of ``_char_m1`` and the Newton steps it feeds."""
+
+    @staticmethod
+    def check_slope(d, lam, where, h):
+        n1, a_k0 = np.broadcast_arrays(silica_index(lam), np.pi * d[:, None] / lam)
+        lo, hi = fibermod._he11_bracket(n1, 1.0, a_k0)
+        if where == "root":
+            n_eff = he11_neff(FiberSpec(1.0), lam, d[:, None])
+        else:
+            n_eff = {"midpoint": 0.5 * (lo + hi), "lower end": lo, "upper end": hi}[where]
+        slope = fibermod._char_m1(n_eff, n1, 1.0, a_k0, slope=True)[1]
+        centered = (fibermod._char_m1(n_eff + h, n1, 1.0, a_k0)[0]
+                    - fibermod._char_m1(n_eff - h, n1, 1.0, a_k0)[0]) / (2 * h)
+        np.testing.assert_allclose(slope, centered, rtol=1e-6, atol=0)
+        return n_eff
+
+    @pytest.mark.parametrize("where, h", [
+        ("root", 1e-6),
+        ("midpoint", 1e-6),
+        ("upper end", 1e-8),  # n1 - 1e-6, where u -> 0
+        ("lower end", 1e-9),  # n2 + 1e-6, where w -> 0 and K0/K1 bends as w ln(1/w)
+    ])
+    def test_matches_centered_difference_on_default_map_grid(self, default_cfg, where, h):
+        n_eff = self.check_slope(*default_map_grid(default_cfg), where, h)
+        if where == "lower end":
+            assert np.all(n_eff == 1.0 + 1e-6)
+
+    def test_matches_centered_difference_at_the_j01_end(self):
+        # thick fibers: the lower bracket end is u = j01, not the light line
+        n_eff = self.check_slope(np.array([10.0, 20.0, 36.7]), np.array([1.2, 1.6]),
+                                 "lower end", 1e-8)
+        assert np.all(n_eff > 1.0 + 1e-6)
+
+    def test_default_map_grid_takes_few_evaluations_per_root(self, default_cfg, monkeypatch):
+        # element evaluations of f per root, both bracket ends included;
+        # regula falsi without the slope took 16.5
+        calls = []
+        he11_f = fibermod._he11_f
+
+        def counted(x, *args):
+            calls.append(x.size)
+            return he11_f(x, *args)
+
+        monkeypatch.setattr(fibermod, "_he11_f", counted)
+        d, lam = default_map_grid(default_cfg)
+        n_eff = he11_neff(cfgmod.build_fiber(default_cfg), lam[None, :], d[:, None])
+        assert sum(calls) / n_eff.size <= 9
+
+
 class TestDiameterSensitivity:
     def test_vector_matches_scalar_centered_difference(self):
         spec = FiberSpec(1.5)

@@ -6,9 +6,10 @@ The examples are derandomized, so the suite stays deterministic; raise
 ``max_examples`` locally to search further.  Grids stay small: the
 wavelength and gap steps default to coarse values and their fuzzed ends
 are bounded; a fuzzed step or point count is either small or past the
-config's grid cap, never a large grid that is still allowed.  Any
-RuntimeWarning (an overflow or invalid value inside a kernel) fails a
-test.
+config's grid cap, never a large grid that is still allowed, and a pair of
+map grids under that cap is drawn only with a cell count past the map's
+cap.  Any RuntimeWarning (an overflow or invalid value inside a kernel)
+fails a test.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pcwgprobe.cli import main
-from pcwgprobe.config import MAX_GRID_POINTS
+from pcwgprobe.config import MAX_GRID_POINTS, MAX_MAP_CELLS
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -62,6 +63,14 @@ COUNT = st.one_of(
     st.booleans(),
     st.text(max_size=3),
     st.none(),
+)
+# a map past the cell cap whose two grids each pass the grid cap; its
+# wavelength grid stays a few hundred points
+MAP_PAST_CAP = st.integers(MAX_GRID_POINTS // 2, MAX_GRID_POINTS).flatmap(
+    lambda n: st.integers(MAX_MAP_CELLS // n + 1, MAX_MAP_CELLS // n + 100).map(
+        lambda m: {"lc_points": n, "lambda_start_nm": 1500.0, "lambda_stop_nm": 1600.0,
+                   "lambda_step_nm": 100.0 / (m - 1)}
+    )
 )
 CONFIG_KEYS = {
     ("fiber", "d_um"): ODD,
@@ -126,6 +135,7 @@ GRID_KEYS = {
     ("grids", "lc_points"): (COUNT, ["map", "synth"]),
     ("grids", "dx_points"): (COUNT, ["couple", "--sweep", "lateral"]),
     ("lattice", "k_points"): (COUNT, ["bands"]),
+    ("grids", "lc_points x lambda_step_nm"): (MAP_PAST_CAP, ["map", "synth"]),
 }
 
 
@@ -134,7 +144,11 @@ GRID_KEYS = {
 def test_grid_sizes_keep_the_exit_code_contract(cli_out, data, key):
     strategy, command = GRID_KEYS[key]
     cfg = {"grids": dict(SMALL_GRIDS)}
-    cfg.setdefault(key[0], {})[key[1]] = data.draw(strategy)
+    value = data.draw(strategy)
+    if isinstance(value, dict):  # the two map grids at once
+        cfg["grids"].update(value)
+    else:
+        cfg.setdefault(key[0], {})[key[1]] = value
     path = cli_out / "fuzz.yaml"
     path.write_text(yaml.safe_dump(cfg))
     code, text = run_main(["--config", path, "--out", cli_out] + command)

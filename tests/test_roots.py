@@ -33,3 +33,50 @@ def test_bracket_without_sign_change_is_nan():
 def test_unsettled_element_is_nan():
     roots = bracketed_roots(lambda x: np.tanh(50 * (x - 0.3)), -1.0, 2.0, max_iter=3)
     assert np.isnan(roots)
+
+
+def tanh_with_slope(x):
+    t = 50 * (x - 0.3)
+    return np.tanh(t), 50 / np.cosh(t) ** 2
+
+
+def test_slope_gives_the_same_roots_in_fewer_calls():
+    c = np.linspace(0.5, 40.0, 30).reshape(5, 6)
+    value_calls, slope_calls = [], []
+
+    def f(x, c):
+        value_calls.append(x.size)
+        return x**3 - c
+
+    def f_and_slope(x, c):
+        slope_calls.append(x.size)
+        return x**3 - c, 3 * x**2
+
+    value = bracketed_roots(f, 0.0, 4.0, (c,), xtol=1e-15)
+    newton = bracketed_roots(f_and_slope, 0.0, 4.0, (c,), xtol=1e-15)
+    np.testing.assert_allclose(newton, value, rtol=1e-14)
+    np.testing.assert_allclose(newton, np.cbrt(c), rtol=1e-14)
+    assert sum(slope_calls) < sum(value_calls)
+
+
+def test_newton_step_out_of_the_bracket_bisects():
+    # from x = 2 the Newton step is about 1e72 long; every point f sees stays in the bracket
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return tanh_with_slope(x)
+
+    root = bracketed_roots(f, -1.0, 2.0)
+    assert float(root) == pytest.approx(0.3, abs=1e-11)
+    seen = np.concatenate(seen)
+    assert np.all((seen >= -1.0) & (seen <= 2.0))
+
+
+def test_slope_path_keeps_the_nan_rule():
+    roots = bracketed_roots(
+        lambda x, c: (x**2 - c, 2 * x), 0.0, 2.0, (np.array([1.0, -1.0, 9.0]),)
+    )
+    assert roots[0] == pytest.approx(1.0, abs=1e-11)
+    assert np.isnan(roots[1]) and np.isnan(roots[2])
+    assert np.isnan(bracketed_roots(tanh_with_slope, -1.0, 2.0, max_iter=3))

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BandCoverageError, EigensolverError, NoDefectModeError
+from .errors import BandCoverageError, ConvergenceError, EigensolverError, NoDefectModeError
 from .fiber import C_UM_PER_S, dispersion_curve
 from .roots import bracketed_roots
 from .slab import SlabSpec, slab_effective_index
@@ -607,9 +607,12 @@ def waveguide_bands(
 
         # all samples of all curves at once
         w = bracketed_roots(fixed_point, 0.6 * w1, 1.6 * w1, (w1, sens), xtol=1e-13)
-        w = np.where(np.isnan(w), w1, w)  # no sign change: keep the fixed-index value
         ends = np.cumsum([c.omega_norm.size for c in curves])[:-1]
         for curve, part in zip(curves, np.split(w, ends)):
+            if np.isnan(part).any():
+                j = np.flatnonzero(np.isnan(part))[0]
+                raise ConvergenceError(f"no dispersive fixed point for {curve.label} at "
+                                       f"beta = {curve.beta_rad_per_um[j]:.6f} rad/um")
             curve.omega_norm = part
     return WaveguideBandsResult(curves, gap)
 

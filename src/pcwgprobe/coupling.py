@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientFringesError, NonPhysicalContrastError
+from .errors import InsufficientFringesError, NonPhysicalContrastError, UndefinedWidthError
 from .fiber import FiberSpec, ModeField, exterior_decay
 
 # Reference coupling amplitude: kappa_perp * L_c = 4.0 at the reference
@@ -98,27 +98,26 @@ def contra_transmission(kappa_per_um, l_um, delta_per_um):
 
     T = s^2 / (s^2 cosh^2 sL + Delta^2 sinh^2 sL) with s^2 = kappa^2 -
     Delta^2; the oscillatory branch (|Delta| > kappa) is the analytic
-    continuation sinh -> sin.  Lossless: T + C = 1 at every detuning.
+    continuation sinh -> sin.  Lossless: with r = kappa^2 sinh^2(sL) / s^2,
+    T = 1/(1 + r) and C = 1/(1 + 1/r), so T + C = 1 at every detuning, and
+    an r past the float range gives the limit T = 0, C = 1 exactly.
     """
-    kappa = np.asarray(kappa_per_um, dtype=float)
-    delta = np.asarray(delta_per_um, dtype=float)
-    kappa, delta = np.broadcast_arrays(kappa, delta)
-    l_um = np.float64(l_um)  # an overflowing L^2 is inf, not an OverflowError
-    x = kappa**2 - delta**2  # s^2, either sign
-    sl2 = np.abs(x) * l_um**2
-    root = np.sqrt(np.sqrt(sl2))  # |s| L enters only via sinh^2/sin^2
-    sl = root * root
-    # q = sinh(sL)^2 / s^2 (hyperbolic), sin(sigma L)^2 / sigma^2 (oscillatory),
-    # L^2 at the degenerate point; continuous in x.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(
-            x > 0,
-            np.sinh(sl) ** 2 / np.where(x != 0, np.abs(x), 1.0),
-            np.sin(sl) ** 2 / np.where(x != 0, np.abs(x), 1.0),
-        )
-    q = np.where(x == 0, l_um**2, q)
-    t = 1.0 / (1.0 + kappa**2 * q)
-    c = (kappa**2 * q) / (1.0 + kappa**2 * q)
+    kappa, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                         for v in (kappa_per_um, delta_per_um)))
+    # kappa and Delta in units of a power of two near the larger, L in its inverse:
+    # exact, so r keeps its bits, and no square of kappa or Delta overflows
+    scale = np.ldexp(1.0, np.frexp(np.maximum(np.abs(kappa), np.abs(delta)))[1] - 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kappa, delta, l_um = kappa / scale, delta / scale, l_um * scale
+        x = kappa**2 - delta**2  # s^2, either sign
+        sl2 = np.abs(x) * l_um**2
+        root = np.sqrt(np.sqrt(sl2))  # |s| L enters only via sinh^2/sin^2
+        sl = root * root
+        # q = sinh(sL)^2 / s^2 (hyperbolic), sin(sigma L)^2 / sigma^2 (oscillatory),
+        # L^2 at the degenerate point; continuous in x.
+        q = np.where(x > 0, np.sinh(sl), np.sin(sl)) ** 2 / np.where(x != 0, np.abs(x), 1.0)
+        r = kappa**2 * np.where(x == 0, l_um**2, q)
+        t, c = 1.0 / (1.0 + r), 1.0 / (1.0 + 1.0 / r)
     if t.ndim == 0:
         return float(t), float(c)
     return t, c
@@ -331,20 +330,20 @@ def lateral_profile(
 
 
 def _fwhm(x: np.ndarray, y: np.ndarray) -> float:
-    """Full width at half maximum by linear interpolation between samples."""
+    """Full width at half maximum, interpolated across steps rising strictly past it."""
     peak = int(np.argmax(y))
     half = y[peak] / 2.0
     left = right = np.nan
     for j in range(peak, 0, -1):
-        if y[j - 1] <= half <= y[j]:
+        if y[j - 1] <= half < y[j]:
             frac = (half - y[j - 1]) / (y[j] - y[j - 1])
             left = x[j - 1] + frac * (x[j] - x[j - 1])
             break
     for j in range(peak, len(y) - 1):
-        if y[j + 1] <= half <= y[j]:
+        if y[j + 1] <= half < y[j]:
             frac = (y[j] - half) / (y[j] - y[j + 1])
             right = x[j] + frac * (x[j + 1] - x[j])
             break
     if np.isnan(left) or np.isnan(right):
-        raise ValueError("profile does not fall to half maximum inside the sweep")
+        raise UndefinedWidthError("profile does not fall to half maximum inside the sweep")
     return float(right - left)

@@ -38,6 +38,10 @@ class BandCoverageError(PcwgProbeError):
     """Band samples do not cover the requested spectral window."""
 
 
+class UndefinedWidthError(PcwgProbeError):
+    """A profile does not fall to half its maximum on both sides in its sweep."""
+
+
 class InsufficientFringesError(PcwgProbeError):
     """Fewer fringe extrema than needed for a contrast fit."""
 

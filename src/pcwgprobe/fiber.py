@@ -31,7 +31,6 @@ _EDGE = 1e-6  # bracket ends keep this far inside (n2, n1)
 _XTOL, _RTOL = 1e-15, 8.9e-16  # root tolerance: _XTOL + _RTOL |n_eff|
 _MAX_ITER = 60
 _RESIDUAL_TOL = 1e-10
-_SCAN_STEP = 1e-3  # n_eff resolution of the fallback bracket scan
 
 
 def silica_index(lam_um):
@@ -101,7 +100,7 @@ def _char_m1(neff, n1, n2, a_k0, slope=False):
     """
     neff = np.asarray(neff, dtype=float)
     # absurd indices or diameters overflow to inf or nan here; such values
-    # fail the residual check and end in the fallback's error
+    # fail the residual check, and the solve raises
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u2 = a_k0**2 * np.maximum(n1**2 - neff**2, 0.0)
         w2 = a_k0**2 * np.maximum(neff**2 - n2**2, 0.0)
@@ -121,7 +120,8 @@ def _char_m1(neff, n1, n2, a_k0, slope=False):
 
 def _he11_bracket(n1, n2, a_k0):
     """n_eff interval holding HE11 and no other m=1 root: u below j01."""
-    lo = np.maximum(n2 + _EDGE, np.sqrt(np.maximum(n1**2 - (_J01 / a_k0) ** 2, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # absurd inputs: inf or nan ends
+        lo = np.maximum(n2 + _EDGE, np.sqrt(np.maximum(n1**2 - (_J01 / a_k0) ** 2, 0.0)))
     return lo, n1 - _EDGE
 
 
@@ -135,50 +135,33 @@ def _he11_roots(n1, n2, a_k0):
     HE11 is the only root with u below j01, the first zero of J0, so
     n_eff in (sqrt(max(n2^2, n1^2 - (j01/(a k0))^2)), n1) brackets it away
     from every pole.  ``bracketed_roots`` refines them all at once by Newton
-    steps on ``_char_m1``'s analytic slope; an element with no sign change,
-    no convergence or a failed residual check falls back to the scan of
-    ``_solve_neff``, which raises NoGuidedModeError for too thin a fiber.
+    steps on ``_char_m1``'s analytic slope, and every root must pass the
+    relative residual check.  The first element that fails raises:
+    NoGuidedModeError for an empty bracket or one with no sign change (too
+    thin a fiber), ConvergenceError for a root that did not settle or failed
+    the check.
     """
     n1, n2, a_k0 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n1, n2, a_k0)))
     a, b = _he11_bracket(n1, n2, a_k0)
+    if not np.all(a < b):
+        i = np.flatnonzero(~(a < b))[0]
+        raise NoGuidedModeError(
+            f"empty HE11 bracket in the index window ({n2.flat[i]}, {n1.flat[i]})")
     out = bracketed_roots(_he11_f, a, b, (n1, n2, a_k0), _XTOL, _RTOL, _MAX_ITER)
     value, scale = _char_m1(out, n1, n2, a_k0)
-    for i in np.flatnonzero(~(np.abs(value) < _RESIDUAL_TOL * scale)):
-        out.flat[i] = _solve_neff(n1.flat[i], n2.flat[i], a_k0.flat[i])
-    return out
-
-
-def _solve_neff(n1, n2, a_k0, scan_step=_SCAN_STEP):
-    """HE11 root of the characteristic equation, found by a scan.
-
-    The fallback of ``_he11_roots`` for elements its bracketed
-    refinement cannot settle.  Scans the same HE11 bracket, which holds
-    no pole, at ``scan_step`` resolution (closed by its upper end),
-    refines every sign change at once and returns the highest root that
-    passes the relative-residual check.
-    """
-    lo, hi = _he11_bracket(n1, n2, a_k0)
-    if not lo < hi:
-        raise NoGuidedModeError(f"empty HE11 bracket in the index window ({n2}, {n1})")
-    grid = np.append(np.arange(lo, hi, scan_step), hi)
-    vals = _char_m1(grid, n1, n2, a_k0)[0]
-    crossings = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    if not crossings.size:
-        raise NoGuidedModeError(
-            f"no guided m=1 solution bracketed for V={a_k0 * np.sqrt(n1**2 - n2**2):.3f} "
-            f"(diameter too small for the numerical bracket)"
-        )
-    roots = bracketed_roots(
-        _he11_f, grid[crossings], grid[crossings + 1], (n1, n2, a_k0), _XTOL, _RTOL
-    )
-    value, scale = _char_m1(roots, n1, n2, a_k0)
-    passed = np.flatnonzero(np.abs(value) < _RESIDUAL_TOL * scale)
-    if not passed.size:
+    bad = np.flatnonzero(~(np.abs(value) < _RESIDUAL_TOL * scale))
+    if bad.size:
+        i = bad[0]
+        args = n1.flat[i], n2.flat[i], a_k0.flat[i]
+        v = args[2] * np.sqrt(args[0] ** 2 - args[1] ** 2)
+        fa, fb = (_char_m1(x, *args)[0] for x in (a.flat[i], b.flat[i]))
+        if not fa * fb < 0:
+            raise NoGuidedModeError(
+                f"no guided m=1 solution bracketed for V={v:.3f} "
+                f"(diameter too small for the numerical bracket)")
         raise ConvergenceError(
-            f"{crossings.size} bracketed sign change(s) all failed the residual check "
-            f"(V={a_k0 * np.sqrt(n1**2 - n2**2):.3f})"
-        )
-    return float(roots[passed[-1]])
+            f"HE11 root did not settle or failed the residual check (V={v:.3f})")
+    return out
 
 
 def he11_neff(spec: FiberSpec, lam_um, d_um=None) -> np.ndarray:

@@ -15,11 +15,13 @@ def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, 
     abscissae and the matching elements of ``args`` to the values, or to a
     ``(value, slope)`` pair.  Each iterate, from ``b`` on, is the newest end
     of a sign-change bracket.  With a slope the step is Newton's, or bisection
-    where Newton's would leave the bracket; a Newton step of at most
-    ``xtol + rtol * |x|`` settles the element, unevaluated, where it lands.
-    Without one the step is Anderson-Bjorck regula falsi.  An element also
-    stops once its bracket is narrower than that or ``f`` vanishes.  Elements
-    with no sign change, or not settled within ``max_iter`` steps, are NaN.
+    where Newton's would leave the bracket or, as in rtsafe, be longer than
+    half the step before last (iterates that shrink slowly or cycle); a Newton
+    step of at most ``xtol + rtol * |x|`` settles the element, unevaluated,
+    where it lands.  Without one the step is Anderson-Bjorck regula falsi.  An
+    element also stops once its bracket is narrower than that or ``f``
+    vanishes.  Elements with no sign change, or not settled within
+    ``max_iter`` steps, are NaN.
     """
     a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
     shape = a.shape
@@ -31,17 +33,22 @@ def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, 
     todo = np.flatnonzero(fa * fb < 0)  # elements still refining; b is the newest iterate
     # g is the slope at b (Newton) or the scaled value at a (regula falsi)
     a, b, fb, g = a[todo], b[todo], fb[todo], (g if newton else fa)[todo]
+    last = before = np.abs(b - a)  # Newton: the last two step lengths
     for _ in range(max_iter):
         if not todo.size:
             break
         if newton:
             # a zero slope bisects; a step that rounds to b lands inside
             step = np.divide(fb, g, out=np.full(fb.shape, np.inf), where=g != 0)
-            inside = (step * (b - a) >= 0) & (np.abs(step) < np.abs(b - a))
+            size, width = np.abs(step), np.abs(b - a)
+            inside = (step * (b - a) >= 0) & (size < width) & (size <= 0.5 * before)
             c = np.where(inside, b - step, 0.5 * (a + b))
-            settled = inside & (np.abs(step) <= xtol + rtol * np.abs(c))
-            out[todo[settled]] = c[settled]
-            todo, a, b, c, fb = (v[~settled] for v in (todo, a, b, c, fb))
+            settled = inside & (size <= xtol + rtol * np.abs(c))
+            before, last = last, np.where(inside, size, 0.5 * width)
+            if settled.any():
+                out[todo[settled]] = c[settled]
+                todo, a, b, c, fb, before, last = (
+                    v[~settled] for v in (todo, a, b, c, fb, before, last))
             if not todo.size:
                 break
             fc, g = f(c, *(p[todo] for p in args))
@@ -55,6 +62,8 @@ def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, 
             g = np.where(flip, fb, np.where(m > 0, m, 0.5) * g)
         b, fb = c, fc
         done = (fc == 0) | (np.abs(b - a) <= xtol + rtol * np.abs(b))
-        out[todo[done]] = b[done]
-        todo, a, b, fb, g = (v[~done] for v in (todo, a, b, fb, g))
+        if done.any():
+            out[todo[done]] = b[done]
+            todo, a, b, fb, g, before, last = (
+                v[~done] for v in (todo, a, b, fb, g, before, last))
     return out.reshape(shape)

@@ -18,7 +18,12 @@ from pcwgprobe.bands import (
     waveguide_bands,
 )
 from pcwgprobe.coupling import CouplerConfig, WaveguideProfile, lateral_profile
-from pcwgprobe.errors import BandCoverageError, EigensolverError, NoDefectModeError
+from pcwgprobe.errors import (
+    BandCoverageError,
+    ConvergenceError,
+    EigensolverError,
+    NoDefectModeError,
+)
 from pcwgprobe.fiber import FiberSpec, ModeField
 from pcwgprobe.slab import SlabSpec
 
@@ -464,6 +469,17 @@ class TestDispersiveFixedPoint:
             0.2861618043386204, 0.2859950948041047,
         ],
     }
+
+    def test_unbracketed_sample_raises(self, default_spec):
+        class TenthIndex:  # n(lambda) = n_ref / 10 puts the root near 8x omega_norm
+            n_ref = default_spec.n_eff
+
+            def n(self, lam_um):
+                return np.full(np.shape(lam_um), self.n_ref / 10)
+
+        with pytest.raises(ConvergenceError, match="no dispersive fixed point for .* at beta = "):
+            waveguide_bands(default_spec, kpath_norm=np.linspace(0.38, 0.48, 5),
+                            dispersive=TenthIndex())
 
     def test_samples_equal_the_per_sample_solve(self, te1, te1_odd):
         for curve in (te1, te1_odd):

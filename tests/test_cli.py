@@ -137,6 +137,25 @@ class TestCoupleCommand:
         summary = json.loads((cli_out / "lateral_summary.json").read_text())
         assert summary["fwhm_um"] == pytest.approx(2.08, rel=0.25)
 
+    @pytest.mark.parametrize("yaml_text, sweep, code", [
+        # no half-maximum crossing: a dip saturated over the sweep, an all-zero one
+        ("coupler: {kappa_ref_l: 599.0}\n", "lateral", 3),
+        ("coupler: {d_kappa_um: 0.001953125}\n", "lateral", 3),
+        # sinh(sL)^2 past the float range: T = 0 and C = 1 inside the stop band
+        ("coupler: {kappa_ref_l: 356.0}\n", "gap", 0),
+    ])
+    def test_extreme_coupling_keeps_the_contract(self, cli_out, capsys, yaml_text, sweep,
+                                                 code):
+        cfg = cli_out / "cfg.yaml"
+        cfg.write_text(yaml_text)
+        assert run(["--config", cfg, "--out", cli_out, "couple", "--sweep", sweep]) == code
+        if code:
+            assert "half maximum" in capsys.readouterr().err
+        else:
+            with open(cli_out / "gap_sweep.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert np.all(np.isfinite([[float(v) for v in r.values()] for r in rows]))
+
 
 class TestMapCommand:
     def test_synth_analyze_round_trip(self, cli_out):

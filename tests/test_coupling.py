@@ -14,7 +14,11 @@ from pcwgprobe.coupling import (
     kappa_overlap,
     lateral_profile,
 )
-from pcwgprobe.errors import InsufficientFringesError, NonPhysicalContrastError
+from pcwgprobe.errors import (
+    InsufficientFringesError,
+    NonPhysicalContrastError,
+    UndefinedWidthError,
+)
 from pcwgprobe.fiber import FiberSpec, ModeField, exterior_decay
 
 
@@ -56,6 +60,28 @@ class TestContraTransmission:
         t_hi, _ = contra_transmission(kappa, 60.0, kappa + eps)
         assert t_lo == pytest.approx(t_at, rel=1e-6)
         assert t_hi == pytest.approx(t_at, rel=1e-6)
+
+    @pytest.mark.parametrize("kappa, l_um", [
+        (356.0 / 60.0, 60.0),  # sinh(sL)^2 past the float range
+        (1.34e154 / 60.0, 60.0),  # kappa^2 past it
+        (4.0 / 1.17e-249, 1.17e-249),  # kappa^2 past it, kappa L = 4
+        (1e308, 60.0),
+    ])
+    def test_strong_coupling_does_not_overflow(self, kappa, l_um):
+        deltas = np.array([0.0, 0.3, 3.0, 1e3])
+        t, c = contra_transmission(kappa, l_um, deltas)
+        assert np.all(np.isfinite(t)) and np.all(np.isfinite(c))
+        np.testing.assert_allclose(t + c, 1.0, rtol=0, atol=1e-15)
+        if kappa * l_um > 300:
+            assert t[0] == 0.0 and c[0] == 1.0  # the limit T -> 0, exactly
+
+    def test_scaled_and_unscaled_coupling_agree(self):
+        # T depends on kappa L and Delta L only
+        deltas = np.linspace(-0.5, 0.5, 41)
+        t, c = contra_transmission(4.0 / 60.0, 60.0, deltas)
+        t2, c2 = contra_transmission(4.0 / 1.17e-249, 1.17e-249, deltas * 60.0 / 1.17e-249)
+        np.testing.assert_allclose(t2, t, rtol=1e-12)
+        np.testing.assert_allclose(c2, c, rtol=1e-12)
 
 
 class TestCoTransmission:
@@ -214,6 +240,19 @@ class TestLateralProfile:
         )
         with pytest.raises(ValueError):
             lateral_profile(mode, wg, 400.0, 60.0, np.linspace(-1.0, 2.0, 13))
+
+    @pytest.mark.parametrize("kappa_l", [0.0, 1e-300, 599.0])
+    def test_undefined_width_raises(self, kappa_l):
+        # an all-zero dip (0 and an underflowing kappa) or one saturated over
+        # the whole sweep has no half-maximum crossing to interpolate
+        mode = ModeField(FiberSpec(1.0), 1.6)
+        x = np.linspace(-3.4, 3.4, 341)
+        wg = WaveguideProfile(
+            x_um=x, u=gaussian_profile(x), beta_rad_per_um=4.83, lam_um=1.6
+        )
+        with pytest.raises(UndefinedWidthError):
+            lateral_profile(mode, wg, 400.0, 60.0, np.linspace(-4.0, 4.0, 81),
+                            kappa_at_center=kappa_l / 60.0)
 
 
 class TestCouplerConfig:

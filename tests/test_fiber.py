@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from pcwgprobe import config as cfgmod
 from pcwgprobe import fiber as fibermod
-from pcwgprobe.errors import NoGuidedModeError, ProfileRangeError
+from pcwgprobe.errors import ConvergenceError, NoGuidedModeError, ProfileRangeError
 from pcwgprobe.fiber import (
     FiberSpec,
     GuidedModePoint,
@@ -18,6 +18,7 @@ from pcwgprobe.fiber import (
     he11_neff,
     silica_index,
 )
+from pcwgprobe.roots import bracketed_roots
 
 J01 = 2.404825557695773
 
@@ -38,6 +39,22 @@ def default_map_grid(cfg):
     lc = cfgmod.build_lc_grid(cfg)[:, None] + np.linspace(-half_mm, half_mm, 5)
     d = taper.diameter_at(np.clip(lc, *taper.span_mm)).ravel()
     return d, cfgmod.build_lambda_grid(cfg) * 1e-3
+
+
+def he11_reference(n1, n2, a_k0, samples=4001):
+    """HE11 n_eff without ``bracketed_roots``: the highest sign change of a
+    dense sampling of the HE11 bracket, bisected down to adjacent floats."""
+    lo, hi = fibermod._he11_bracket(n1, n2, a_k0)
+    grid = np.linspace(lo, hi, samples)
+    vals = fibermod._char_m1(grid, n1, n2, a_k0)[0]
+    j = np.flatnonzero(vals[:-1] * vals[1:] < 0)[-1]
+    a, b = grid[j], grid[j + 1]
+    while a < (m := 0.5 * (a + b)) < b:
+        if fibermod._char_m1(m, n1, n2, a_k0)[0] * vals[j] > 0:
+            a = m
+        else:
+            b = m
+    return float(a)
 
 
 def test_sellmeier_silica_at_1550():
@@ -122,10 +139,31 @@ class TestArrayKernel:
         assert n_eff == pytest.approx(1.4478370, abs=1e-7)
         assert np.pi * 36.7 / 1.2 * np.sqrt(silica_index(1.2) ** 2 - n_eff**2) < J01
 
-    def test_scan_fallback_stays_in_the_he11_bracket(self):
-        # scanning all of (n2, n1) here returned the next m = 1 root, 1.4469263
-        n_eff = fibermod._solve_neff(silica_index(1.2), 1.0, np.pi * 36.7 / 1.2)
-        assert n_eff == pytest.approx(1.4478370, abs=1e-7)
+    def test_inverted_bracket_raises_instead_of_refining(self):
+        # past d = 448 lambda the bracket's lower end (u = j01) passes n1 - 1e-6;
+        # refining it anyway gives 1.4630736 with u = 5.13, not HE11
+        with pytest.raises(NoGuidedModeError, match="empty HE11 bracket"):
+            fundamental_neff(FiberSpec(500.0), 0.487)
+
+    @pytest.mark.parametrize("spec", [FiberSpec(1e-300), FiberSpec(1.0, core_index=1e300)])
+    def test_overflowing_bracket_raises_no_guided_mode(self, spec):
+        # (j01 / (a k0))^2 or n1^2 past the float range, with no RuntimeWarning
+        with pytest.raises(NoGuidedModeError):
+            fundamental_neff(spec, 1.6)
+
+    def test_too_thin_fiber_raises_without_a_larger_evaluation(self, monkeypatch):
+        # the bracket spans (1 + 1e-6, 1e3 - 1e-6): a 1e-3 scan of it is 1e6 points
+        sizes = []
+        char_m1 = fibermod._char_m1
+
+        def spy(neff, *args, **kwargs):
+            sizes.append(np.size(neff))
+            return char_m1(neff, *args, **kwargs)
+
+        monkeypatch.setattr(fibermod, "_char_m1", spy)
+        with pytest.raises(NoGuidedModeError, match="no guided m=1 solution"):
+            fundamental_neff(FiberSpec(1e-3, core_index=1e3), 1.6)
+        assert sizes and max(sizes) == 1
 
     def test_continuous_in_diameter_up_to_40um(self):
         # a jump to another root would break the smooth shrinking of the
@@ -141,7 +179,7 @@ class TestArrayKernel:
     @pytest.mark.parametrize("d, lam, core", TEST_POINTS)
     def test_matches_scalar_scan_at_test_points(self, d, lam, core):
         spec = FiberSpec(d, core_index=core)
-        ref = fibermod._solve_neff(spec.n_core(lam), 1.0, np.pi * d / lam)
+        ref = he11_reference(spec.n_core(lam), 1.0, np.pi * d / lam)
         assert fundamental_neff(spec, lam).n_eff == pytest.approx(ref, rel=1e-12)
 
     def test_matches_scalar_scan_on_map_grid_sample(self, default_cfg):
@@ -150,18 +188,19 @@ class TestArrayKernel:
         d, lam = d[::23], lam[::30]
         kernel = he11_neff(spec, lam[None, :], d[:, None])
         ref = [
-            [fibermod._solve_neff(spec.n_core(l), 1.0, np.pi * di / l) for l in lam]
+            [he11_reference(spec.n_core(l), 1.0, np.pi * di / l) for l in lam]
             for di in d
         ]
         np.testing.assert_allclose(kernel, ref, rtol=1e-12, atol=0)
 
     def test_default_map_grid_residuals_without_fallback(self, default_cfg, monkeypatch):
         calls = []
-        monkeypatch.setattr(fibermod, "_solve_neff", lambda *a: calls.append(a))
+        monkeypatch.setattr(fibermod, "bracketed_roots",
+                            lambda *a: calls.append(a) or bracketed_roots(*a))
         d, lam = default_map_grid(default_cfg)
         spec = cfgmod.build_fiber(default_cfg)
         n_eff = he11_neff(spec, lam[None, :], d[:, None])
-        assert calls == []
+        assert len(calls) == 1  # one kernel call for the whole grid
         value, scale = fibermod._char_m1(
             n_eff, silica_index(lam), 1.0, np.pi * d[:, None] / lam
         )
@@ -171,12 +210,11 @@ class TestArrayKernel:
             assert characteristic_residual(spec.with_diameter(d[i]), point) < 1e-10
 
     @pytest.mark.parametrize("name, value", [("_RESIDUAL_TOL", 0.0), ("_MAX_ITER", 1)])
-    def test_unsettled_elements_fall_back_to_scan(self, monkeypatch, name, value):
-        # a failed residual check or no convergence hands the element to the scan
+    def test_unsettled_elements_raise_convergence_error(self, monkeypatch, name, value):
+        # a failed residual check or no convergence of a sign-change bracket
         monkeypatch.setattr(fibermod, name, value)
-        monkeypatch.setattr(fibermod, "_solve_neff", lambda n1, n2, a_k0: -a_k0)
-        lams = np.array([1.55, 1.6])
-        np.testing.assert_array_equal(dispersion_curve(FiberSpec(1.2), lams), -np.pi * 1.2 / lams)
+        with pytest.raises(ConvergenceError):
+            dispersion_curve(FiberSpec(1.2), np.array([1.55, 1.6]))
 
     def test_one_unguided_element_raises(self):
         with pytest.raises(NoGuidedModeError):
@@ -231,6 +269,43 @@ class TestCharacteristicSlope:
         d, lam = default_map_grid(default_cfg)
         n_eff = he11_neff(cfgmod.build_fiber(default_cfg), lam[None, :], d[:, None])
         assert sum(calls) / n_eff.size <= 9
+
+    @staticmethod
+    def settle(n1, n2, a_k0):
+        """The kernel on the HE11 brackets of the elements with a sign change."""
+        lo, hi = fibermod._he11_bracket(n1, n2, a_k0)
+        valid = lo < hi
+        n1, n2, a_k0, lo, hi = (v[valid] for v in (n1, n2, a_k0, lo, hi))
+        change = (fibermod._char_m1(lo, n1, n2, a_k0)[0]
+                  * fibermod._char_m1(hi, n1, n2, a_k0)[0] < 0)
+        args = tuple(v[change] for v in (n1, n2, a_k0))
+        roots = bracketed_roots(fibermod._he11_f, lo[change], hi[change], args,
+                                fibermod._XTOL, fibermod._RTOL, max_iter=60)
+        return roots, args
+
+    # brackets on which Newton steps alone 2-cycle between adjacent floats, each
+    # step just over the tolerance and the far end fixed: (n1, d, lambda)
+    STALLS = np.array([[2.774430384805461, 0.2503137363417723, 1.6016581769828986],
+                       [2.03599634847047, 0.22520772699928365, 1.477407421001307]])
+
+    def test_stalled_newton_brackets_settle(self):
+        n1, d, lam = self.STALLS.T
+        roots, args = self.settle(n1, np.ones(2), np.pi * d / lam)
+        assert roots.size == 2 and not np.isnan(roots).any()
+        value, scale = fibermod._char_m1(roots, *args)
+        assert np.all(np.abs(value) < 1e-10 * scale)
+
+    def test_every_sign_change_bracket_of_a_random_sample_settles(self):
+        rng = np.random.default_rng(2024)
+        size = 20_000
+        n2 = np.where(rng.random(size) < 0.5, 1.0, rng.uniform(1.0, 2.5, size))
+        n1 = n2 + 10 ** rng.uniform(-3.0, 0.7, size)
+        d = 10 ** rng.uniform(-1.5, 2.0, size)
+        lam = rng.uniform(0.4, 2.0, size)
+        n1, d, lam = (np.append(v, s) for v, s in zip((n1, d, lam), self.STALLS.T))
+        roots, _ = self.settle(n1, np.append(n2, [1.0, 1.0]), np.pi * d / lam)
+        assert roots.size > size // 2
+        assert not np.isnan(roots).any()
 
 
 class TestDiameterSensitivity:

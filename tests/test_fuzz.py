@@ -93,6 +93,7 @@ CONFIG_KEYS = {
     ("grids", "lc_points"): COUNT,
     ("grids", "dx_points"): COUNT,
     ("lattice", "k_points"): COUNT,
+    ("grids", "lc_points x lambda_step_nm"): MAP_PAST_CAP,  # the two map grids at once
 }
 COMMANDS = [["fiber"], ["couple", "--sweep", "gap"], ["couple", "--sweep", "lateral"],
             ["map", "synth"]]
@@ -111,7 +112,11 @@ def configs(draw):
     cfg = {"grids": dict(SMALL_GRIDS)}
     keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), min_size=1, max_size=3))
     for section, key in keys:
-        cfg.setdefault(section, {})[key] = draw(CONFIG_KEYS[section, key])
+        value = draw(CONFIG_KEYS[section, key])
+        if isinstance(value, dict):
+            cfg[section].update(value)
+        else:
+            cfg.setdefault(section, {})[key] = value
     return cfg
 
 
@@ -120,6 +125,10 @@ def configs(draw):
 # a cladding index whose square overflows (a RuntimeWarning in the HE11 kernel)
 @example(cfg={"grids": SMALL_GRIDS, "fiber": {"clad_index": 1.3407807929942597e154}},
          command=["fiber"])
+# the two map grids, each under the grid cap, past the map's cell cap together
+@example(cfg={"grids": {**SMALL_GRIDS, "lc_points": 50_000, "lambda_start_nm": 1500.0,
+                        "lambda_stop_nm": 1600.0, "lambda_step_nm": 0.5}},
+         command=["map", "synth"])
 def test_config_values_keep_the_exit_code_contract(cli_out, cfg, command):
     path = cli_out / "fuzz.yaml"
     path.write_text(yaml.safe_dump(cfg))

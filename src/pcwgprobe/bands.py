@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BandCoverageError, ConvergenceError, EigensolverError, NoDefectModeError
-from .fiber import C_UM_PER_S, dispersion_curve
+from .fiber import C_UM_PER_S, he11_neff
 from .roots import bracketed_roots
 from .slab import SlabSpec, slab_effective_index
 
@@ -415,21 +415,15 @@ class BulkBandsResult:
     gap_norm: tuple | None  # (valence edge, conduction edge) in L_z/lambda
 
 
-def default_kpath_norm(n_k: int = 41, start: float = 0.0, stop: float = 0.5):
-    """Normalized beta grid (beta L_z / 2pi) along Gamma-X."""
-    return np.linspace(start, stop, n_k)
-
-
 def bulk_bands(spec: PCWaveguideSpec, kpath_norm=None, num_bands: int = 6) -> BulkBandsResult:
-    """TE bands of the uniform lattice along Gamma-X, plus the first stop band.
+    """TE bands of the uniform lattice along Gamma-X (normalized beta
+    ``kpath_norm``, default 41 points from 0 to 0.5), plus the first stop band.
 
     The spec must be uniform (use ``spec.bulk()`` to strip a grading).
     """
     if spec.grading:
         raise ValueError("bulk_bands needs a uniform lattice; use spec.bulk()")
-    if kpath_norm is None:
-        kpath_norm = default_kpath_norm()
-    kpath_norm = np.asarray(kpath_norm, dtype=float)
+    kpath_norm = np.linspace(0.0, 0.5, 41) if kpath_norm is None else np.asarray(kpath_norm, float)
     solver = PlaneWaveSolver(spec)
     omega = np.empty((kpath_norm.size, num_bands))
     for i, bn in enumerate(kpath_norm):
@@ -465,7 +459,7 @@ def _defect_windows(spec: PCWaveguideSpec, kpath_norm):
     """The bulk stop band, and the window of the defect search at each k:
     the local stop band, its upper edge pulled in by 1e-9 relative so that
     a state on that edge is not taken."""
-    bulk = bulk_bands(spec.bulk(), kpath_norm=default_kpath_norm(26), num_bands=2)
+    bulk = bulk_bands(spec.bulk(), kpath_norm=np.linspace(0.0, 0.5, 26), num_bands=2)
     if bulk.gap_norm is None:
         raise NoDefectModeError("uniform lattice shows no Gamma-X stop band")
     gaps = (local_gap(bulk, bn) for bn in kpath_norm)
@@ -501,12 +495,11 @@ class DispersiveIndex:
     """
 
     slab: SlabSpec
-    vertical_order: int = 0
-    lam_ref_um: float = 1.6
+    lam_ref_um: float
 
     def n(self, lam_um):
-        """Slab index at scalar or array wavelengths."""
-        return slab_effective_index(self.slab, lam_um, self.vertical_order)
+        """Order-0 slab index at scalar or array wavelengths."""
+        return slab_effective_index(self.slab, lam_um)
 
     @property
     def n_ref(self) -> float:
@@ -540,7 +533,7 @@ def _track_branches(cand_per_k):
 
 def waveguide_bands(
     spec: PCWaveguideSpec,
-    kpath_norm=None,
+    kpath_norm,
     dispersive: DispersiveIndex | None = None,
 ) -> WaveguideBandsResult:
     """Supercell bands with the graded-defect branches identified and labeled.
@@ -562,8 +555,6 @@ def waveguide_bands(
         spec = spec.with_n_eff(dispersive.n_ref)
     if not spec.grading:
         raise ValueError("waveguide_bands needs a graded defect")
-    if kpath_norm is None:
-        kpath_norm = default_kpath_norm(23, 0.28, 0.5)
     kpath_norm = np.asarray(kpath_norm, dtype=float)
     gap, windows = _defect_windows(spec, kpath_norm)
 
@@ -643,6 +634,8 @@ def defect_profile(spec: PCWaveguideSpec, curve: BandCurve, beta_norm: float):
     states = solver.solve_k(beta_norm * 2.0 * np.pi / spec.lam_z_um, window=window)
     omega, vecs = states["odd" if curve.parity == "odd" else "even"]
     target = float(np.interp(beta_norm, curve.beta_norm, curve.omega_norm))
+    # 0.4, not _LOCALIZATION_THRESHOLD: at the default probe point (beta_norm 0.358) the nearest
+    # state is one of a near-degenerate even pair, localized 0.48 (taken) and 0.91
     localized = [j for j in range(omega.size) if solver.localization(vecs[:, j]) >= 0.4]
     if not localized:
         raise NoDefectModeError(f"no localized {curve.parity} state at beta_norm={beta_norm:.4f}")
@@ -681,7 +674,7 @@ def phase_match_crossing(curve: BandCurve, fiber_spec) -> PhaseMatchPoint:
         If no crossing lies on the sampled interval.
     """
     lam_um = curve.lam_z_um / curve.omega_norm
-    beta_fiber = 2.0 * np.pi * dispersion_curve(fiber_spec, lam_um) / lam_um
+    beta_fiber = 2.0 * np.pi * he11_neff(fiber_spec, lam_um) / lam_um
     diff = curve.beta_rad_per_um - beta_fiber
     sign = np.where(np.sign(diff[:-1]) != np.sign(diff[1:]))[0]
     if sign.size == 0:
@@ -720,14 +713,14 @@ class ThinningShift:
         return 2.0 * np.pi * C_UM_PER_S * self.d_omega_norm[label] / self.lam_z_um
 
 
+_THINNING_KPATH = np.linspace(0.34, 0.5, 13)  # normalized beta of the TE-1 comparison
+
+
 def thinning_shift(
-    spec: PCWaveguideSpec,
-    slab: SlabSpec,
-    t_thin_nm: float,
-    lam_um: float = 1.6,
-    kpath_norm=None,
+    spec: PCWaveguideSpec, slab: SlabSpec, t_thin_nm: float, lam_um: float
 ) -> ThinningShift:
-    """Band shifts for thinning the membrane from slab.t_nm to t_thin_nm.
+    """Band shifts for thinning the membrane from slab.t_nm to t_thin_nm,
+    with the slab indices taken at ``lam_um``.
 
     TE-1: mean shift of the supercell defect branch, recomputed with the
     order-0 effective index of each thickness.  TE-2 is hosted by the
@@ -745,12 +738,9 @@ def thinning_shift(
     n1_thick = slab_effective_index(slab, lam_um, 1)
     n1_thin = slab_effective_index(thin, lam_um, 1)
 
-    if kpath_norm is None:
-        kpath_norm = default_kpath_norm(13, 0.34, 0.5)
-
     te1 = {}
     for tag, n_eff in (("thick", n0_thick), ("thin", n0_thin)):
-        res = waveguide_bands(spec.with_n_eff(n_eff), kpath_norm=kpath_norm)
+        res = waveguide_bands(spec.with_n_eff(n_eff), kpath_norm=_THINNING_KPATH)
         te1[tag] = res.curve("TE-1")
     k_thick, k_thin = (np.round(te1[tag].beta_norm, 9) for tag in ("thick", "thin"))
     common, i_thick, i_thin = np.intersect1d(k_thick, k_thin, return_indices=True)

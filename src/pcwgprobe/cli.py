@@ -26,7 +26,7 @@ from .bands import (
 )
 from .coupling import lateral_profile, WaveguideProfile
 from .errors import ConfigError, MapFormatError, PcwgProbeError, ProfileRangeError
-from .fiber import FiberSpec, dbeta_dd, dispersion_curve, ModeField
+from .fiber import ModeField, dbeta_dd, he11_neff
 from .pipeline import (
     TransmissionMap,
     atomic_write,
@@ -117,7 +117,7 @@ def cmd_fiber(cfg, args, out_dir: Path) -> int:
     fiber = cfgmod.build_fiber(cfg, d_um=d_um)
 
     lam_um = lam_nm * 1e-3
-    neff = dispersion_curve(fiber, lam_um)
+    neff = he11_neff(fiber, lam_um)
     beta = 2.0 * np.pi * neff / lam_um
     d_um = np.full(lam_nm.shape, fiber.d_um)
     _write_csv(
@@ -155,8 +155,8 @@ def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
 
     if args.thinned is not None:
         spec, _ = cfgmod.build_lattice(cfg)
-        slab = cfgmod.build_slab(cfg)
-        shift = thinning_shift(spec, slab, float(args.thinned))
+        lam_ref_um = float(cfg["lattice"]["lam_ref_um"])
+        shift = thinning_shift(spec, cfgmod.build_slab(cfg), float(args.thinned), lam_ref_um)
         payload["thinning"] = {
             "t_thin_nm": float(args.thinned),
             "d_omega_norm": shift.d_omega_norm,
@@ -175,10 +175,9 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
     if te1 is None:
         raise PcwgProbeError("bands contain no TE-1 branch")
     coupler = cfgmod.build_coupler(cfg)
-    grids = cfg["grids"]
 
     if args.sweep == "gap":
-        fiber = cfgmod.build_fiber(cfg, d_um=grids["gap_sweep_d_um"])
+        fiber = cfgmod.build_fiber(cfg, d_um=cfg["grids"]["gap_sweep_d_um"])
         rows = gap_sweep(
             cfgmod.build_gap_grid(cfg),
             coupler,
@@ -196,10 +195,11 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
         return EXIT_OK
 
     # lateral sweep at the near-field probe geometry
+    fiber, gap_nm, dx_um = cfgmod.build_lateral_probe(cfg)
     spec, _ = cfgmod.build_lattice(cfg)
     from .bands import defect_profile
 
-    pm = phase_match_crossing(te1, cfgmod.build_fiber(cfg, d_um=grids["lateral_d_um"]))
+    pm = phase_match_crossing(te1, fiber)
     beta_norm = pm.beta_rad_per_um * spec.lam_z_um / (2.0 * np.pi)
     x, u = defect_profile(spec, te1, beta_norm)
     wg = WaveguideProfile(
@@ -210,15 +210,13 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
         slab_t_um=cfg["slab"]["t_nm"] * 1e-3,
         eps_bg=spec.n_eff**2,
     )
-    fiber = cfgmod.build_fiber(cfg, d_um=grids["lateral_d_um"])
     mode = ModeField(fiber, pm.lambda_nm * 1e-3)
-    gap_nm = float(grids["lateral_gap_nm"])
     result = lateral_profile(
         mode,
         wg,
         gap_nm,
         coupler.l_c_um,
-        cfgmod.build_dx_grid(cfg),
+        dx_um,
         kappa_at_center=coupler.kappa_perp(fiber, pm.lambda_nm * 1e-3, gap_nm),
     )
     _write_csv(
@@ -259,11 +257,11 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
             curves,
             coupler,
             fiber,
-            wavelengths_nm=lam_nm,
-            lc_mm=lc_mm,
+            lam_nm,
+            lc_mm,
+            include_loss=bool(cfg["coupler"]["include_loss"]),
             noise_sigma=float(cfg["grids"]["noise_sigma"]),
             seed=seed,
-            include_loss=bool(cfg["coupler"]["include_loss"]),
         )
         map_path = out_dir / "map.csv"
         tmap.to_csv(map_path, meta_path=out_dir / "map.meta.json")

@@ -14,7 +14,7 @@ import json
 
 import yaml
 
-from .bands import DispersiveIndex, PCWaveguideSpec, default_kpath_norm
+from .bands import DispersiveIndex, PCWaveguideSpec
 from .coupling import (
     D_KAPPA_UM,
     D_REF_UM,
@@ -60,7 +60,6 @@ DEFAULTS = {
     "coupler": {
         "gap_nm": 700.0,
         "l_c_um": 60.0,
-        "dx_um": 0.0,
         "kappa_ref_l": KAPPA_REF_L,
         "g_ref_nm": G_REF_NM,
         "d_ref_um": D_REF_UM,
@@ -212,11 +211,7 @@ def build_lattice(cfg: dict):
         dispersive = None
     else:
         n_eff = slab_effective_index(slab, lam_ref, 0)
-        dispersive = (
-            DispersiveIndex(slab, vertical_order=0, lam_ref_um=lam_ref)
-            if lat["dispersive"]
-            else None
-        )
+        dispersive = DispersiveIndex(slab, lam_ref) if lat["dispersive"] else None
     spec = PCWaveguideSpec(
         lam_z_nm=float(lat["lam_z_nm"]),
         lam_x_nm=float(lat["lam_x_nm"]),
@@ -233,16 +228,15 @@ def build_lattice(cfg: dict):
 def build_kpath(cfg: dict):
     lat = cfg["lattice"]
     _check_points(float(lat["k_points"]), "'lattice.k_points'")
-    return default_kpath_norm(int(lat["k_points"]), float(lat["k_start"]), float(lat["k_stop"]))
+    return np.linspace(float(lat["k_start"]), float(lat["k_stop"]), int(lat["k_points"]))
 
 
 @_section("coupler")
-def build_coupler(cfg: dict, gap_nm=None, dx_um=None) -> CouplerConfig:
+def build_coupler(cfg: dict) -> CouplerConfig:
     c = cfg["coupler"]
     return CouplerConfig(
-        gap_nm=float(gap_nm if gap_nm is not None else c["gap_nm"]),
+        gap_nm=float(c["gap_nm"]),
         l_c_um=float(c["l_c_um"]),
-        dx_um=float(dx_um if dx_um is not None else c["dx_um"]),
         kappa_ref_l=float(c["kappa_ref_l"]),
         g_ref_nm=float(c["g_ref_nm"]),
         d_ref_um=float(c["d_ref_um"]),
@@ -284,6 +278,9 @@ def build_lc_grid(cfg: dict) -> np.ndarray:
 def build_map_grids(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     """Wavelength (nm) and taper-position (mm) grids of the map, capped in cell count."""
     lam_nm, lc_mm = build_lambda_grid(cfg), build_lc_grid(cfg)
+    if lam_nm.size < 2:
+        raise ConfigError("config 'grids.lambda_start_nm/stop_nm/step_nm': the map needs "
+                          f">= 2 wavelengths, got {lam_nm.size}")
     if lam_nm.size * lc_mm.size > MAX_MAP_CELLS:
         raise ConfigError(
             f"config 'grids.lc_points' x 'grids.lambda_start_nm/stop_nm/step_nm': "
@@ -303,13 +300,15 @@ def build_gap_grid(cfg: dict) -> np.ndarray:
 
 
 @_section("grids")
-def build_dx_grid(cfg: dict) -> np.ndarray:
+def build_lateral_probe(cfg: dict) -> tuple[FiberSpec, float, np.ndarray]:
+    """Fiber, surface gap (nm) and lateral offsets (um) of the lateral sweep."""
     g = cfg["grids"]
+    gap_nm, span = float(g["lateral_gap_nm"]), float(g["dx_span_um"])
+    if not 0.0 <= gap_nm < np.inf:
+        raise ConfigError(f"config 'grids.lateral_gap_nm' must be finite and >= 0, got {gap_nm}")
     _check_points(float(g["dx_points"]), "'grids.dx_points'")
     n = int(g["dx_points"])
-    span = float(g["dx_span_um"])
-    if n < 5 or span <= 0:
-        raise ConfigError("lateral sweep needs span > 0 and >= 5 points")
-    if n % 2 == 0:
-        n += 1  # keep dx = 0 on the grid and the sweep symmetric
-    return np.linspace(-span, span, n)
+    if n < 5 or not 0.0 < span < np.inf:
+        raise ConfigError("lateral sweep needs a finite span > 0 and >= 5 points")
+    n += 1 - n % 2  # odd: dx = 0 on the grid and the sweep symmetric
+    return build_fiber(cfg, d_um=g["lateral_d_um"]), gap_nm, np.linspace(-span, span, n)

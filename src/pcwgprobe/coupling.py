@@ -12,11 +12,16 @@ lengths in um, gaps in nm.  Delta = (beta_fiber - beta_wg)/2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InsufficientFringesError, NonPhysicalContrastError, UndefinedWidthError
+from .errors import (
+    InsufficientFringesError,
+    NonPhysicalContrastError,
+    PcwgProbeError,
+    UndefinedWidthError,
+)
 from .fiber import FiberSpec, ModeField, exterior_decay
 
 # Reference coupling amplitude: kappa_perp * L_c = 4.0 at the reference
@@ -37,7 +42,6 @@ class CouplerConfig:
 
     gap_nm: float = 700.0
     l_c_um: float = 60.0
-    dx_um: float = 0.0
     kappa_ref_l: float = KAPPA_REF_L
     g_ref_nm: float = G_REF_NM
     d_ref_um: float = D_REF_UM
@@ -50,12 +54,17 @@ class CouplerConfig:
     scatter_d_scale_um: float = 0.55
 
     def __post_init__(self):
-        if self.gap_nm < 0 or self.l_c_um <= 0:
-            raise ValueError("need gap >= 0 and L_c > 0")
-        if self.kappa_ref_l < 0:
-            raise ValueError("coupling amplitude must be >= 0")
-        if not self.d_kappa_um > 0 or (self.g0_nm is not None and not self.g0_nm > 0):
-            raise ValueError("need d_kappa > 0 and g0 > 0 (or g0 null)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("l_c_um", "d_kappa_um", "g0_nm", "scatter_g_scale_nm", "scatter_d_scale_um"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.gap_nm < 0 or self.kappa_ref_l < 0:
+            raise ValueError("need gap_nm >= 0 and kappa_ref_l >= 0")
+        if not 0.0 <= self.scatter_loss_ref <= 1.0:
+            raise ValueError(f"scatter_loss_ref must lie in [0, 1], got {self.scatter_loss_ref}")
 
     def decay_per_um(self, fiber: FiberSpec, lam_um: float, d_um=None):
         """Gap decay rate of kappa: the fiber exterior decay constant,
@@ -68,23 +77,31 @@ class CouplerConfig:
         """Parametric kappa_perp(g, d) [1/um], broadcast over gaps and diameters.
 
         kappa = (kappa_ref_l / L_c) e^(-gamma(d) (g - g_ref)) e^(-(d_ref - d)/d_kappa)
+
+        A kappa past the float range raises PcwgProbeError.
         """
         g = self.gap_nm if gap_nm is None else np.asarray(gap_nm, dtype=float)
         d = fiber.d_um if d_um is None else np.asarray(d_um, dtype=float)
         gamma = self.decay_per_um(fiber, lam_um, d_um)
         kappa_ref = self.kappa_ref_l / self.l_c_um
-        size = np.exp(-(self.d_ref_um - d) / self.d_kappa_um)
-        kappa = kappa_ref * size * np.exp(-gamma * (g - self.g_ref_nm) * 1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.exp(-(self.d_ref_um - d) / self.d_kappa_um)
+            kappa = kappa_ref * size * np.exp(-gamma * (g - self.g_ref_nm) * 1e-3)
+        if not np.all(np.isfinite(kappa)):
+            raise PcwgProbeError("coupling coefficient kappa_perp overflows: check the coupler's "
+                                 "g_ref_nm, d_ref_um, d_kappa_um and kappa_ref_l")
         return float(kappa) if np.ndim(kappa) == 0 else kappa
 
     def scattering_transmission(self, d_um: float, gap_nm=None) -> float:
-        """Off-resonance power transmission 1 - loss(g, d), broadband."""
+        """Off-resonance power transmission 1 - loss(g, d), broadband; the
+        loss is clipped to [0, 0.5]."""
         g = self.gap_nm if gap_nm is None else gap_nm
-        loss = (
-            self.scatter_loss_ref
-            * np.exp(-(g - 400.0) / self.scatter_g_scale_nm)
-            * np.exp(-(d_um - 1.0) / self.scatter_d_scale_um)
-        )
+        with np.errstate(over="ignore"):  # a scale near zero: an exponent of +-inf
+            a = -(g - 400.0) / self.scatter_g_scale_nm
+            b = -(d_um - 1.0) / self.scatter_d_scale_um
+        if max(abs(a), abs(b)) > 300.0:  # far outside the calibration: one summed exponent
+            a, b = np.clip(np.clip(a, -1e300, 1e300) + np.clip(b, -1e300, 1e300), -800, 700), 0.0
+        loss = self.scatter_loss_ref * np.exp(a) * np.exp(b)
         return 1.0 - float(np.clip(loss, 0.0, 0.5))
 
 
@@ -112,10 +129,12 @@ def contra_transmission(kappa_per_um, l_um, delta_per_um):
         x = kappa**2 - delta**2  # s^2, either sign
         sl2 = np.abs(x) * l_um**2
         root = np.sqrt(np.sqrt(sl2))  # |s| L enters only via sinh^2/sin^2
-        sl = root * root
+        sl = np.where(np.isinf(sl2), np.sqrt(np.abs(x)) * l_um, root * root)
         # q = sinh(sL)^2 / s^2 (hyperbolic), sin(sigma L)^2 / sigma^2 (oscillatory),
-        # L^2 at the degenerate point; continuous in x.
-        q = np.where(x > 0, np.sinh(sl), np.sin(sl)) ** 2 / np.where(x != 0, np.abs(x), 1.0)
+        # L^2 at the degenerate point; continuous in x.  A sigma L past the float
+        # range takes the mean 1/2 of sin^2: fringes denser than any grid.
+        sin2 = np.where(np.isinf(sl), 0.5, np.sin(np.where(np.isinf(sl), 0.0, sl)) ** 2)
+        q = np.where(x > 0, np.sinh(sl) ** 2, sin2) / np.where(x != 0, np.abs(x), 1.0)
         r = kappa**2 * np.where(x == 0, l_um**2, q)
         t, c = 1.0 / (1.0 + r), 1.0 / (1.0 + 1.0 / r)
     if t.ndim == 0:
@@ -176,13 +195,11 @@ class WaveguideProfile:
         return abs(float(np.sum(np.abs(self.u) ** 2) * dx) - 1.0)
 
 
-def kappa_overlap(
-    fiber_mode: ModeField,
-    wg: WaveguideProfile,
-    gap_nm: float,
-    dx_um: float = 0.0,
-    n_vertical: int = 9,
-) -> float:
+_N_VERTICAL = 9  # depth samples of the overlap across the slab
+
+
+def kappa_overlap(fiber_mode: ModeField, wg: WaveguideProfile, gap_nm: float,
+                  dx_um: float = 0.0) -> float:
     """Coupling coefficient from the field overlap, kappa_perp [1/um].
 
     Quasi-scalar estimate: kappa ~ (k0^2 / 2 sqrt(beta_f beta_wg)) *
@@ -200,11 +217,11 @@ def kappa_overlap(
     h_um = gap_nm * 1e-3 + fiber_mode.spec.d_um / 2.0  # fiber axis above slab top
 
     t = wg.slab_t_um
-    depth = (np.arange(n_vertical) + 0.5) * (t / n_vertical)
+    depth = (np.arange(_N_VERTICAL) + 0.5) * (t / _N_VERTICAL)
     xx = wg.x_um[:, None] - dx_um
     rr = np.hypot(xx, h_um + depth[None, :])
     psi_f = fiber_mode.radial(rr)  # exterior tail over the slab section
-    vert = np.sum(psi_f, axis=1) * (t / n_vertical) / np.sqrt(t)
+    vert = np.sum(psi_f, axis=1) * (t / _N_VERTICAL) / np.sqrt(t)
 
     dx_grid = float(np.mean(np.diff(wg.x_um)))
     overlap = np.sum(np.real(wg.u) * vert) * dx_grid

@@ -31,13 +31,16 @@ _EDGE = 1e-6  # bracket ends keep this far inside (n2, n1)
 _XTOL, _RTOL = 1e-15, 8.9e-16  # root tolerance: _XTOL + _RTOL |n_eff|
 _MAX_ITER = 60
 _RESIDUAL_TOL = 1e-10
+_UNPULLED_UM = 125.0  # standard fiber diameter, where an exponential taper ends
 
 
 def silica_index(lam_um):
     """Refractive index of fused silica from the Sellmeier expansion."""
     lam2 = np.asarray(lam_um, dtype=float) ** 2
-    n2 = 1.0 + sum(b * lam2 / (lam2 - l2) for b, l2 in zip(_SELLMEIER_B, _SELLMEIER_L2))
-    return np.sqrt(n2)
+    # n^2 < 0 next to the UV and IR resonances gives nan, which no HE11 bracket holds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n2 = 1.0 + sum(b * lam2 / (lam2 - l2) for b, l2 in zip(_SELLMEIER_B, _SELLMEIER_L2))
+        return np.sqrt(n2)
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,6 @@ class GuidedModePoint:
     @property
     def beta_rad_per_um(self) -> float:
         return 2.0 * np.pi * self.n_eff / self.wavelength_um
-
-    @property
-    def omega_rad_per_s(self) -> float:
-        return 2.0 * np.pi * C_UM_PER_S / self.wavelength_um
 
 
 def _char_m1(neff, n1, n2, a_k0, slope=False):
@@ -191,11 +190,6 @@ def characteristic_residual(spec: FiberSpec, point: GuidedModePoint) -> float:
     a_k0 = np.pi * spec.d_um / lam
     value, scale = _char_m1(point.n_eff, spec.n_core(lam), spec.clad_index, a_k0)
     return float(abs(value) / scale)
-
-
-def dispersion_curve(spec: FiberSpec, lam_um: np.ndarray) -> np.ndarray:
-    """HE11 n_eff over a wavelength grid, solved as one array."""
-    return he11_neff(spec, lam_um)
 
 
 def dbeta_dd(spec: FiberSpec, lam_um):
@@ -316,20 +310,20 @@ class TaperProfile:
         return float(val) if np.isscalar(l_c_mm) else val
 
     @classmethod
-    def exponential(cls, waist_um: float, pull_mm: float, full_um: float = 125.0,
-                    n_samples: int = 201, name: str = "exponential"):
-        """Standard heat-and-pull shape: d grows exponentially from the waist.
+    def exponential(cls, waist_um: float, pull_mm: float):
+        """Standard heat-and-pull shape: d grows exponentially from the waist,
+        sampled at 201 points.
 
         The decay length is set so the profile reaches the unpulled fiber
-        diameter ``full_um`` at ``pull_mm``.
+        diameter, 125 um, at ``pull_mm``.
         """
-        if not 0 < waist_um < full_um:
+        if not 0 < waist_um < _UNPULLED_UM:
             raise ValueError("need 0 < waist diameter < full diameter")
         if pull_mm <= 0:
             raise ValueError("pull length must be positive")
-        scale = pull_mm / np.log(full_um / waist_um)
-        lc = np.linspace(0.0, pull_mm, n_samples)
-        return cls(tuple(lc), tuple(waist_um * np.exp(lc / scale)), name=name)
+        scale = pull_mm / np.log(_UNPULLED_UM / waist_um)
+        lc = np.linspace(0.0, pull_mm, 201)
+        return cls(tuple(lc), tuple(waist_um * np.exp(lc / scale)), name="exponential")
 
     @classmethod
     def from_csv(cls, path, name=None):

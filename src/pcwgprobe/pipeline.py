@@ -28,7 +28,7 @@ import numpy as np
 from .bands import BandCurve, phase_match_crossing
 from .coupling import CouplerConfig, co_transmission, contra_transmission
 from .errors import BandCoverageError, MapFormatError
-from .fiber import C_UM_PER_S, FiberSpec, TaperProfile, dispersion_curve, he11_neff
+from .fiber import C_UM_PER_S, FiberSpec, TaperProfile, he11_neff
 
 MAP_HEADER_CELL = "lc_mm\\lambda_nm"
 
@@ -202,32 +202,21 @@ def _branch_beta_of_lambda(curve: BandCurve, lam_nm_grid: np.ndarray):
     return out
 
 
-def synthesize_map(
-    taper: TaperProfile,
-    curves: list,
-    coupler: CouplerConfig,
-    fiber: FiberSpec,
-    wavelengths_nm=None,
-    lc_mm=None,
-    noise_sigma: float = 0.0,
-    seed: int | None = None,
-    include_loss: bool = True,
-    n_sub: int = 5,
-) -> TransmissionMap:
-    """Synthesize T(lambda, l_c) for a taper scanned along the PCWG.
+def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fiber: FiberSpec,
+                   wavelengths_nm, lc_mm, *, include_loss: bool, noise_sigma: float = 0.0,
+                   seed: int | None = None, n_sub: int = 5) -> TransmissionMap:
+    """Synthesize T(lambda, l_c) on the wavelength (nm) and taper-position
+    (mm) grids for a taper scanned along the PCWG.
 
     At each (lambda, l_c): the fiber propagation constant at the local
     diameter sets the detuning against every branch; branches with
     negative group velocity couple contra-directionally, the rest
     co-directionally; channels multiply.  The diameter variation across
     the interaction length is modeled by averaging the transfer over
-    ``n_sub`` sub-positions.  Noise is additive Gaussian with standard
-    deviation ``noise_sigma * T``.
+    ``n_sub`` sub-positions.  ``include_loss`` applies the broadband
+    scattering loss.  Noise is additive Gaussian with standard deviation
+    ``noise_sigma * T``.
     """
-    if wavelengths_nm is None:
-        wavelengths_nm = np.arange(1565.0, 1625.0 + 1e-9, 0.25)
-    if lc_mm is None:
-        lc_mm = np.linspace(0.20, 0.55, 50)
     wavelengths_nm = np.asarray(wavelengths_nm, dtype=float)
     lc_mm = np.asarray(lc_mm, dtype=float)
     if wavelengths_nm.size < 2 or lc_mm.size < 1:
@@ -266,7 +255,6 @@ def synthesize_map(
 
     meta = {
         "gap_nm": coupler.gap_nm,
-        "dx_um": coupler.dx_um,
         "taper_id": taper.name,
         "normalization": "relative to the bare-taper transmission",
         "noise_sigma": noise_sigma,
@@ -282,11 +270,21 @@ def synthesize_map(
 # ---------------------------------------------------------------------------
 
 
-def _column_dips(lam_nm, t_row, depth_sigmas, min_run=2,
-                 sidelobe_window_nm=20.0, sidelobe_depth_frac=0.25):
+# Dip detection: a dip lies _DEPTH_SIGMAS noise sigmas below the baseline over
+# at least _MIN_RUN samples; a dip shallower than _SIDELOBE_DEPTH_FRAC of a
+# deeper one within _SIDELOBE_WINDOW_NM is that one's sidelobe.  Tracking
+# joins dips of neighboring columns at most _MAX_JUMP_NM apart.
+_DEPTH_SIGMAS = 3.0
+_MIN_RUN = 2
+_SIDELOBE_WINDOW_NM = 20.0
+_SIDELOBE_DEPTH_FRAC = 0.25
+_MAX_JUMP_NM = 5.0
+
+
+def _column_dips(lam_nm, t_row):
     """Local minima below baseline - max(3 sigma, floor), sub-grid refined.
 
-    Runs shorter than ``min_run`` samples are treated as noise.  The
+    Runs shorter than ``_MIN_RUN`` samples are treated as noise.  The
     two-mode transfer function carries oscillatory sidelobes around each
     resonance; a dip much shallower than a deeper dip nearby is one of
     those and is suppressed rather than reported as its own resonance.
@@ -295,7 +293,7 @@ def _column_dips(lam_nm, t_row, depth_sigmas, min_run=2,
     baseline = float(np.median(t_row[t_row >= top]))
     diffs = np.abs(np.diff(t_row))
     sigma = 1.4826 * float(np.median(diffs)) / np.sqrt(2.0)
-    threshold = baseline - max(depth_sigmas * sigma, 1e-6)
+    threshold = baseline - max(_DEPTH_SIGMAS * sigma, 1e-6)
 
     below = t_row < threshold
     dips = []
@@ -307,7 +305,7 @@ def _column_dips(lam_nm, t_row, depth_sigmas, min_run=2,
         k = j
         while k + 1 < len(t_row) and below[k + 1]:
             k += 1
-        if k - j + 1 >= min_run:
+        if k - j + 1 >= _MIN_RUN:
             seg = slice(j, k + 1)
             m = j + int(np.argmin(t_row[seg]))
             lam_min, t_min = lam_nm[m], t_row[m]
@@ -353,8 +351,8 @@ def _column_dips(lam_nm, t_row, depth_sigmas, min_run=2,
     for lam, tmin, width in dips:
         depth = baseline - tmin
         shadowed = any(
-            abs(lam - lam2) <= sidelobe_window_nm
-            and depth < sidelobe_depth_frac * (baseline - tmin2)
+            abs(lam - lam2) <= _SIDELOBE_WINDOW_NM
+            and depth < _SIDELOBE_DEPTH_FRAC * (baseline - tmin2)
             for lam2, tmin2, _ in dips
             if (lam2, tmin2) != (lam, tmin)
         )
@@ -363,9 +361,7 @@ def _column_dips(lam_nm, t_row, depth_sigmas, min_run=2,
     return keep
 
 
-def extract_resonances(
-    tmap: TransmissionMap, depth_sigmas: float = 3.0, max_jump_nm: float = 5.0
-) -> list:
+def extract_resonances(tmap: TransmissionMap) -> list:
     """Per-column dip detection and cross-column branch tracking.
 
     Dips are tracked into branches by nearest-wavelength association
@@ -378,14 +374,14 @@ def extract_resonances(
     open_tracks: list[dict] = []
     next_branch = 0
     for i in order:
-        dips = _column_dips(tmap.wavelengths_nm, tmap.t[i], depth_sigmas)
+        dips = _column_dips(tmap.wavelengths_nm, tmap.t[i])
         used = set()
         new_tracks = []
         for track in open_tracks:
             cands = [
                 (abs(lam - track["lam"]), j)
                 for j, (lam, _, _) in enumerate(dips)
-                if j not in used and abs(lam - track["lam"]) <= max_jump_nm
+                if j not in used and abs(lam - track["lam"]) <= _MAX_JUMP_NM
             ]
             if not cands:
                 continue
@@ -482,28 +478,25 @@ class GapSweepRow:
     kappa_l: float
 
 
+_GAP_SWEEP_SPAN_NM, _GAP_SWEEP_POINTS = 150.0, 601  # wavelength grid of each gap
+
+
 def gap_sweep(
-    gaps_nm,
-    coupler: CouplerConfig,
-    fiber: FiberSpec,
-    curve: BandCurve,
-    lam_span_nm: float = 150.0,
-    n_lam: int = 601,
-    include_loss: bool = True,
+    gaps_nm, coupler: CouplerConfig, fiber: FiberSpec, curve: BandCurve, *, include_loss: bool
 ) -> list:
     """On/off-resonance transmission, ideality, and inferred coupling per gap.
 
     The wavelength grid is centered on the phase-matching point of
-    ``curve`` for this fiber diameter.  The inferred coupling strength
+    ``curve`` for this fiber diameter; ``include_loss`` applies the
+    broadband scattering loss.  The inferred coupling strength
     is kappa_perp L_c = artanh(sqrt(1 - T_min/T_max)), which undoes the
     contra-directional transfer exactly in the lossless case.
     """
     pm = phase_match_crossing(curve, fiber)
-    lam_nm = np.linspace(
-        pm.lambda_nm - lam_span_nm / 2.0, pm.lambda_nm + lam_span_nm / 2.0, n_lam
-    )
+    half_span = _GAP_SWEEP_SPAN_NM / 2.0
+    lam_nm = np.linspace(pm.lambda_nm - half_span, pm.lambda_nm + half_span, _GAP_SWEEP_POINTS)
     lam_um = lam_nm * 1e-3
-    beta_f = 2.0 * np.pi * dispersion_curve(fiber, lam_um) / lam_um
+    beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um) / lam_um
     beta_br = _branch_beta_of_lambda(curve, lam_nm)
     delta = 0.5 * (beta_f - beta_br)
 

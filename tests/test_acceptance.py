@@ -117,8 +117,9 @@ def test_criterion_05_phase_matching_design(bands_result):
     )
 
 
-def test_criterion_06_thinning_ordering(default_spec):
-    shift = thinning_shift(default_spec, SlabSpec(340.0), 300.0)
+def test_criterion_06_thinning_ordering(default_spec, default_cfg):
+    lam_ref_um = default_cfg["lattice"]["lam_ref_um"]
+    shift = thinning_shift(default_spec, SlabSpec(340.0), 300.0, lam_ref_um)
     d1, d2 = shift.d_omega_norm["TE-1"], shift.d_omega_norm["TE-2"]
     check(
         6,
@@ -151,7 +152,8 @@ def test_criterion_07_coupled_mode_identities():
 
 
 def test_criterion_08_ideality(te1):
-    rows = gap_sweep(np.arange(250.0, 801.0, 25.0), CouplerConfig(), FiberSpec(1.9), te1)
+    rows = gap_sweep(np.arange(250.0, 801.0, 25.0), CouplerConfig(), FiberSpec(1.9), te1,
+                     include_loss=True)
     gammas = np.array([r.gamma for r in rows])
     best = int(np.argmax(gammas))
     interior = 0 < best < len(rows) - 1
@@ -167,7 +169,8 @@ def test_criterion_08_ideality(te1):
 
 
 def test_criterion_09_exponential_gap_law(te1):
-    rows = gap_sweep(np.arange(250.0, 801.0, 25.0), CouplerConfig(), FiberSpec(1.9), te1)
+    rows = gap_sweep(np.arange(250.0, 801.0, 25.0), CouplerConfig(), FiberSpec(1.9), te1,
+                     include_loss=True)
     g = np.array([r.gap_nm for r in rows])
     log_kl = np.log([r.kappa_l for r in rows])
     fit = np.polyval(np.polyfit(g, log_kl, 1), g)
@@ -234,6 +237,7 @@ def test_criterion_11_bandwidth_ordering(te1, default_taper):
             fiber,
             wavelengths_nm=np.arange(lam_lo, lam_hi, 0.25),
             lc_mm=lc,
+            include_loss=True,
         )
         widths = [p.fit_width_nm for p in extract_resonances(tmap)]
         return float(np.nanmean(widths))
@@ -257,7 +261,7 @@ def test_criterion_12_pipeline_round_trip(te1, default_taper):
     t0 = time.perf_counter()
     tmap = synthesize_map(
         default_taper, [te1], coupler, fiber, wavelengths_nm=lam, lc_mm=lc,
-        noise_sigma=0.005, seed=12,
+        include_loss=True, noise_sigma=0.005, seed=12,
     )
     points = label_branches(extract_resonances(tmap), default_taper)
     te1_points = [p for p in points if p.label == "TE-1"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcwgprobe import config as cfgmod
 from pcwgprobe.bands import (
     BandCurve,
     PCWaveguideSpec,
@@ -10,7 +11,6 @@ from pcwgprobe.bands import (
     _epsilon_table,
     _hole_factor,
     bulk_bands,
-    default_kpath_norm,
     defect_profile,
     local_gap,
     phase_match_crossing,
@@ -26,6 +26,8 @@ from pcwgprobe.errors import (
 )
 from pcwgprobe.fiber import FiberSpec, ModeField
 from pcwgprobe.slab import SlabSpec
+
+LAM_REF_UM = cfgmod.DEFAULTS["lattice"]["lam_ref_um"]
 
 
 def bulk_spec(**kw):
@@ -184,15 +186,15 @@ class TestThinning:
         from pcwgprobe.slab import SlabSpec
 
         slab = SlabSpec(340.0)
-        shift = thinning_shift(default_spec, slab, 300.0)
+        shift = thinning_shift(default_spec, slab, 300.0, LAM_REF_UM)
         assert shift.d_omega_norm["TE-2"] > shift.d_omega_norm["TE-1"] > 0
         assert shift.d_omega_rad_per_s("TE-1") > 0
 
-        same = thinning_shift(default_spec, slab, 340.0)
+        same = thinning_shift(default_spec, slab, 340.0, LAM_REF_UM)
         assert same.d_omega_norm == {"TE-1": 0.0, "TE-2": 0.0}
 
         with pytest.raises(ModeCutoffError):
-            thinning_shift(default_spec, slab, 140.0)
+            thinning_shift(default_spec, slab, 140.0, LAM_REF_UM)
 
 
 class TestBandCurve:
@@ -231,11 +233,11 @@ class TestPhaseMatch:
         curve = BandCurve("x", beta_norm * 2 * np.pi / lam_z, omega, lam_z)
         fiber = FiberSpec(1.5, core_index=1.444)
 
-        from pcwgprobe.fiber import dispersion_curve
+        from pcwgprobe.fiber import he11_neff
 
         pm = phase_match_crossing(curve, fiber)
         lam_um = pm.lambda_nm * 1e-3
-        n_f = dispersion_curve(fiber, np.array([lam_um]))[0]
+        n_f = he11_neff(fiber, np.array([lam_um]))[0]
         beta_fiber = 2 * np.pi * n_f / lam_um
         assert pm.beta_rad_per_um == pytest.approx(beta_fiber, rel=2e-3)
 
@@ -325,7 +327,7 @@ class TestSectorSolve:
             curve = res.curve(label)
             assert curve.beta_norm.size == 26
             np.testing.assert_allclose(curve.omega_norm[[0, 13, 21, 25]], omega, rtol=1e-10)
-        shift = thinning_shift(default_spec, SlabSpec(340.0), 300.0)
+        shift = thinning_shift(default_spec, SlabSpec(340.0), 300.0, LAM_REF_UM)
         assert shift.d_omega_norm["TE-1"] == pytest.approx(0.00676761159380856, rel=1e-10)
         assert shift.d_omega_norm["TE-2"] == pytest.approx(0.07292320983276274, rel=1e-10)
 

@@ -10,6 +10,7 @@ import pytest
 
 from pcwgprobe import cli
 from pcwgprobe import config as cfgmod
+from pcwgprobe.bands import thinning_shift
 from pcwgprobe.cli import main
 
 
@@ -55,6 +56,12 @@ class TestFiberCommand:
         ("grids: {lc_points: 100000000000}\n", "map synth", "grids.lc_points"),
         ("grids: {dx_points: 100000000000}\n", "couple --sweep lateral", "grids.dx_points"),
         ("grids: {gap_step_nm: 1.0e-12}\n", "couple --sweep gap", "gap_start_nm/stop_nm/step_nm"),
+        # the lateral offset is the lateral sweep's own grid, not a coupler key
+        ("coupler: {dx_um: 1.5}\n", "map synth", "'coupler.dx_um'"),
+        ("coupler: {scatter_g_scale_nm: 0.0}\n", "map synth", "scatter_g_scale_nm"),
+        ("coupler: {scatter_d_scale_um: 0.0}\n", "couple --sweep gap", "scatter_d_scale_um"),
+        ("coupler: {l_c_um: .inf}\n", "couple --sweep gap", "l_c_um"),
+        ("grids: {lateral_gap_nm: -1.0}\n", "couple --sweep lateral", "grids.lateral_gap_nm"),
     ])
     def test_invalid_config_value_exits_2(self, cli_out, capsys, yaml_text, command, key):
         cfg = cli_out / "cfg.yaml"
@@ -118,6 +125,17 @@ class TestBandsCommand:
         shifts = payload["thinning"]["d_omega_norm"]
         assert shifts["TE-2"] > shifts["TE-1"] > 0
 
+    def test_thinned_shifts_use_the_configured_reference_wavelength(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("lattice: {lam_ref_um: 1.55}\n")
+        assert run(["--config", cfg, "--out", tmp_path, "bands", "--thinned", "300"]) == 0
+        shifts = json.loads((tmp_path / "bands.json").read_text())["thinning"]["d_omega_norm"]
+        config = cfgmod.load_config(cfg)
+        spec, _ = cfgmod.build_lattice(config)
+        expected = thinning_shift(spec, cfgmod.build_slab(config), 300.0, 1.55).d_omega_norm
+        assert shifts == expected
+        assert shifts["TE-1"] == pytest.approx(0.006502, abs=1e-6)
+
 
 class TestCoupleCommand:
     def test_gap_sweep_table(self, cli_out):
@@ -143,6 +161,8 @@ class TestCoupleCommand:
         ("coupler: {d_kappa_um: 0.001953125}\n", "lateral", 3),
         # sinh(sL)^2 past the float range: T = 0 and C = 1 inside the stop band
         ("coupler: {kappa_ref_l: 356.0}\n", "gap", 0),
+        # sigma L past the float range: sin^2 takes its mean, no NaN row
+        ("coupler: {l_c_um: 1.0e+300}\n", "gap", 0),
     ])
     def test_extreme_coupling_keeps_the_contract(self, cli_out, capsys, yaml_text, sweep,
                                                  code):

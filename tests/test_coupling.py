@@ -17,6 +17,7 @@ from pcwgprobe.coupling import (
 from pcwgprobe.errors import (
     InsufficientFringesError,
     NonPhysicalContrastError,
+    PcwgProbeError,
     UndefinedWidthError,
 )
 from pcwgprobe.fiber import FiberSpec, ModeField, exterior_decay
@@ -74,6 +75,14 @@ class TestContraTransmission:
         np.testing.assert_allclose(t + c, 1.0, rtol=0, atol=1e-15)
         if kappa * l_um > 300:
             assert t[0] == 0.0 and c[0] == 1.0  # the limit T -> 0, exactly
+
+    @pytest.mark.parametrize("l_um", [1e160, 1e300, 1.7e308])
+    def test_long_interaction_length_stays_finite(self, l_um):
+        # |s| L past the float range: sin^2 takes its mean, sinh^2 its limit
+        t, c = contra_transmission(np.array([4.0 / l_um, 1.0]), l_um, np.array([0.3, 0.5]))
+        assert np.all(np.isfinite(t)) and np.all(np.isfinite(c))
+        np.testing.assert_allclose(t + c, 1.0, rtol=0, atol=1e-15)
+        assert t[1] == 0.0  # hyperbolic: the limit T -> 0
 
     def test_scaled_and_unscaled_coupling_agree(self):
         # T depends on kappa L and Delta L only
@@ -289,3 +298,24 @@ class TestCouplerConfig:
         for d in (0.8, 1.0, 1.9):
             for g in (100.0, 400.0, 900.0):
                 assert 0.5 <= cfg.scattering_transmission(d, g) <= 1.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 5e-324])
+    def test_tiny_scattering_scales_saturate(self, scale):
+        # the loss is clipped to 0.5; its exponents may pass the float range
+        for key in ("scatter_g_scale_nm", "scatter_d_scale_um"):
+            cfg = CouplerConfig(**{key: scale})
+            assert cfg.scattering_transmission(0.9, 300.0) == 0.5
+            assert cfg.scattering_transmission(1.9, 900.0) == 1.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("scatter_g_scale_nm", 0.0), ("scatter_d_scale_um", -1.0), ("l_c_um", math.inf),
+        ("gap_nm", math.nan), ("g_ref_nm", math.inf), ("d_ref_um", -math.inf),
+        ("scatter_loss_ref", 1.5), ("g0_nm", 0.0),
+    ])
+    def test_rejects_invalid_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CouplerConfig(**{field: value})
+
+    def test_overflowing_kappa_raises(self):
+        with pytest.raises(PcwgProbeError, match="overflows"):
+            CouplerConfig(g_ref_nm=1e154).kappa_perp(FiberSpec(1.9), 1.6, 250.0)

@@ -12,7 +12,6 @@ from pcwgprobe.fiber import (
     TaperProfile,
     characteristic_residual,
     dbeta_dd,
-    dispersion_curve,
     exterior_decay,
     fundamental_neff,
     he11_neff,
@@ -126,7 +125,7 @@ class TestFundamentalNeff:
     def test_dispersion_curve_matches_pointwise(self):
         spec = FiberSpec(1.2)
         lams = np.linspace(1.5, 1.7, 9)
-        curve = dispersion_curve(spec, lams)
+        curve = he11_neff(spec, lams)
         direct = [fundamental_neff(spec, lam).n_eff for lam in lams]
         np.testing.assert_allclose(curve, direct, rtol=1e-12)
 
@@ -214,7 +213,7 @@ class TestArrayKernel:
         # a failed residual check or no convergence of a sign-change bracket
         monkeypatch.setattr(fibermod, name, value)
         with pytest.raises(ConvergenceError):
-            dispersion_curve(FiberSpec(1.2), np.array([1.55, 1.6]))
+            he11_neff(FiberSpec(1.2), np.array([1.55, 1.6]))
 
     def test_one_unguided_element_raises(self):
         with pytest.raises(NoGuidedModeError):
@@ -427,6 +426,6 @@ class TestTaperProfile:
             TaperProfile.from_csv(path)
 
     def test_exponential_reaches_full_diameter(self):
-        profile = TaperProfile.exponential(0.6, 5.5, full_um=125.0)
+        profile = TaperProfile.exponential(0.6, 5.5)
         assert profile.diameter_at(5.5) == pytest.approx(125.0, rel=1e-9)
         assert profile.diameter_at(0.0) == pytest.approx(0.6, rel=1e-12)

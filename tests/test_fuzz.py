@@ -79,11 +79,17 @@ CONFIG_KEYS = {
     ("coupler", "gap_nm"): ODD,
     ("coupler", "l_c_um"): ODD,
     ("coupler", "kappa_ref_l"): ODD,
+    ("coupler", "g_ref_nm"): ODD,
+    ("coupler", "d_ref_um"): ODD,
     ("coupler", "g0_nm"): ODD,
     ("coupler", "d_kappa_um"): ODD,
     ("coupler", "scatter_loss_ref"): ODD,
+    ("coupler", "scatter_g_scale_nm"): ODD,
+    ("coupler", "scatter_d_scale_um"): ODD,
     ("coupler", "include_loss"): ODD,
     ("grids", "gap_sweep_d_um"): ODD,
+    ("grids", "lateral_gap_nm"): ODD,
+    ("grids", "lateral_d_um"): ODD,
     ("grids", "lambda_start_nm"): BOUNDED,
     ("grids", "lambda_stop_nm"): BOUNDED,
     ("grids", "gap_start_nm"): BOUNDED,
@@ -129,6 +135,16 @@ def configs(draw):
 @example(cfg={"grids": {**SMALL_GRIDS, "lc_points": 50_000, "lambda_start_nm": 1500.0,
                         "lambda_stop_nm": 1600.0, "lambda_step_nm": 0.5}},
          command=["map", "synth"])
+# a finite reference gap whose kappa overflows (exit 3, no RuntimeWarning)
+@example(cfg={"grids": SMALL_GRIDS, "coupler": {"g_ref_nm": 1.0e154}},
+         command=["couple", "--sweep", "gap"])
+# a tiny scattering scale at gaps below 400 nm: the loss saturates at its clip
+@example(cfg={"grids": SMALL_GRIDS, "coupler": {"scatter_g_scale_nm": 1.0e-300}},
+         command=["couple", "--sweep", "gap"])
+# wider draws found: a one-wavelength map grid, and a wavelength below the
+# silica Sellmeier expansion's UV resonance (n^2 < 0)
+@example(cfg={"grids": {**SMALL_GRIDS, "lambda_step_nm": 61.0}}, command=["map", "synth"])
+@example(cfg={"grids": {**SMALL_GRIDS, "lambda_start_nm": 2.0}}, command=["fiber"])
 def test_config_values_keep_the_exit_code_contract(cli_out, cfg, command):
     path = cli_out / "fuzz.yaml"
     path.write_text(yaml.safe_dump(cfg))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pcwgprobe import config as cfgmod
 from pcwgprobe.bands import BandCurve
 from pcwgprobe.coupling import CouplerConfig
 from pcwgprobe.errors import BandCoverageError, MapFormatError
-from pcwgprobe.fiber import FiberSpec, TaperProfile, dispersion_curve
+from pcwgprobe.fiber import FiberSpec, TaperProfile
 from pcwgprobe.pipeline import (
     TransmissionMap,
     extract_resonances,
@@ -13,6 +14,8 @@ from pcwgprobe.pipeline import (
     synthesize_map,
     to_bandstructure,
 )
+
+LAM_NM, LC_MM = cfgmod.build_map_grids(cfgmod.DEFAULTS)  # the default config's map grids
 
 
 def linear_curve(label, lam_z_um=0.5, omega_at=0.40, slope=-0.25, n=26,
@@ -49,7 +52,7 @@ class TestSynthesis:
         lam = np.arange(1565.0, 1580.0, 0.5)
         lc = np.linspace(0.25, 0.35, 5)
         tmap = synthesize_map(taper, [linear_curve("TE-1")], off, fiber,
-                              wavelengths_nm=lam, lc_mm=lc)
+                              wavelengths_nm=lam, lc_mm=lc, include_loss=True)
         for i, lc_i in enumerate(lc):
             base = off.scattering_transmission(float(taper.diameter_at(lc_i)))
             np.testing.assert_allclose(tmap.t[i], base, rtol=0, atol=1e-12)
@@ -61,9 +64,9 @@ class TestSynthesis:
         lam = np.arange(1565.0, 1625.0, 0.5)
         lc = np.linspace(0.25, 0.40, 7)
         with_pc = synthesize_map(taper, [te1], coupler, fiber,
-                                 wavelengths_nm=lam, lc_mm=lc)
+                                 wavelengths_nm=lam, lc_mm=lc, include_loss=True)
         baseline = synthesize_map(taper, [te1], CouplerConfig(kappa_ref_l=0.0),
-                                  fiber, wavelengths_nm=lam, lc_mm=lc)
+                                  fiber, wavelengths_nm=lam, lc_mm=lc, include_loss=True)
         pure = synthesize_map(taper, [te1], coupler, fiber,
                               wavelengths_nm=lam, lc_mm=lc, include_loss=False)
         ratio = with_pc.t / baseline.t
@@ -72,8 +75,8 @@ class TestSynthesis:
 
     def test_dip_moves_monotonically_with_position(self, small_setup, te1):
         taper, coupler, fiber = small_setup
-        tmap = synthesize_map(taper, [te1], coupler, fiber,
-                              lc_mm=np.linspace(0.25, 0.45, 9))
+        tmap = synthesize_map(taper, [te1], coupler, fiber, LAM_NM,
+                              np.linspace(0.25, 0.45, 9), include_loss=True)
         dip_lam = tmap.wavelengths_nm[np.argmin(tmap.t, axis=1)]
         assert np.all(np.diff(dip_lam) > 0)
 
@@ -81,7 +84,7 @@ class TestSynthesis:
         taper, coupler, fiber = small_setup
         far = linear_curve("TE-1", omega_at=0.9)  # lambda ~ 560-640 nm
         with pytest.raises(BandCoverageError):
-            synthesize_map(taper, [far], coupler, fiber)
+            synthesize_map(taper, [far], coupler, fiber, LAM_NM, LC_MM, include_loss=True)
 
 
 class TestExtraction:
@@ -95,10 +98,12 @@ class TestExtraction:
         taper, coupler, fiber = small_setup
         lam_step = 0.25
         noisy = main_branch(extract_resonances(
-            synthesize_map(taper, [te1], coupler, fiber, noise_sigma=0.005, seed=11)
+            synthesize_map(taper, [te1], coupler, fiber, LAM_NM, LC_MM, include_loss=True,
+                           noise_sigma=0.005, seed=11)
         ))
         clean = main_branch(extract_resonances(
-            synthesize_map(taper, [te1], coupler, fiber, noise_sigma=0.0)
+            synthesize_map(taper, [te1], coupler, fiber, LAM_NM, LC_MM, include_loss=True,
+                           noise_sigma=0.0)
         ))
         clean_by_lc = {round(p.lc_mm, 9): p.lambda_min_nm for p in clean}
         assert len(noisy) >= 0.9 * len(clean) > 0
@@ -117,7 +122,7 @@ class TestExtraction:
         lc = np.linspace(0.25, 0.38, 20)
         tmap = synthesize_map(taper, [contra, co], coupler, fiber,
                               wavelengths_nm=lam, lc_mm=lc, noise_sigma=0.005,
-                              seed=3)
+                              seed=3, include_loss=True)
         points = label_branches(extract_resonances(tmap), taper)
         te1_pts = [p for p in points if p.label == "TE-1"]
         te2_pts = [p for p in points if p.label == "TE-2"]
@@ -132,9 +137,9 @@ class TestExtraction:
 
     def test_extraction_deterministic(self, small_setup, te1):
         taper, coupler, fiber = small_setup
-        tmap = synthesize_map(taper, [te1], coupler, fiber,
-                              noise_sigma=0.005, seed=5,
-                              lc_mm=np.linspace(0.25, 0.40, 8))
+        tmap = synthesize_map(taper, [te1], coupler, fiber, LAM_NM,
+                              np.linspace(0.25, 0.40, 8), include_loss=True,
+                              noise_sigma=0.005, seed=5)
         a = extract_resonances(tmap)
         b = extract_resonances(tmap)
         # repr-level equality (plain == would choke on NaN widths)
@@ -144,8 +149,8 @@ class TestExtraction:
 class TestReconstruction:
     def test_round_trip_beta_within_one_percent(self, small_setup, te1):
         taper, coupler, fiber = small_setup
-        tmap = synthesize_map(taper, [te1], coupler, fiber,
-                              noise_sigma=0.005, seed=21)
+        tmap = synthesize_map(taper, [te1], coupler, fiber, LAM_NM, LC_MM,
+                              include_loss=True, noise_sigma=0.005, seed=21)
         points = label_branches(extract_resonances(tmap), taper)
         band_points = to_bandstructure(
             [p for p in points if p.label == "TE-1"], taper, fiber
@@ -157,7 +162,7 @@ class TestReconstruction:
 
     def test_reconstructed_branch_has_negative_slope(self, small_setup, te1):
         taper, coupler, fiber = small_setup
-        tmap = synthesize_map(taper, [te1], coupler, fiber)
+        tmap = synthesize_map(taper, [te1], coupler, fiber, LAM_NM, LC_MM, include_loss=True)
         points = extract_resonances(tmap)
         band_points = to_bandstructure(points, taper, fiber)
         beta = np.array([b.beta_rad_per_um for b in band_points])
@@ -172,7 +177,7 @@ class TestReconstruction:
         for step in (0.25, 0.125):
             lam = np.arange(1565.0, 1625.0 + 1e-9, step)
             tmap = synthesize_map(taper, [te1], coupler, fiber,
-                                  wavelengths_nm=lam, lc_mm=lc)
+                                  wavelengths_nm=lam, lc_mm=lc, include_loss=True)
             pts = main_branch(extract_resonances(tmap))
             bps = to_bandstructure(pts, taper, fiber)
             betas[step] = {round(b.lc_mm, 9): b.beta_rad_per_um for b in bps}
@@ -184,7 +189,8 @@ class TestReconstruction:
 class TestGapSweep:
     def test_interior_maximum_and_floor(self, te1):
         coupler = CouplerConfig()
-        rows = gap_sweep(np.arange(250.0, 801.0, 25.0), coupler, FiberSpec(1.9), te1)
+        rows = gap_sweep(np.arange(250.0, 801.0, 25.0), coupler, FiberSpec(1.9), te1,
+                         include_loss=True)
         gammas = np.array([r.gamma for r in rows])
         best = int(np.argmax(gammas))
         assert 0 < best < len(rows) - 1
@@ -193,7 +199,7 @@ class TestGapSweep:
 
     def test_exponential_gap_law(self, te1):
         rows = gap_sweep(np.arange(250.0, 801.0, 25.0), CouplerConfig(),
-                         FiberSpec(1.9), te1)
+                         FiberSpec(1.9), te1, include_loss=True)
         g = np.array([r.gap_nm for r in rows])
         log_kl = np.log([r.kappa_l for r in rows])
         fit = np.polyval(np.polyfit(g, log_kl, 1), g)
@@ -213,7 +219,8 @@ class TestGapSweep:
             assert abs(r.kappa_l - k_in * coupler.l_c_um) / (k_in * coupler.l_c_um) < 0.02
 
     def test_large_gap_limit(self, te1):
-        rows = gap_sweep(np.array([3000.0]), CouplerConfig(), FiberSpec(1.9), te1)
+        rows = gap_sweep(np.array([3000.0]), CouplerConfig(), FiberSpec(1.9), te1,
+                         include_loss=True)
         assert rows[0].t_min > 0.99 * rows[0].t_max
         assert rows[0].t_max > 0.99
         assert rows[0].gamma < 0.01
@@ -222,8 +229,8 @@ class TestGapSweep:
 class TestMapCsv:
     def test_round_trip_with_sidecar(self, tmp_path, small_setup, te1):
         taper, coupler, fiber = small_setup
-        tmap = synthesize_map(taper, [te1], coupler, fiber,
-                              lc_mm=np.linspace(0.25, 0.35, 4),
+        tmap = synthesize_map(taper, [te1], coupler, fiber, LAM_NM,
+                              np.linspace(0.25, 0.35, 4), include_loss=True,
                               noise_sigma=0.005, seed=1)
         path = tmp_path / "map.csv"
         meta = tmp_path / "map.meta.json"
@@ -301,7 +308,7 @@ def test_fiber_dispersion_consistency_with_detuning(small_setup, te1):
 
     lc = np.array([0.30])
     d = float(taper.diameter_at(lc[0]))
-    tmap = synthesize_map(taper, [te1], coupler, fiber, lc_mm=lc, n_sub=1)
+    tmap = synthesize_map(taper, [te1], coupler, fiber, LAM_NM, lc, include_loss=True, n_sub=1)
     dip_lam = tmap.wavelengths_nm[int(np.argmin(tmap.t[0]))]
     pm = phase_match_crossing(te1, fiber.with_diameter(d))
     assert abs(dip_lam - pm.lambda_nm) < 0.5

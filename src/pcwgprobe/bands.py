@@ -279,8 +279,8 @@ class PlaneWaveSolver:
     matrices with PD eta blocks, is then PSD by the Schur product theorem.
 
     The holes are air, so EPS = I + (eps_bg - 1) C with C independent of
-    eps_bg, and d(eta)/d(eps_bg) = (eta^2 - eta)/(eps_bg - 1), formed once
-    per sector for ``sensitivity``.
+    eps_bg, and d(eta)/d(eps_bg) = (eta^2 - eta)/(eps_bg - 1); ``sensitivity``
+    takes x^T (eta^2 - eta) x as |eta x|^2 - x^T eta x (eta is symmetric).
     """
 
     def __init__(self, spec: PCWaveguideSpec):
@@ -294,15 +294,18 @@ class PlaneWaveSolver:
         direct = table[dz, m[:, None] - m[None, :] + 2 * px]
         mirrored = table[dz, m[:, None] + m[None, :] + 2 * px]
         w = np.where(m > 0, 1.0, np.sqrt(0.5))
-        # both sectors live in the even basis; the odd one is its m > 0 part
-        self._pos = m > 0
-        self._odd = np.ix_(self._pos, self._pos)
+        pos = m > 0
+        odd = np.ix_(pos, pos)
         eta_o = np.zeros((m.size, m.size))
-        eta_o[self._odd] = _spd_inverse((direct - mirrored)[self._odd], "odd")
-        self._eta = [_spd_inverse(np.outer(w, w) * (direct + mirrored), "even"), eta_o]
-        self._d_eta = [(eta @ eta - eta) / (spec.eps_bg - 1.0) for eta in self._eta]
+        eta_o[odd] = _spd_inverse((direct - mirrored)[odd], "odd")
+        eta_e = _spd_inverse(np.outer(w, w) * (direct + mirrored), "even")
         self._gz = (iz - p) * (2.0 * np.pi / spec.lam_z_um)
         self._gx = m * (2.0 * np.pi / spec.width_um)
+        gxx = np.outer(self._gx, self._gx)
+        # per sector: its rows of the even basis (odd: m > 0), its eta and its
+        # x term, which does not depend on beta
+        self._sectors = {"even": (slice(None), eta_e, gxx * eta_o),
+                         "odd": (pos, eta_o[odd], (gxx * eta_e)[odd])}
         # |m_x| amplitudes of one m_z row -> H(x), keyed by the sector's
         # vector length (odd omits the global factor i)
         n_x = 16 * spec.supercell_rows
@@ -332,13 +335,10 @@ class PlaneWaveSolver:
         import scipy.linalg
 
         kz = self._gz + beta_rad_per_um
-        kzz, gxx = np.outer(kz, kz), np.outer(self._gx, self._gx)
-        eta_e, eta_o = self._eta
-        blocks = {"even": kzz * eta_e + gxx * eta_o,
-                  "odd": (kzz * eta_o + gxx * eta_e)[self._odd]}
         to_omega = self.spec.lam_z_um / (2.0 * np.pi)
         found = {}
-        for parity, theta in blocks.items():
+        for parity, (rows, eta, x_term) in self._sectors.items():
+            theta = np.outer(kz[rows], kz[rows]) * eta + x_term
             where = f"at beta={beta_rad_per_um:.6f} rad/um ({parity} sector, n_pw={self.n_pw})"
             try:
                 if window is None:
@@ -361,8 +361,8 @@ class PlaneWaveSolver:
             # compress copies the kept columns out of LAPACK's n x n
             # workspace, which a view would keep alive as long as the vectors
             vals, vecs = vals[keep], vecs.compress(keep, axis=1)
-            # one product per state: a single matrix product here slowed the
-            # eigensolves after it by a third (OpenBLAS threads, 2 cores)
+            # one product per state: numpy has an OpenBLAS of its own, and a matrix
+            # product (Theta @ V) wakes its threads, which slow scipy's eigensolves
             res = [np.linalg.norm(theta @ v - w * v) / w for w, v in zip(vals, vecs.T)]
             if not all(r <= _EIG_RESIDUAL_TOL for r in res):
                 raise EigensolverError(f"eigenvector residual {max(res):.3e} {where}")
@@ -376,16 +376,16 @@ class PlaneWaveSolver:
         ``solve_k``) at fixed beta, by Hellmann-Feynman:
         d(w^2)/d(eps_bg) = v^T (dTheta/d eps_bg) v with w = omega/c.
         """
-        d_eta_e, d_eta_o = self._d_eta
-        if vec.size == self._gz.size:
-            v, d_z, d_x = vec, d_eta_e, d_eta_o
-        else:
-            v, d_z, d_x = np.zeros(self._gz.size), d_eta_o, d_eta_e
-            v[self._pos] = vec
-        kv, gv = (self._gz + beta_rad_per_um) * v, self._gx * v
-        d_eig = kv @ d_z @ kv + gv @ d_x @ gv
+        own, other = ("even", "odd") if vec.size == self._gz.size else ("odd", "even")
+        v = np.zeros(self._gz.size)
+        v[self._sectors[own][0]] = vec
+        d_eig = 0.0  # (eps_bg - 1) d(w^2)/d(eps_bg); K_x v lives in the other sector
+        for x, (rows, eta, _) in (((self._gz + beta_rad_per_um) * v, self._sectors[own]),
+                                  (self._gx * v, self._sectors[other])):
+            eta_x = eta @ x[rows]
+            d_eig += eta_x @ eta_x - x[rows] @ eta_x
         eig = (2.0 * np.pi * omega_norm / self.spec.lam_z_um) ** 2
-        return float(-self.spec.eps_bg * d_eig / eig)
+        return float(-self.spec.eps_bg * d_eig / ((self.spec.eps_bg - 1.0) * eig))
 
     # -- real-space diagnostics ------------------------------------------
 
@@ -564,7 +564,7 @@ def waveguide_bands(
         beta = bn * 2.0 * np.pi / spec.lam_z_um
         for parity, (omega, vecs) in solver.solve_k(beta, window=window).items():
             cand_per_k[parity].append([
-                (w, v, solver.sensitivity(beta, w, v))
+                (w, v, solver.sensitivity(beta, w, v) if dispersive is not None else np.nan)
                 for w, v in zip(omega, vecs.T)
                 if solver.localization(v) > _LOCALIZATION_THRESHOLD
             ])

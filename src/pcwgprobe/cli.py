@@ -169,17 +169,22 @@ def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
 
 
 def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
+    # every input is checked before the bands solve
+    coupler = cfgmod.build_coupler(cfg)
+    if args.sweep == "gap":
+        fiber, gaps_nm = cfgmod.build_sweep_fiber(cfg, "gap_sweep_d_um"), cfgmod.build_gap_grid(cfg)
+    else:
+        fiber, gap_nm, dx_um = cfgmod.build_lateral_probe(cfg)
+        spec, _ = cfgmod.build_lattice(cfg)
     payload = _bands_cached(cfg, out_dir, use_cache)
     curves = _curves_from_payload(payload)
     te1 = next((c for c in curves if c.label == "TE-1"), None)
     if te1 is None:
         raise PcwgProbeError("bands contain no TE-1 branch")
-    coupler = cfgmod.build_coupler(cfg)
 
     if args.sweep == "gap":
-        fiber = cfgmod.build_fiber(cfg, d_um=cfg["grids"]["gap_sweep_d_um"])
         rows = gap_sweep(
-            cfgmod.build_gap_grid(cfg),
+            gaps_nm,
             coupler,
             fiber,
             te1,
@@ -195,8 +200,6 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
         return EXIT_OK
 
     # lateral sweep at the near-field probe geometry
-    fiber, gap_nm, dx_um = cfgmod.build_lateral_probe(cfg)
-    spec, _ = cfgmod.build_lattice(cfg)
     from .bands import defect_profile
 
     pm = phase_match_crossing(te1, fiber)

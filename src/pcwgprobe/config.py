@@ -300,6 +300,14 @@ def build_gap_grid(cfg: dict) -> np.ndarray:
 
 
 @_section("grids")
+def build_sweep_fiber(cfg: dict, key: str) -> FiberSpec:
+    """The fiber at the sweep diameter ``grids.<key>`` (um)."""
+    if not float(cfg["grids"][key]) > 0:
+        raise ConfigError(f"config 'grids.{key}': fiber diameter must be positive")
+    return build_fiber(cfg, d_um=cfg["grids"][key])
+
+
+@_section("grids")
 def build_lateral_probe(cfg: dict) -> tuple[FiberSpec, float, np.ndarray]:
     """Fiber, surface gap (nm) and lateral offsets (um) of the lateral sweep."""
     g = cfg["grids"]
@@ -311,4 +319,4 @@ def build_lateral_probe(cfg: dict) -> tuple[FiberSpec, float, np.ndarray]:
     if n < 5 or not 0.0 < span < np.inf:
         raise ConfigError("lateral sweep needs a finite span > 0 and >= 5 points")
     n += 1 - n % 2  # odd: dx = 0 on the grid and the sweep symmetric
-    return build_fiber(cfg, d_um=g["lateral_d_um"]), gap_nm, np.linspace(-span, span, n)
+    return build_sweep_fiber(cfg, "lateral_d_um"), gap_nm, np.linspace(-span, span, n)

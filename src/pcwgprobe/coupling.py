@@ -110,6 +110,15 @@ class CouplerConfig:
 # ---------------------------------------------------------------------------
 
 
+def _power_of_two_units(kappa_per_um, delta_per_um):
+    """kappa and Delta (broadcast) in units of a power of two near the larger,
+    and that unit: exact, and no square of either overflows."""
+    kappa, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                         for v in (kappa_per_um, delta_per_um)))
+    scale = np.ldexp(1.0, np.frexp(np.maximum(np.abs(kappa), np.abs(delta)))[1] - 1)
+    return kappa / scale, delta / scale, scale
+
+
 def contra_transmission(kappa_per_um, l_um, delta_per_um):
     """Contra-directional (Bragg-mediated) transfer: (T, C) power fractions.
 
@@ -119,13 +128,9 @@ def contra_transmission(kappa_per_um, l_um, delta_per_um):
     T = 1/(1 + r) and C = 1/(1 + 1/r), so T + C = 1 at every detuning, and
     an r past the float range gives the limit T = 0, C = 1 exactly.
     """
-    kappa, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                         for v in (kappa_per_um, delta_per_um)))
-    # kappa and Delta in units of a power of two near the larger, L in its inverse:
-    # exact, so r keeps its bits, and no square of kappa or Delta overflows
-    scale = np.ldexp(1.0, np.frexp(np.maximum(np.abs(kappa), np.abs(delta)))[1] - 1)
+    kappa, delta, scale = _power_of_two_units(kappa_per_um, delta_per_um)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        kappa, delta, l_um = kappa / scale, delta / scale, l_um * scale
+        l_um = l_um * scale  # L in the inverse unit: r keeps its bits
         x = kappa**2 - delta**2  # s^2, either sign
         sl2 = np.abs(x) * l_um**2
         root = np.sqrt(np.sqrt(sl2))  # |s| L enters only via sinh^2/sin^2
@@ -143,17 +148,15 @@ def contra_transmission(kappa_per_um, l_um, delta_per_um):
 
 
 def co_transmission(kappa_per_um, l_um, delta_per_um):
-    """Co-directional transfer: C = kappa^2/(kappa^2+Delta^2) sin^2(L sqrt(...))."""
-    kappa = np.asarray(kappa_per_um, dtype=float)
-    delta = np.asarray(delta_per_um, dtype=float)
-    kappa, delta = np.broadcast_arrays(kappa, delta)
+    """Co-directional transfer: C = kappa^2/(kappa^2+Delta^2) sin^2(L sqrt(...)),
+    with no square overflowing; a phase past the float range takes the mean
+    1/2 of sin^2."""
+    kappa, delta, scale = _power_of_two_units(kappa_per_um, delta_per_um)
     s2 = kappa**2 + delta**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(
-            s2 > 0,
-            kappa**2 / np.where(s2 > 0, s2, 1.0) * np.sin(l_um * np.sqrt(s2)) ** 2,
-            0.0,
-        )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phase = l_um * (np.sqrt(s2) * scale)
+        sin2 = np.where(np.isinf(phase), 0.5, np.sin(np.where(np.isinf(phase), 0.0, phase)) ** 2)
+        c = np.where(s2 > 0, kappa**2 / np.where(s2 > 0, s2, 1.0) * sin2, 0.0)
     t = 1.0 - c
     if t.ndim == 0:
         return float(t), float(c)

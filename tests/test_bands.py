@@ -367,6 +367,14 @@ class TestSectorSolve:
             assert 0.5 < s_hf < 1.0
             assert s_hf == pytest.approx(s_fd, abs=1e-4)
 
+    def test_fixed_index_bands_take_no_sensitivity(self, default_spec, monkeypatch):
+        def fail(*args):
+            raise AssertionError("sensitivity called without a dispersive index")
+
+        monkeypatch.setattr(PlaneWaveSolver, "sensitivity", fail)
+        res = waveguide_bands(default_spec, kpath_norm=np.linspace(0.38, 0.48, 5))
+        assert np.isfinite(res.curve("TE-1").omega_norm).all()
+
     def test_te1_sample_at_the_avoided_crossing(self, te1):
         # beta_norm 0.468 sits at an avoided crossing of TE-1 with another
         # even state; a finite-step sensitivity mixed the two there
@@ -376,11 +384,16 @@ class TestSectorSolve:
 
 
 def sector_blocks(solver, beta):
-    """The even and odd Theta blocks at beta, formed as ``solve_k`` forms them."""
+    """The even and odd Theta blocks at beta by the reference formula
+    Theta = K_z eta K_z + K_x eta' K_x in the even basis, eta' the other
+    sector's eta (zero on the m = 0 rows for the odd one)."""
+    (_, eta_e, _), (pos, eta_o_compact, _) = solver._sectors["even"], solver._sectors["odd"]
+    odd = np.ix_(pos, pos)
+    eta_o = np.zeros_like(eta_e)
+    eta_o[odd] = eta_o_compact
     kz = solver._gz + beta
     kzz, gxx = np.outer(kz, kz), np.outer(solver._gx, solver._gx)
-    eta_e, eta_o = solver._eta
-    return {"even": kzz * eta_e + gxx * eta_o, "odd": (kzz * eta_o + gxx * eta_e)[solver._odd]}
+    return {"even": kzz * eta_e + gxx * eta_o, "odd": (kzz * eta_o + gxx * eta_e)[odd]}
 
 
 class TestWindowSolve:
@@ -402,6 +415,24 @@ class TestWindowSolve:
                 np.testing.assert_allclose(omega, om_ref[inside], rtol=1e-12, atol=0)
                 overlap = np.abs(np.sum(vecs * ref[:, inside], axis=0))
                 np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-10)
+
+    def test_factored_blocks_equal_the_reference_formula(self, default_spec, monkeypatch):
+        import scipy.linalg
+
+        kpath = np.linspace(0.30, 0.50, 26)  # the default path
+        _, windows = _defect_windows(default_spec, kpath)
+        solver = PlaneWaveSolver(default_spec)
+        factored, eigh = [], scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda a, **kw: factored.append(a) or eigh(a, **kw))
+        for bn, window in zip(kpath, windows):
+            beta = bn * 2 * np.pi / default_spec.lam_z_um
+            factored.clear()
+            solver.solve_k(beta, window=window)
+            ref = sector_blocks(solver, beta)
+            assert len(factored) == 2
+            for theta, parity in zip(factored, ("even", "odd")):
+                assert np.array_equal(theta, ref[parity])
 
     @pytest.mark.parametrize("one_state", [False, True])
     def test_window_vectors_own_their_memory(self, default_spec, one_state):
@@ -432,14 +463,15 @@ class TestWindowSolve:
         solver = PlaneWaveSolver(default_spec)
         # eigh reads one triangle of Theta; a corrupted other triangle is
         # seen only by the residual
-        eta = solver._eta[0]
-        solver._eta[0] = eta + np.triu(1e-3 * np.abs(eta), 1)
+        rows, eta, x_term = solver._sectors["even"]
+        solver._sectors["even"] = (rows, eta + np.triu(1e-3 * np.abs(eta), 1), x_term)
         with pytest.raises(EigensolverError, match="residual"):
             solver.solve_k(beta, window=window)
 
     def test_lowest_eigenvalue_check_raises(self, default_spec):
         solver = PlaneWaveSolver(default_spec.bulk())
-        solver._eta = [-eta for eta in solver._eta]
+        solver._sectors = {parity: (rows, -eta, -x_term)
+                           for parity, (rows, eta, x_term) in solver._sectors.items()}
         with pytest.raises(EigensolverError, match="not positive semi-definite"):
             solver.solve_k(2.0, 6)
 

@@ -71,6 +71,17 @@ class TestFiberCommand:
         assert "config" in err and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, sweep", [("lateral_d_um", "lateral"),
+                                            ("gap_sweep_d_um", "gap")])
+    def test_sweep_diameter_is_checked_before_the_bands_solve(self, tmp_path, capsys, key,
+                                                              sweep):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"grids: {{{key}: -1.0}}\n")
+        assert run(["--config", cfg, "--out", tmp_path, "couple", "--sweep", sweep]) == 2
+        err = capsys.readouterr().err
+        assert f"'grids.{key}'" in err and "Traceback" not in err
+        assert not (tmp_path / ".cache").exists()
+
     def test_profile_input(self, tmp_path):
         taper = tmp_path / "taper.csv"
         taper.write_text("l_c_mm,d_um\n0.0,0.6\n1.0,1.2\n2.0,2.2\n")

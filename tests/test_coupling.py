@@ -102,6 +102,22 @@ class TestCoTransmission:
     def test_zero_coupling(self):
         assert co_transmission(0.0, 60.0, 0.3) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("kappa, delta", [(1e200, 0.1), (0.1, 1e200), (1e307, 1e307)])
+    def test_strong_coupling_does_not_overflow(self, kappa, delta):
+        t, c = co_transmission(kappa, 60.0, delta)
+        assert np.isfinite(t) and np.isfinite(c)
+        assert t + c == pytest.approx(1.0, abs=1e-15)
+
+    def test_scaling_keeps_ordinary_values(self):
+        # the unscaled formula, bit for bit, where none of its squares overflows
+        rng = np.random.default_rng(20261018)
+        kappa = rng.uniform(0.0, 0.5, 1000)
+        delta = rng.uniform(-0.6, 0.6, 1000)
+        s2 = kappa**2 + delta**2
+        c_ref = kappa**2 / s2 * np.sin(60.0 * np.sqrt(s2)) ** 2
+        t, c = co_transmission(kappa, 60.0, delta)
+        assert np.array_equal(c, c_ref) and np.array_equal(t, 1.0 - c_ref)
+
     def test_envelope_bound(self, rng):
         kappa = rng.uniform(0.001, 0.3, 500)
         delta = rng.uniform(-0.5, 0.5, 500)

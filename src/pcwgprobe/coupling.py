@@ -156,7 +156,7 @@ def co_transmission(kappa_per_um, l_um, delta_per_um):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         phase = l_um * (np.sqrt(s2) * scale)
         sin2 = np.where(np.isinf(phase), 0.5, np.sin(np.where(np.isinf(phase), 0.0, phase)) ** 2)
-        c = np.where(s2 > 0, kappa**2 / np.where(s2 > 0, s2, 1.0) * sin2, 0.0)
+        c = np.where(s2 == 0, 0.0, kappa**2 / np.where(s2 == 0, 1.0, s2) * sin2)
     t = 1.0 - c
     if t.ndim == 0:
         return float(t), float(c)
@@ -173,9 +173,9 @@ class WaveguideProfile:
     """Transverse profile of a PCWG branch for overlap integrals.
 
     ``x_um``/``u`` sample the signed lateral amplitude (unit power:
-    integral |u|^2 dx = 1); the vertical tail above the slab decays at
-    ``gamma_v_per_um``; ``beta_rad_per_um`` is the branch propagation
-    constant at the evaluation point.
+    integral |u|^2 dx = 1) on a uniform grid; ``beta_rad_per_um`` is the
+    branch propagation constant at the wavelength ``lam_um``; the overlap
+    spans a slab of thickness ``slab_t_um`` and permittivity ``eps_bg``.
     """
 
     x_um: np.ndarray
@@ -199,16 +199,19 @@ class WaveguideProfile:
 
 
 _N_VERTICAL = 9  # depth samples of the overlap across the slab
+_DX_BLOCK = 256  # offsets per fiber-tail evaluation: ~5 MB per (block, n_x, 9) temporary
 
 
 def kappa_overlap(fiber_mode: ModeField, wg: WaveguideProfile, gap_nm: float,
-                  dx_um: float = 0.0) -> float:
+                  dx_um=0.0):
     """Coupling coefficient from the field overlap, kappa_perp [1/um].
 
     Quasi-scalar estimate: kappa ~ (k0^2 / 2 sqrt(beta_f beta_wg)) *
     integral of Delta_eps E_fiber* E_wg over the slab cross-section,
     with the fiber mode displaced laterally by dx and vertically by the
-    surface gap.  Both inputs must be power-normalized.
+    surface gap.  Both inputs must be power-normalized.  A scalar
+    ``dx_um`` gives a float; a 1-D array gives one kappa per offset,
+    evaluating the fiber tail for ``_DX_BLOCK`` offsets at a time.
     """
     if wg.norm_residual() > 1e-6:
         raise ValueError("waveguide profile is not power-normalized")
@@ -221,17 +224,17 @@ def kappa_overlap(fiber_mode: ModeField, wg: WaveguideProfile, gap_nm: float,
 
     t = wg.slab_t_um
     depth = (np.arange(_N_VERTICAL) + 0.5) * (t / _N_VERTICAL)
-    xx = wg.x_um[:, None] - dx_um
-    rr = np.hypot(xx, h_um + depth[None, :])
-    psi_f = fiber_mode.radial(rr)  # exterior tail over the slab section
-    vert = np.sum(psi_f, axis=1) * (t / _N_VERTICAL) / np.sqrt(t)
-
     dx_grid = float(np.mean(np.diff(wg.x_um)))
-    overlap = np.sum(np.real(wg.u) * vert) * dx_grid
+    offsets = np.asarray(dx_um, dtype=float)
+    overlap = np.empty(offsets.shape)
+    for i in range(0, offsets.size, _DX_BLOCK):
+        xx = wg.x_um[:, None] - offsets.ravel()[i:i + _DX_BLOCK, None, None]  # (block, n_x, 1)
+        psi_f = fiber_mode.radial(np.hypot(xx, h_um + depth))  # exterior tail over the slab
+        vert = np.sum(psi_f, axis=-1) * (t / _N_VERTICAL) / np.sqrt(t)
+        overlap.flat[i:i + _DX_BLOCK] = np.sum(np.real(wg.u) * vert, axis=-1) * dx_grid
     d_eps = wg.eps_bg - 1.0
-    return float(
-        k0**2 / (2.0 * np.sqrt(beta_f * wg.beta_rad_per_um)) * d_eps * overlap
-    )
+    kappa = k0**2 / (2.0 * np.sqrt(beta_f * wg.beta_rad_per_um)) * d_eps * overlap
+    return float(kappa) if offsets.ndim == 0 else kappa
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +343,7 @@ def lateral_profile(
         raise ValueError("need a 1-D sweep with >= 5 offsets")
     if np.max(np.abs(dx + dx[::-1])) > 1e-9:
         raise ValueError("sweep must be symmetric about dx = 0")
-    kappa = np.array([kappa_overlap(fiber_mode, wg, gap_nm, d) for d in dx])
+    kappa = kappa_overlap(fiber_mode, wg, gap_nm, dx)
     if kappa_at_center is not None:
         center = kappa[np.argmin(np.abs(dx))]
         if center != 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j0, j1, jv, k0e, k1e, kve
+from scipy.special import j0, j1, k0e, k1e
 
 from .errors import ConvergenceError, NoGuidedModeError, ProfileRangeError
 from .roots import bracketed_roots
@@ -200,8 +200,8 @@ def dbeta_dd(spec: FiberSpec, lam_um):
     ``lam_um`` may be a scalar or an array of wavelengths.
     """
     dd = max(1e-3, 1e-3 * spec.d_um)
-    hi = he11_neff(spec, lam_um, spec.d_um + dd)
-    lo = he11_neff(spec, lam_um, spec.d_um - dd)
+    d = np.array([spec.d_um + dd, spec.d_um - dd]).reshape((2,) + (1,) * np.ndim(lam_um))
+    hi, lo = he11_neff(spec, lam_um, d)  # both diameters in one solve
     # beta = n_eff * k0, so (dbeta/dd)/k0 reduces to d(n_eff)/dd.
     sens = (hi - lo) / (2.0 * dd)
     return float(sens) if sens.ndim == 0 else sens
@@ -234,10 +234,8 @@ class ModeField:
         self.gamma_per_um = self.w / self.a_um
         # Closed-form norm of the piecewise J0/K0 profile with psi(a) = 1:
         #   P = pi a^2 [ (J0^2+J1^2)/J0^2 |_u - 1 + K1^2/K0^2 |_w ]
-        ju = jv(0, self.u)
-        j1 = jv(1, self.u)
-        k_ratio = kve(1, self.w) / kve(0, self.w)
-        power = np.pi * self.a_um**2 * ((j1 / ju) ** 2 + k_ratio**2)
+        k_ratio = k1e(self.w) / k0e(self.w)
+        power = np.pi * self.a_um**2 * ((j1(self.u) / j0(self.u)) ** 2 + k_ratio**2)
         self._amp = 1.0 / np.sqrt(power)
 
     def radial(self, r_um):
@@ -246,12 +244,10 @@ class ModeField:
         rho = r / self.a_um
         inside = rho <= 1.0
         out = np.empty(r.shape)
-        out[inside] = jv(0, self.u * rho[inside]) / jv(0, self.u)
+        out[inside] = j0(self.u * rho[inside]) / j0(self.u)
         ro = rho[~inside]
         # K0(w rho)/K0(w) via scaled Bessels to stay finite for large rho.
-        out[~inside] = (
-            kve(0, self.w * ro) / kve(0, self.w) * np.exp(-self.w * (ro - 1.0))
-        )
+        out[~inside] = k0e(self.w * ro) / k0e(self.w) * np.exp(-self.w * (ro - 1.0))
         return self._amp * out
 
     def __call__(self, x_um, y_um):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pcwgprobe import coupling
 from pcwgprobe.coupling import (
     CouplerConfig,
     WaveguideProfile,
@@ -102,6 +103,14 @@ class TestCoTransmission:
     def test_zero_coupling(self):
         assert co_transmission(0.0, 60.0, 0.3) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("kappa, delta", [(np.nan, 0.1), (0.1, np.nan)])
+    def test_nan_input_propagates(self, kappa, delta):
+        # as in contra_transmission: a NaN is not read as "no coupling"
+        t, c = co_transmission(kappa, 60.0, delta)
+        assert np.isnan(t) and np.isnan(c)
+        t, c = co_transmission(np.array([kappa, 0.0]), 60.0, np.array([delta, 0.3]))
+        assert np.isnan(t[0]) and np.isnan(c[0]) and (t[1], c[1]) == (1.0, 0.0)
+
     @pytest.mark.parametrize("kappa, delta", [(1e200, 0.1), (0.1, 1e200), (1e307, 1e307)])
     def test_strong_coupling_does_not_overflow(self, kappa, delta):
         t, c = co_transmission(kappa, 60.0, delta)
@@ -171,6 +180,22 @@ class TestKappaOverlap:
         fit = np.polyval(np.polyfit(gaps * 1e-3, np.log(kappas), 1), gaps * 1e-3)
         rms = np.sqrt(np.mean((np.log(kappas) - fit) ** 2))
         assert rms / np.mean(np.abs(np.log(kappas))) < 0.05
+
+    def test_offset_array_equals_scalar_calls(self):
+        mode = ModeField(FiberSpec(1.0), 1.6)
+        wg = self.make_wg()
+        offsets = np.linspace(-2.0, 2.0, 11)
+        kappas = kappa_overlap(mode, wg, 400.0, offsets)
+        assert kappas.shape == offsets.shape
+        assert np.array_equal(kappas, [kappa_overlap(mode, wg, 400.0, d) for d in offsets])
+        assert type(kappa_overlap(mode, wg, 400.0, 0.5)) is float
+
+    def test_sweep_longer_than_one_block_equals_scalar_calls(self):
+        mode = ModeField(FiberSpec(1.0), 1.6)
+        wg = self.make_wg()
+        offsets = np.linspace(-2.0, 2.0, coupling._DX_BLOCK + 7)
+        kappas = kappa_overlap(mode, wg, 400.0, offsets)
+        assert np.array_equal(kappas, [kappa_overlap(mode, wg, 400.0, d) for d in offsets])
 
     def test_rejects_unnormalized_profile(self):
         mode = ModeField(FiberSpec(1.0), 1.6)

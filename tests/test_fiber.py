@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv, kve
 
 from pcwgprobe import config as cfgmod
 from pcwgprobe import fiber as fibermod
@@ -321,6 +322,15 @@ class TestDiameterSensitivity:
         np.testing.assert_allclose(vector, scalar, rtol=1e-9, atol=0)
         assert [dbeta_dd(spec, lam) for lam in lams] == pytest.approx(vector, rel=1e-9)
 
+    def test_one_solve_equals_two(self):
+        spec = FiberSpec(1.5)
+        lams = np.linspace(1.5, 1.7, 7)
+        dd = 1.5e-3
+        hi, lo = he11_neff(spec, lams, 1.5 + dd), he11_neff(spec, lams, 1.5 - dd)
+        assert np.array_equal(dbeta_dd(spec, lams), (hi - lo) / (2 * dd))
+        assert dbeta_dd(spec, 1.6) == float(
+            (he11_neff(spec, 1.6, 1.5 + dd) - he11_neff(spec, 1.6, 1.5 - dd)) / (2 * dd))
+
     def test_reference_sensitivity_large_taper(self):
         assert dbeta_dd(FiberSpec(1.9), 1.6) == pytest.approx(0.084, rel=0.20)
 
@@ -368,6 +378,20 @@ class TestModeField:
             lambda r: 2 * np.pi * r * mode.radial(r) ** 2, 0.0, 40.0, limit=400
         )
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("d_um", [0.9, 1.0, 1.9])
+    def test_matches_order_nu_bessel_reference(self, d_um):
+        # the cephes J0/J1/K0e/K1e field against one built from scipy's
+        # order-nu jv/kve; u stays well below j01, where j0 and jv(0) agree
+        mode = ModeField(FiberSpec(d_um), 1.6)
+        a, u, w = d_um / 2, mode.u, mode.w
+        assert u < 0.9 * J01
+        power = np.pi * a**2 * ((jv(1, u) / jv(0, u)) ** 2 + (kve(1, w) / kve(0, w)) ** 2)
+        r = np.linspace(0.0, 3.0 * a, 301)
+        rho = r / a
+        ref = np.where(rho <= 1.0, jv(0, u * rho) / jv(0, u),
+                       kve(0, w * rho) / kve(0, w) * np.exp(-w * (rho - 1.0)))
+        assert mode.radial(r) == pytest.approx(ref / np.sqrt(power), rel=1e-13, abs=0)
 
     def test_cartesian_evaluation_is_complex_and_radial(self):
         mode = ModeField(FiberSpec(1.1), 1.55)

@@ -320,15 +320,18 @@ class PlaneWaveSolver:
     def n_pw(self):
         return self.g.shape[0]
 
-    def solve_k(self, beta_rad_per_um: float, num_bands: int | None = None, window=None):
+    def solve_k(self, beta_rad_per_um: float, num_bands: int | None = None, window=None,
+                parities=("even", "odd")):
         """Eigenfrequencies (normalized L_z/lambda) at k = (beta, 0).
 
-        With ``num_bands``: the lowest ``num_bands`` of both sectors,
-        merged and sorted; a negative lowest eigenvalue raises
+        Only the mirror sectors named in ``parities`` are solved; the
+        sectors are independent, so leaving one out changes nothing in the
+        other.  With ``num_bands``: the lowest ``num_bands`` of the solved
+        sectors, merged and sorted; a negative lowest eigenvalue raises
         EigensolverError.  With ``window=(lo, hi)``, 0 <= lo < hi: only the
         states with lo < omega < hi (LAPACK syevr computes just those), as
-        {"even": (omega, vecs), "odd": (omega, vecs)} with the eigenvectors
-        as columns in the sector basis.  A window cannot see the lowest
+        {parity: (omega, vecs)} per solved sector with the eigenvectors as
+        columns in the sector basis.  A window cannot see the lowest
         eigenvalue, but Theta is PSD by construction (see the class notes);
         each vector must satisfy |Theta v - w^2 v| <= 1e-9 w^2.
         """
@@ -337,7 +340,8 @@ class PlaneWaveSolver:
         kz = self._gz + beta_rad_per_um
         to_omega = self.spec.lam_z_um / (2.0 * np.pi)
         found = {}
-        for parity, (rows, eta, x_term) in self._sectors.items():
+        for parity in parities:
+            rows, eta, x_term = self._sectors[parity]
             theta = np.outer(kz[rows], kz[rows]) * eta + x_term
             where = f"at beta={beta_rad_per_um:.6f} rad/um ({parity} sector, n_pw={self.n_pw})"
             try:
@@ -535,6 +539,7 @@ def waveguide_bands(
     spec: PCWaveguideSpec,
     kpath_norm,
     dispersive: DispersiveIndex | None = None,
+    parities=("even", "odd"),
 ) -> WaveguideBandsResult:
     """Supercell bands with the graded-defect branches identified and labeled.
 
@@ -543,7 +548,10 @@ def waveguide_bands(
     by eigenvector overlap within their mirror sector; each k solves only
     the states in its local stop band (``_defect_windows``).  The even branch
     with negative group velocity (connected to the conduction-band edge)
-    is labeled TE-1; its odd counterpart, when present, TE-1-odd.
+    is labeled TE-1; its odd counterpart, when present, TE-1-odd.  Only
+    the sectors in ``parities`` are solved: tracking and labeling stay
+    within a sector, so each branch of a solved sector is the same as with
+    both (``("even",)`` gives the same TE-1 and no odd branch).
 
     With ``dispersive`` given, the bands are solved at its reference
     index and each defect sample then solves the fixed point
@@ -559,10 +567,10 @@ def waveguide_bands(
     gap, windows = _defect_windows(spec, kpath_norm)
 
     solver = PlaneWaveSolver(spec)
-    cand_per_k = {"even": [], "odd": []}
+    cand_per_k = {parity: [] for parity in parities}
     for bn, window in zip(kpath_norm, windows):
         beta = bn * 2.0 * np.pi / spec.lam_z_um
-        for parity, (omega, vecs) in solver.solve_k(beta, window=window).items():
+        for parity, (omega, vecs) in solver.solve_k(beta, window=window, parities=parities).items():
             cand_per_k[parity].append([
                 (w, v, solver.sensitivity(beta, w, v) if dispersive is not None else np.nan)
                 for w, v in zip(omega, vecs.T)
@@ -625,14 +633,17 @@ def defect_profile(spec: PCWaveguideSpec, curve: BandCurve, beta_norm: float):
     Returns (x_um, u) with u the m_z = 0 harmonic of H (the component
     that phase-matches a co-reduced external wave), normalized to unit
     power: integral |u|^2 dx = 1.  The state is the localized one of the
-    curve's own mirror sector, inside the stop-band window of
-    ``waveguide_bands``, nearest the curve's frequency; u keeps the
-    lateral sign, so odd branches yield an antisymmetric profile.
+    curve's own mirror sector (odd for an odd curve, even otherwise), the
+    only sector solved, inside the stop-band window of ``waveguide_bands``,
+    nearest the curve's frequency; u keeps the lateral sign, so odd
+    branches yield an antisymmetric profile.
     """
     _, (window,) = _defect_windows(spec, [beta_norm])
     solver = PlaneWaveSolver(spec)
-    states = solver.solve_k(beta_norm * 2.0 * np.pi / spec.lam_z_um, window=window)
-    omega, vecs = states["odd" if curve.parity == "odd" else "even"]
+    parity = "odd" if curve.parity == "odd" else "even"
+    states = solver.solve_k(beta_norm * 2.0 * np.pi / spec.lam_z_um, window=window,
+                            parities=(parity,))
+    omega, vecs = states[parity]
     target = float(np.interp(beta_norm, curve.beta_norm, curve.omega_norm))
     # 0.4, not _LOCALIZATION_THRESHOLD: at the default probe point (beta_norm 0.358) the nearest
     # state is one of a near-degenerate even pair, localized 0.48 (taken) and 0.91
@@ -723,7 +734,8 @@ def thinning_shift(
     with the slab indices taken at ``lam_um``.
 
     TE-1: mean shift of the supercell defect branch, recomputed with the
-    order-0 effective index of each thickness.  TE-2 is hosted by the
+    order-0 effective index of each thickness; TE-1 is even, so only the
+    even sector is solved.  TE-2 is hosted by the
     second-order vertical band; its shift is tracked on the (bulk)
     valence band edge at X computed with the order-1 index, which is
     what sets how fast it moves with thickness.  Raises ModeCutoffError
@@ -740,7 +752,8 @@ def thinning_shift(
 
     te1 = {}
     for tag, n_eff in (("thick", n0_thick), ("thin", n0_thin)):
-        res = waveguide_bands(spec.with_n_eff(n_eff), kpath_norm=_THINNING_KPATH)
+        res = waveguide_bands(spec.with_n_eff(n_eff), kpath_norm=_THINNING_KPATH,
+                              parities=("even",))
         te1[tag] = res.curve("TE-1")
     k_thick, k_thin = (np.round(te1[tag].beta_norm, 9) for tag in ("thick", "thin"))
     common, i_thick, i_thin = np.intersect1d(k_thick, k_thin, return_indices=True)

@@ -129,6 +129,8 @@ def cmd_fiber(cfg, args, out_dir: Path) -> int:
 
 
 def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
+    if args.thinned is not None and not (np.isfinite(args.thinned) and args.thinned > 0):
+        raise ConfigError(f"--thinned T_NM must be a finite thickness > 0 nm, got {args.thinned}")
     payload = _bands_cached(cfg, out_dir, use_cache)
     curves = _curves_from_payload(payload)
     fiber = cfgmod.build_fiber(cfg)

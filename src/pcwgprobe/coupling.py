@@ -209,7 +209,8 @@ def kappa_overlap(fiber_mode: ModeField, wg: WaveguideProfile, gap_nm: float,
     Quasi-scalar estimate: kappa ~ (k0^2 / 2 sqrt(beta_f beta_wg)) *
     integral of Delta_eps E_fiber* E_wg over the slab cross-section,
     with the fiber mode displaced laterally by dx and vertically by the
-    surface gap.  Both inputs must be power-normalized.  A scalar
+    surface gap.  Both inputs must be power-normalized and taken at the
+    same wavelength (to 1e-12 relative), else ValueError.  A scalar
     ``dx_um`` gives a float; a 1-D array gives one kappa per offset,
     evaluating the fiber tail for ``_DX_BLOCK`` offsets at a time.
     """
@@ -218,6 +219,9 @@ def kappa_overlap(fiber_mode: ModeField, wg: WaveguideProfile, gap_nm: float,
     if gap_nm < 0:
         raise ValueError("gap must be >= 0")
     lam = fiber_mode.point.wavelength_um
+    if not abs(wg.lam_um - lam) <= 1e-12 * lam:
+        raise ValueError(f"waveguide profile wavelength {wg.lam_um} um differs from "
+                         f"the fiber mode's {lam} um")
     k0 = 2.0 * np.pi / lam
     beta_f = fiber_mode.point.beta_rad_per_um
     h_um = gap_nm * 1e-3 + fiber_mode.spec.d_um / 2.0  # fiber axis above slab top

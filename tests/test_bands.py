@@ -476,6 +476,47 @@ class TestWindowSolve:
             solver.solve_k(2.0, 6)
 
 
+class TestSectorSelection:
+    """A caller that reads one mirror sector solves only that one."""
+
+    @pytest.mark.parametrize("t_nm", [340.0, 300.0])  # both thicknesses of thinning_shift
+    def test_even_only_te1_equals_the_two_sector_one(self, default_spec, t_nm):
+        from pcwgprobe.bands import _THINNING_KPATH
+        from pcwgprobe.slab import slab_effective_index
+
+        spec = default_spec.with_n_eff(slab_effective_index(SlabSpec(t_nm), LAM_REF_UM, 0))
+        both = waveguide_bands(spec, kpath_norm=_THINNING_KPATH)
+        even = waveguide_bands(spec, kpath_norm=_THINNING_KPATH, parities=("even",))
+        assert {c.parity for c in even.curves} == {"even"}
+        for name in ("beta_rad_per_um", "omega_norm"):
+            assert np.array_equal(getattr(even.curve("TE-1"), name),
+                                  getattr(both.curve("TE-1"), name))
+
+    def test_thinning_and_profile_skip_the_unread_sector(self, default_spec, te1, monkeypatch):
+        import scipy.linalg
+
+        calls, eigh = [], scipy.linalg.eigh  # (rows, windowed) of every eigensolve
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda a, **kw: calls.append(
+            (a.shape[0], "subset_by_value" in kw)) or eigh(a, **kw))
+        thinning_shift(default_spec, SlabSpec(340.0), 300.0, LAM_REF_UM)
+        assert not any(rows == 357 for rows, _ in calls)  # the odd supercell block
+        assert sum(windowed for _, windowed in calls) == 2 * 13  # one even solve per k
+        calls.clear()
+        defect_profile(default_spec, te1, 0.358)
+        assert [rows for rows, windowed in calls if windowed] == [364]
+
+    @pytest.mark.parametrize("beta_norm", [0.358, 0.40])
+    def test_profile_equals_the_state_of_a_two_sector_solve(self, default_spec, te1, te1_odd,
+                                                            beta_norm, monkeypatch):
+        one = [defect_profile(default_spec, c, beta_norm) for c in (te1, te1_odd)]
+        solve_k = PlaneWaveSolver.solve_k  # every call solves both sectors
+        monkeypatch.setattr(PlaneWaveSolver, "solve_k", lambda self, beta, num_bands=None,
+                            window=None, parities=None: solve_k(self, beta, num_bands, window))
+        for (x, u), curve in zip(one, (te1, te1_odd)):
+            x2, u2 = defect_profile(default_spec, curve, beta_norm)
+            assert np.array_equal(x, x2) and np.array_equal(u, u2)
+
+
 class TestDispersiveFixedPoint:
     # the default dispersive samples of the per-sample brentq fixed point that
     # the array solve replaced (beta_norm 0.30 ... 0.50 in 26 steps)

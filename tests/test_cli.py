@@ -136,6 +136,14 @@ class TestBandsCommand:
         shifts = payload["thinning"]["d_omega_norm"]
         assert shifts["TE-2"] > shifts["TE-1"] > 0
 
+    @pytest.mark.parametrize("t_nm", ["-5", "0", "nan", "inf"])
+    def test_invalid_thinned_thickness_exits_2_before_the_bands_solve(self, tmp_path, capsys,
+                                                                      t_nm):
+        assert run(["--out", tmp_path, "bands", "--thinned", t_nm]) == 2
+        err = capsys.readouterr().err
+        assert "--thinned" in err and "Traceback" not in err
+        assert not (tmp_path / ".cache").exists()
+
     def test_thinned_shifts_use_the_configured_reference_wavelength(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("lattice: {lam_ref_um: 1.55}\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +208,14 @@ class TestKappaOverlap:
         )
         with pytest.raises(ValueError):
             kappa_overlap(mode, bad, 400.0)
+
+    def test_rejects_a_profile_at_another_wavelength(self):
+        mode, wg = ModeField(FiberSpec(1.0), 1.6), self.make_wg()
+        with pytest.raises(ValueError, match="wavelength"):
+            kappa_overlap(mode, replace(wg, lam_um=1.55), 400.0)
+        # one ulp apart still matches
+        near = replace(wg, lam_um=np.nextafter(1.6, 2.0))
+        assert kappa_overlap(mode, near, 400.0) == kappa_overlap(mode, wg, 400.0)
 
 
 class TestIdeality:

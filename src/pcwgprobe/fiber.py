@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import j0, j1, k0e, k1e
 
 from .errors import ConvergenceError, NoGuidedModeError, ProfileRangeError
-from .roots import bracketed_roots
+from .roots import bracketed_roots, opposite_signs
 
 C_UM_PER_S = 2.99792458e14  # speed of light [um/s]
 
@@ -154,7 +154,7 @@ def _he11_roots(n1, n2, a_k0):
         args = n1.flat[i], n2.flat[i], a_k0.flat[i]
         v = args[2] * np.sqrt(args[0] ** 2 - args[1] ** 2)
         fa, fb = (_char_m1(x, *args)[0] for x in (a.flat[i], b.flat[i]))
-        if not fa * fb < 0:
+        if not opposite_signs(fa, fb):
             raise NoGuidedModeError(
                 f"no guided m=1 solution bracketed for V={v:.3f} "
                 f"(diameter too small for the numerical bracket)")
@@ -255,6 +255,51 @@ class ModeField:
         return self.radial(np.hypot(x_um, y_um)).astype(complex)
 
 
+def _pchip_slopes(x, y):
+    """Knot slopes of the monotone PCHIP through (x, y), as scipy's
+    PchipInterpolator takes them: the weighted harmonic mean of the two
+    secants, 0 where they differ in sign or one vanishes, and a one-sided
+    three-point estimate at each end, set to 0 or 3 m0 to keep the shape.
+    Two knots give the secant at both."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    d = np.zeros_like(y)
+    k = np.flatnonzero((np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0))
+    w1, w2 = 2 * h[k + 1] + h[k], h[k + 1] + 2 * h[k]
+    d[k + 1] = 1.0 / ((w1 / m[k] + w2 / m[k + 1]) / (w1 + w2))
+    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
+        d[end] = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d[end]) != np.sign(m0):
+            d[end] = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(d[end]) > 3.0 * abs(m0):
+            d[end] = 3.0 * m0
+    return d
+
+
+def _hermite_cubics(x, y, dydx):
+    """Power-basis coefficients (c0, c1, c2, c3) of the cubic Hermite
+    interpolant of values ``y`` and slopes ``dydx`` at the knots ``x``: on
+    [x_i, x_i+1] it is c0 s^3 + c1 s^2 + c2 s + c3 with s = x - x_i, by
+    scipy's CubicHermiteSpline formulas."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / h
+    return np.stack((t / h, (slope - dydx[:-1]) / h - t, dydx[:-1], y[:-1]))
+
+
+def _hermite_eval(x, c, xq):
+    """Piecewise cubic ``c`` (from ``_hermite_cubics``) at ``xq``, summed as
+    scipy's PPoly sums it, so the values agree bit for bit: intervals are
+    [x_i, x_i+1), the last one closed."""
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    s = xq - x[i]
+    c0, c1, c2, c3 = c[:, i]
+    return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
 @dataclass(frozen=True)
 class TaperProfile:
     """Fiber diameter versus position along the taper, d(l_c).
@@ -262,17 +307,16 @@ class TaperProfile:
     ``l_c_mm`` must be strictly increasing; the diameter must not
     decrease moving away from the waist (the minimum-diameter point).
     Interpolation is monotone piecewise-cubic (PCHIP), exact at the
-    sample points.
+    sample points and equal, bit for bit, to scipy's PchipInterpolator,
+    in numpy alone.
     """
 
     l_c_mm: tuple
     d_um: tuple
     name: str = "taper"
-    _interp: object = field(init=False, repr=False, compare=False)  # PchipInterpolator
+    _interp: tuple = field(init=False, repr=False, compare=False)  # knots, PCHIP cubics
 
     def __post_init__(self):
-        from scipy.interpolate import PchipInterpolator
-
         lc = np.asarray(self.l_c_mm, dtype=float)
         d = np.asarray(self.d_um, dtype=float)
         if lc.ndim != 1 or lc.size < 2 or lc.shape != d.shape:
@@ -288,7 +332,7 @@ class TaperProfile:
             raise ValueError("diameter must be non-decreasing away from the waist")
         object.__setattr__(self, "l_c_mm", tuple(float(v) for v in lc))
         object.__setattr__(self, "d_um", tuple(float(v) for v in d))
-        object.__setattr__(self, "_interp", PchipInterpolator(lc, d))
+        object.__setattr__(self, "_interp", (lc, _hermite_cubics(lc, d, _pchip_slopes(lc, d))))
 
     @property
     def span_mm(self):
@@ -302,7 +346,7 @@ class TaperProfile:
             raise ProfileRangeError(
                 f"l_c outside sampled range [{lo}, {hi}] mm"
             )
-        val = self._interp(lc)
+        val = _hermite_eval(*self._interp, lc)
         return float(val) if np.isscalar(l_c_mm) else val
 
     @classmethod

@@ -202,6 +202,9 @@ def _branch_beta_of_lambda(curve: BandCurve, lam_nm_grid: np.ndarray):
     return out
 
 
+_MAP_BLOCK = 6144  # (position, sub-position, wavelength) elements per fiber solve
+
+
 def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fiber: FiberSpec,
                    wavelengths_nm, lc_mm, *, include_loss: bool, noise_sigma: float = 0.0,
                    seed: int | None = None, n_sub: int = 5) -> TransmissionMap:
@@ -232,21 +235,23 @@ def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fi
     lam_mid_um = float(np.mean(lam_um))
 
     d_sub = taper.diameter_at(np.clip(lc_mm[:, None] + offsets, lo, hi))  # (lc, sub-position)
-    kappa = coupler.kappa_perp(fiber, lam_mid_um, d_um=d_sub)  # one solve for all of them
+    kappa = coupler.kappa_perp(fiber, lam_mid_um, d_um=d_sub)[..., None]  # one solve for all
+    scatter = np.ones(lc_mm.size)
+    if include_loss:
+        scatter = np.array([coupler.scattering_transmission(d)
+                            for d in taper.diameter_at(lc_mm).tolist()])
     t = np.empty((lc_mm.size, wavelengths_nm.size))
-    for i, lc in enumerate(lc_mm):
-        # one (sub-position x wavelength) fiber solve per taper position
-        beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um, d_sub[i, :, None]) / lam_um
+    rows = max(1, _MAP_BLOCK // (offsets.size * lam_um.size))
+    for i in range(0, lc_mm.size, rows):
+        blk = slice(i, i + rows)
+        # one (position x sub-position x wavelength) fiber solve per block
+        beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um, d_sub[blk, :, None]) / lam_um
         t_sub = np.ones(beta_f.shape)
         for c in curves:
             delta = 0.5 * (beta_f - betas[c.label])
             transfer = contra_transmission if contra[c.label] else co_transmission
-            t_sub = t_sub * transfer(kappa[i, :, None], coupler.l_c_um, delta)[0]
-        row = t_sub.sum(axis=0) / offsets.size
-        if include_loss:
-            d_center = float(taper.diameter_at(lc))
-            row = row * coupler.scattering_transmission(d_center)
-        t[i] = row
+            t_sub = t_sub * transfer(kappa[blk], coupler.l_c_um, delta)[0]
+        t[blk] = t_sub.sum(axis=1) / offsets.size * scatter[blk, None]
 
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -434,7 +439,7 @@ def label_branches(points: list, taper: TaperProfile) -> list:
             continue
         lc = np.array([p.lc_mm for p in branch_points])
         lam = np.array([p.lambda_min_nm for p in branch_points])
-        d = np.array([taper.diameter_at(v) for v in lc])
+        d = taper.diameter_at(lc)
         if np.ptp(d) <= 0:
             continue
         slope = np.polyfit(d, lam, 1)[0]

@@ -8,6 +8,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def opposite_signs(fa, fb):
+    """Elementwise: fa and fb are nonzero with opposite signs.  Compares
+    signs, so no product under- or overflows; a NaN is no sign change."""
+    return np.sign(fa) * np.sign(fb) < 0
+
+
 def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, max_iter=60):
     """Roots of ``f(x, *args) = 0`` in the brackets (a, b), elementwise.
 
@@ -30,7 +36,7 @@ def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, 
     if newton := isinstance(fb, tuple):
         (fa, _), (fb, g) = fa, fb
     out = np.full(a.size, np.nan)
-    todo = np.flatnonzero(fa * fb < 0)  # elements still refining; b is the newest iterate
+    todo = np.flatnonzero(opposite_signs(fa, fb))  # elements refining; b is the newest iterate
     # g is the slope at b (Newton) or the scaled value at a (regula falsi)
     a, b, fb, g = a[todo], b[todo], fb[todo], (g if newton else fa)[todo]
     last = before = np.abs(b - a)  # Newton: the last two step lengths
@@ -52,11 +58,11 @@ def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, 
             if not todo.size:
                 break
             fc, g = f(c, *(p[todo] for p in args))
-            a = np.where(fc * fb < 0, b, a)
+            a = np.where(opposite_signs(fc, fb), b, a)
         else:
             c = b - fb * (b - a) / (fb - g)
             fc = f(c, *(p[todo] for p in args))
-            flip = fc * fb < 0
+            flip = opposite_signs(fc, fb)
             m = 1.0 - fc / fb
             a = np.where(flip, b, a)
             g = np.where(flip, fb, np.where(m > 0, m, 0.5) * g)

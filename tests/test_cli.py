@@ -361,6 +361,29 @@ class TestGlobalFlags:
         assert lines[-1] == "[]"  # after a warm bands run
         assert any(line.startswith("TE-1 crosses") for line in lines)
 
+    def test_map_and_profile_commands_leave_interpolate_unimported(self, cli_out):
+        profile = cli_out / "taper.csv"
+        profile.write_text("l_c_mm,d_um\n0.0,0.6\n1.0,1.2\n2.0,2.0\n")
+        out = str(cli_out)
+        script = (
+            "import sys\n"
+            "import pcwgprobe.cli as cli\n"
+            f"assert cli.main(['--out', {out!r}, 'map', 'synth']) == 0\n"
+            f"assert cli.main(['--out', {out!r}, 'map', 'analyze', '--in',"
+            f" {out + '/map.csv'!r}]) == 0\n"
+            f"assert cli.main(['--out', {out!r}, 'fiber', '--profile', {str(profile)!r},"
+            " '--lc-mm', '1.5']) == 0\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert (cli_out / "bandpoints.json").exists()
+        assert (cli_out / "fiber_dispersion.csv").exists()
+
     def test_outputs_end_with_single_newline(self, tmp_path):
         assert run(["--out", tmp_path, "fiber", "--d-um", "1.0"]) == 0
         data = (tmp_path / "fiber_dispersion.csv").read_bytes()

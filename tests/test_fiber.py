@@ -453,3 +453,44 @@ class TestTaperProfile:
         profile = TaperProfile.exponential(0.6, 5.5)
         assert profile.diameter_at(5.5) == pytest.approx(125.0, rel=1e-9)
         assert profile.diameter_at(0.0) == pytest.approx(0.6, rel=1e-12)
+
+
+def assert_pchip_matches_scipy(lc, d, n):
+    """The profile equals scipy's PchipInterpolator bit for bit on ``n``
+    points across the span, and is exact at every knot."""
+    from scipy.interpolate import PchipInterpolator
+
+    profile = TaperProfile(tuple(lc), tuple(d))
+    x = np.linspace(lc[0], lc[-1], n)
+    ours, ref = profile.diameter_at(x), PchipInterpolator(np.array(lc), np.array(d))(x)
+    np.testing.assert_array_equal(ours, ref)
+    assert ours.tobytes() == ref.tobytes()
+    assert profile.diameter_at(np.array(lc)).tobytes() == np.array(d, dtype=float).tobytes()
+    assert [profile.diameter_at(v) for v in lc] == list(profile.d_um)  # the last knot too
+
+
+class TestPchipAgainstScipy:
+    def test_default_exponential_taper(self, default_taper):
+        assert_pchip_matches_scipy(default_taper.l_c_mm, default_taper.d_um, 200_001)
+
+    def test_two_samples_are_the_secant(self):
+        assert_pchip_matches_scipy((0.0, 1.5), (1.0, 3.0), 1001)
+        assert fibermod._pchip_slopes(np.array([0.0, 1.5]), np.array([1.0, 3.0])).tolist() == [
+            4 / 3, 4 / 3]
+
+    def test_flat_segment(self):
+        assert_pchip_matches_scipy((0.0, 1.0, 2.0, 3.5, 4.0), (2.0, 1.0, 1.0, 1.5, 4.0), 10_001)
+
+    def test_waist_inside_the_span(self):
+        # the secants change sign at the 0.8 um waist: its knot slope is 0
+        lc, d = (0.0, 0.3, 1.0, 1.2, 2.0, 3.0), (3.0, 1.5, 0.8, 0.9, 2.0, 5.0)
+        assert_pchip_matches_scipy(lc, d, 10_001)
+        assert fibermod._pchip_slopes(np.array(lc), np.array(d))[2] == 0.0
+
+    def test_both_branches_of_the_end_rule(self):
+        # left end: the three-point estimate 3.5 has the wrong sign, so 0;
+        # right end: 6.5 overshoots 3 m0 with the secants of opposite sign, so 3
+        lc, d = (0.0, 1.0, 2.0, 3.0), (12.0, 11.0, 1.0, 2.0)
+        slopes = fibermod._pchip_slopes(np.array(lc), np.array(d))
+        assert (slopes[0], slopes[-1]) == (0.0, 3.0)
+        assert_pchip_matches_scipy(lc, d, 10_001)

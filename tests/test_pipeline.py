@@ -80,6 +80,29 @@ class TestSynthesis:
         dip_lam = tmap.wavelengths_nm[np.argmin(tmap.t, axis=1)]
         assert np.all(np.diff(dip_lam) > 0)
 
+    def test_blocked_solve_equals_one_position_at_a_time(self, small_setup, monkeypatch):
+        # 7 positions of 5 sub-positions x 241 wavelengths: blocks of 5 and 2
+        from pcwgprobe import pipeline
+
+        taper, coupler, fiber = small_setup
+        curves = [linear_curve("A", omega_at=0.4061, slope=-0.25),
+                  linear_curve("B", omega_at=0.2168, slope=+0.25)]
+        lc = np.linspace(0.25, 0.38, 7)
+        solves = []
+        he11 = pipeline.he11_neff
+        monkeypatch.setattr(pipeline, "he11_neff", lambda *a: solves.append(a) or he11(*a))
+        for loss in (False, True):
+            blocked = synthesize_map(taper, curves, coupler, fiber, LAM_NM, lc,
+                                     include_loss=loss).t
+            assert len(solves) == 2
+            single = np.vstack([
+                synthesize_map(taper, curves, coupler, fiber, LAM_NM, lc[i:i + 1],
+                               include_loss=loss).t
+                for i in range(lc.size)
+            ])
+            assert blocked.tobytes() == single.tobytes()
+            solves.clear()
+
     def test_band_coverage_validated(self, small_setup):
         taper, coupler, fiber = small_setup
         far = linear_curve("TE-1", omega_at=0.9)  # lambda ~ 560-640 nm

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcwgprobe.roots import bracketed_roots
+from pcwgprobe.roots import bracketed_roots, opposite_signs
 
 
 def test_array_of_brackets_solved_at_once():
@@ -80,3 +80,34 @@ def test_slope_path_keeps_the_nan_rule():
     assert roots[0] == pytest.approx(1.0, abs=1e-11)
     assert np.isnan(roots[1]) and np.isnan(roots[2])
     assert np.isnan(bracketed_roots(tanh_with_slope, -1.0, 2.0, max_iter=3))
+
+
+# residuals of 1e-200 multiply to an underflowing -0.0, and of 1e300 to an
+# overflow; the sign-change test compares signs instead
+def tiny(x):
+    return 1e-200 * (x - 0.3)
+
+
+def tiny_with_slope(x):
+    return tiny(x), np.full(np.shape(x), 1e-200)
+
+
+@pytest.mark.parametrize("f", [tiny, tiny_with_slope], ids=["regula_falsi", "newton"])
+def test_underflowing_residual_product_keeps_the_root(f):
+    assert float(bracketed_roots(f, 0.0, 1.0)) == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("slope", [False, True], ids=["regula_falsi", "newton"])
+def test_large_residuals_raise_no_overflow(slope):
+    # the suite turns RuntimeWarning into an error, so an overflow fails here
+    def huge(x):
+        value = 1e300 * (x - 0.3)
+        return (value, np.full(np.shape(x), 1e300)) if slope else value
+
+    assert float(bracketed_roots(huge, 0.0, 1.0)) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_opposite_signs_ignores_zero_and_nan():
+    fa = np.array([-1e-200, 1e300, 0.0, np.nan, 2.0, -0.0])
+    fb = np.array([1e-200, -1e300, 1.0, -1.0, 3.0, 1.0])
+    assert opposite_signs(fa, fb).tolist() == [True, True, False, False, False, False]

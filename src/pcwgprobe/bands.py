@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import j1
 
 from .errors import BandCoverageError, ConvergenceError, EigensolverError, NoDefectModeError
 from .fiber import C_UM_PER_S, he11_neff
@@ -214,8 +215,6 @@ def _basis(spec: PCWaveguideSpec):
 
 def _hole_factor(q, radius_um, cell_area_um2):
     """Fourier factor of one circular hole: 2 f J1(qR)/(qR); f at q=0."""
-    from scipy.special import j1
-
     f = np.pi * radius_um**2 / cell_area_um2
     qr = q * radius_um
     out = np.full(np.shape(qr), f, dtype=float)
@@ -761,10 +760,9 @@ def thinning_shift(
         raise NoDefectModeError("TE-1 branches at the two thicknesses share no k-points")
     shift_te1 = float(np.mean(te1["thin"].omega_norm[i_thin] - te1["thick"].omega_norm[i_thick]))
 
-    edge = {}
-    for tag, n_eff in (("thick", n1_thick), ("thin", n1_thin)):
-        res = bulk_bands(spec.bulk().with_n_eff(n_eff), num_bands=2)
-        edge[tag] = float(np.max(res.curves[0].omega_norm))
-    shift_te2 = edge["thin"] - edge["thick"]
+    # band 1 rises monotonically along Gamma-X, so its edge is the one solve at X
+    edge = [float(PlaneWaveSolver(spec.bulk().with_n_eff(n)).solve_k(np.pi / spec.lam_z_um, 2)[0])
+            for n in (n1_thick, n1_thin)]
+    shift_te2 = edge[1] - edge[0]
 
     return ThinningShift({"TE-1": shift_te1, "TE-2": shift_te2}, spec.lam_z_um)

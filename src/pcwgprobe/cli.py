@@ -20,13 +20,14 @@ import numpy as np
 from . import config as cfgmod
 from .bands import (
     BandCurve,
+    defect_profile,
     phase_match_crossing,
     thinning_shift,
     waveguide_bands,
 )
 from .coupling import lateral_profile, WaveguideProfile
 from .errors import ConfigError, MapFormatError, PcwgProbeError, ProfileRangeError
-from .fiber import ModeField, dbeta_dd, he11_neff
+from .fiber import ModeField, TaperProfile, dbeta_dd, he11_neff
 from .pipeline import (
     TransmissionMap,
     atomic_write,
@@ -97,14 +98,20 @@ def _curves_from_payload(payload):
     return [BandCurve.from_dict(d, lam_z_um) for d in payload["curves"]]
 
 
+def _te1(curves):
+    """The TE-1 curve; PcwgProbeError if the bands hold none."""
+    te1 = next((c for c in curves if c.label == "TE-1"), None)
+    if te1 is None:
+        raise PcwgProbeError("bands contain no TE-1 branch")
+    return te1
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_fiber(cfg, args, out_dir: Path) -> int:
     lam_nm = cfgmod.build_lambda_grid(cfg)
     if args.profile:
-        from .fiber import TaperProfile
-
         if args.lc_mm is None:
             raise ConfigError("--profile needs --lc-mm to pick the position")
         try:
@@ -134,23 +141,21 @@ def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
     payload = _bands_cached(cfg, out_dir, use_cache)
     curves = _curves_from_payload(payload)
     fiber = cfgmod.build_fiber(cfg)
-    te1 = next((c for c in curves if c.label == "TE-1"), None)
-    if te1 is not None:
-        try:
-            pm = phase_match_crossing(te1, fiber)
-            payload["phase_match"] = {
-                "fiber_d_um": fiber.d_um,
-                "lambda_nm": pm.lambda_nm,
-                "beta_rad_per_um": pm.beta_rad_per_um,
-                "n_g_branch": pm.n_g_branch,
-            }
-            print(
-                f"TE-1 crosses the d={fiber.d_um} um fiber curve at "
-                f"{pm.lambda_nm:.1f} nm (n_g = {pm.n_g_branch:.2f})"
-            )
-        except PcwgProbeError as exc:
-            payload["phase_match"] = None
-            print(f"no phase match: {exc}", file=sys.stderr)
+    try:
+        pm = phase_match_crossing(_te1(curves), fiber)
+        payload["phase_match"] = {
+            "fiber_d_um": fiber.d_um,
+            "lambda_nm": pm.lambda_nm,
+            "beta_rad_per_um": pm.beta_rad_per_um,
+            "n_g_branch": pm.n_g_branch,
+        }
+        print(
+            f"TE-1 crosses the d={fiber.d_um} um fiber curve at "
+            f"{pm.lambda_nm:.1f} nm (n_g = {pm.n_g_branch:.2f})"
+        )
+    except PcwgProbeError as exc:
+        payload["phase_match"] = None
+        print(f"no phase match: {exc}", file=sys.stderr)
     if payload["gap_norm"]:
         lo, hi = payload["gap_norm"]
         print(f"Gamma-X stop band (L_z/lambda): {lo:.4f} - {hi:.4f}")
@@ -179,10 +184,7 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
         fiber, gap_nm, dx_um = cfgmod.build_lateral_probe(cfg)
         spec, _ = cfgmod.build_lattice(cfg)
     payload = _bands_cached(cfg, out_dir, use_cache)
-    curves = _curves_from_payload(payload)
-    te1 = next((c for c in curves if c.label == "TE-1"), None)
-    if te1 is None:
-        raise PcwgProbeError("bands contain no TE-1 branch")
+    te1 = _te1(_curves_from_payload(payload))
 
     if args.sweep == "gap":
         rows = gap_sweep(
@@ -202,8 +204,6 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
         return EXIT_OK
 
     # lateral sweep at the near-field probe geometry
-    from .bands import defect_profile
-
     pm = phase_match_crossing(te1, fiber)
     beta_norm = pm.beta_rad_per_um * spec.lam_z_um / (2.0 * np.pi)
     x, u = defect_profile(spec, te1, beta_norm)
@@ -251,15 +251,13 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
     if args.mode == "synth":
         lam_nm, lc_mm = cfgmod.build_map_grids(cfg)
         payload = _bands_cached(cfg, out_dir, use_cache)
-        curves = [c for c in _curves_from_payload(payload) if c.label == "TE-1"]
-        if not curves:
-            raise PcwgProbeError("bands contain no TE-1 branch")
+        te1 = _te1(_curves_from_payload(payload))
         taper = cfgmod.build_taper(cfg)
         coupler = cfgmod.build_coupler(cfg)
         fiber = cfgmod.build_fiber(cfg)
         tmap = synthesize_map(
             taper,
-            curves,
+            [te1],
             coupler,
             fiber,
             lam_nm,

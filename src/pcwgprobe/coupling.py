@@ -92,17 +92,20 @@ class CouplerConfig:
                                  "g_ref_nm, d_ref_um, d_kappa_um and kappa_ref_l")
         return float(kappa) if np.ndim(kappa) == 0 else kappa
 
-    def scattering_transmission(self, d_um: float, gap_nm=None) -> float:
-        """Off-resonance power transmission 1 - loss(g, d), broadband; the
-        loss is clipped to [0, 0.5]."""
-        g = self.gap_nm if gap_nm is None else gap_nm
+    def scattering_transmission(self, d_um, gap_nm=None):
+        """Off-resonance power transmission 1 - loss(g, d), broadband, over
+        broadcast diameters and gaps; the loss is clipped to [0, 0.5]."""
+        g = self.gap_nm if gap_nm is None else np.asarray(gap_nm, dtype=float)
         with np.errstate(over="ignore"):  # a scale near zero: an exponent of +-inf
             a = -(g - 400.0) / self.scatter_g_scale_nm
-            b = -(d_um - 1.0) / self.scatter_d_scale_um
-        if max(abs(a), abs(b)) > 300.0:  # far outside the calibration: one summed exponent
-            a, b = np.clip(np.clip(a, -1e300, 1e300) + np.clip(b, -1e300, 1e300), -800, 700), 0.0
+            b = -(np.asarray(d_um, dtype=float) - 1.0) / self.scatter_d_scale_um
+        # far outside the calibration: one summed exponent
+        far = np.maximum(np.abs(a), np.abs(b)) > 300.0
+        summed = np.clip(np.clip(a, -1e300, 1e300) + np.clip(b, -1e300, 1e300), -800, 700)
+        a, b = np.where(far, summed, a), np.where(far, 0.0, b)
         loss = self.scatter_loss_ref * np.exp(a) * np.exp(b)
-        return 1.0 - float(np.clip(loss, 0.0, 0.5))
+        t = 1.0 - np.clip(loss, 0.0, 0.5)
+        return float(t) if np.ndim(t) == 0 else t
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ class TaperProfile:
         """Interpolated diameter at l_c (mm); exact at sample points."""
         lc = np.asarray(l_c_mm, dtype=float)
         lo, hi = self.span_mm
-        if np.any(lc < lo) or np.any(lc > hi):
+        if not np.all((lc >= lo) & (lc <= hi)):  # NaN is outside too
             raise ProfileRangeError(
                 f"l_c outside sampled range [{lo}, {hi}] mm"
             )

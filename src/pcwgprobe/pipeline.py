@@ -205,6 +205,16 @@ def _branch_beta_of_lambda(curve: BandCurve, lam_nm_grid: np.ndarray):
 _MAP_BLOCK = 6144  # (position, sub-position, wavelength) elements per fiber solve
 
 
+def _lossless_transmission(kappa, l_c_um, beta_f, branches):
+    """Product of each branch's transfer T at Delta = (beta_f - beta_branch)/2,
+    broadcast over ``kappa`` and ``beta_f``.  ``branches`` holds
+    ``(beta_of_lambda, transfer)`` pairs."""
+    t = np.ones(np.broadcast_shapes(np.shape(kappa), np.shape(beta_f)))
+    for beta, transfer in branches:
+        t = t * transfer(kappa, l_c_um, 0.5 * (beta_f - beta))[0]
+    return t
+
+
 def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fiber: FiberSpec,
                    wavelengths_nm, lc_mm, *, include_loss: bool, noise_sigma: float = 0.0,
                    seed: int | None = None, n_sub: int = 5) -> TransmissionMap:
@@ -226,8 +236,8 @@ def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fi
         raise ValueError("need >= 2 wavelengths and >= 1 taper position")
 
     lam_um = wavelengths_nm * 1e-3
-    betas = {c.label: _branch_beta_of_lambda(c, wavelengths_nm) for c in curves}
-    contra = {c.label: c.mean_slope() < 0 for c in curves}
+    branches = [(_branch_beta_of_lambda(c, wavelengths_nm),
+                 contra_transmission if c.mean_slope() < 0 else co_transmission) for c in curves]
 
     lo, hi = taper.span_mm
     half_lc_mm = 0.5 * coupler.l_c_um * 1e-3
@@ -238,19 +248,14 @@ def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fi
     kappa = coupler.kappa_perp(fiber, lam_mid_um, d_um=d_sub)[..., None]  # one solve for all
     scatter = np.ones(lc_mm.size)
     if include_loss:
-        scatter = np.array([coupler.scattering_transmission(d)
-                            for d in taper.diameter_at(lc_mm).tolist()])
+        scatter = coupler.scattering_transmission(taper.diameter_at(lc_mm))
     t = np.empty((lc_mm.size, wavelengths_nm.size))
     rows = max(1, _MAP_BLOCK // (offsets.size * lam_um.size))
     for i in range(0, lc_mm.size, rows):
         blk = slice(i, i + rows)
         # one (position x sub-position x wavelength) fiber solve per block
         beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um, d_sub[blk, :, None]) / lam_um
-        t_sub = np.ones(beta_f.shape)
-        for c in curves:
-            delta = 0.5 * (beta_f - betas[c.label])
-            transfer = contra_transmission if contra[c.label] else co_transmission
-            t_sub = t_sub * transfer(kappa[blk], coupler.l_c_um, delta)[0]
+        t_sub = _lossless_transmission(kappa[blk], coupler.l_c_um, beta_f, branches)
         t[blk] = t_sub.sum(axis=1) / offsets.size * scatter[blk, None]
 
     if noise_sigma > 0:
@@ -264,7 +269,7 @@ def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fi
         "normalization": "relative to the bare-taper transmission",
         "noise_sigma": noise_sigma,
         "seed": seed,
-        "branches": sorted(betas),
+        "branches": sorted(c.label for c in curves),
         "include_loss": include_loss,
     }
     return TransmissionMap(wavelengths_nm, lc_mm, t, meta)
@@ -300,16 +305,10 @@ def _column_dips(lam_nm, t_row):
     sigma = 1.4826 * float(np.median(diffs)) / np.sqrt(2.0)
     threshold = baseline - max(_DEPTH_SIGMAS * sigma, 1e-6)
 
-    below = t_row < threshold
+    edges = np.diff(np.concatenate(([0], t_row < threshold, [0])))  # +1 opens a run, -1 ends it
     dips = []
-    j = 0
-    while j < len(t_row):
-        if not below[j]:
-            j += 1
-            continue
-        k = j
-        while k + 1 < len(t_row) and below[k + 1]:
-            k += 1
+    for j, stop in zip(np.flatnonzero(edges > 0).tolist(), np.flatnonzero(edges < 0).tolist()):
+        k = stop - 1  # the run below threshold is j..k
         if k - j + 1 >= _MIN_RUN:
             seg = slice(j, k + 1)
             m = j + int(np.argmin(t_row[seg]))
@@ -350,7 +349,6 @@ def _column_dips(lam_nm, t_row):
                 right - left if np.isfinite(left) and np.isfinite(right) else float("nan")
             )
             dips.append((float(lam_min), float(t_min), float(width)))
-        j = k + 1
 
     keep = []
     for lam, tmin, width in dips:
@@ -376,51 +374,26 @@ def extract_resonances(tmap: TransmissionMap) -> list:
     """
     order = np.argsort(tmap.lc_mm)
     points: list[ResonancePoint] = []
-    open_tracks: list[dict] = []
+    open_tracks: list[tuple] = []  # (branch, wavelength of its last dip)
     next_branch = 0
     for i in order:
         dips = _column_dips(tmap.wavelengths_nm, tmap.t[i])
-        used = set()
-        new_tracks = []
-        for track in open_tracks:
-            cands = [
-                (abs(lam - track["lam"]), j)
-                for j, (lam, _, _) in enumerate(dips)
-                if j not in used and abs(lam - track["lam"]) <= _MAX_JUMP_NM
-            ]
-            if not cands:
-                continue
-            cands.sort()
-            _, j = cands[0]
+        assigned = {}  # dip index -> (branch, ambiguous): tracked dips, then new ones
+        for branch, lam0 in open_tracks:
+            cands = sorted((abs(dips[j][0] - lam0), j) for j in range(len(dips))
+                           if j not in assigned and abs(dips[j][0] - lam0) <= _MAX_JUMP_NM)
+            if cands:
+                assigned[cands[0][1]] = (branch, len(cands) > 1)
+        for j in range(len(dips)):
+            if j not in assigned:
+                assigned[j] = (next_branch, False)
+                next_branch += 1
+        for j, (branch, ambiguous) in assigned.items():
             lam, tmin, width = dips[j]
-            used.add(j)
-            points.append(
-                ResonancePoint(
-                    lc_mm=float(tmap.lc_mm[i]),
-                    lambda_min_nm=lam,
-                    t_min=tmin,
-                    fit_width_nm=width,
-                    branch=track["branch"],
-                    ambiguous=len(cands) > 1,
-                )
-            )
-            track["lam"] = lam
-            new_tracks.append(track)
-        for j, (lam, tmin, width) in enumerate(dips):
-            if j in used:
-                continue
-            points.append(
-                ResonancePoint(
-                    lc_mm=float(tmap.lc_mm[i]),
-                    lambda_min_nm=lam,
-                    t_min=tmin,
-                    fit_width_nm=width,
-                    branch=next_branch,
-                )
-            )
-            new_tracks.append({"lam": lam, "branch": next_branch})
-            next_branch += 1
-        open_tracks = new_tracks
+            points.append(ResonancePoint(lc_mm=float(tmap.lc_mm[i]), lambda_min_nm=lam,
+                                         t_min=tmin, fit_width_nm=width, branch=branch,
+                                         ambiguous=ambiguous))
+        open_tracks = [(branch, dips[j][0]) for j, (branch, _) in assigned.items()]
     return points
 
 
@@ -502,24 +475,17 @@ def gap_sweep(
     lam_nm = np.linspace(pm.lambda_nm - half_span, pm.lambda_nm + half_span, _GAP_SWEEP_POINTS)
     lam_um = lam_nm * 1e-3
     beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um) / lam_um
-    beta_br = _branch_beta_of_lambda(curve, lam_nm)
-    delta = 0.5 * (beta_f - beta_br)
+    branches = [(_branch_beta_of_lambda(curve, lam_nm), contra_transmission)]
 
     gaps_nm = np.asarray(gaps_nm, dtype=float)
-    rows = []
-    for g, kappa in zip(gaps_nm, coupler.kappa_perp(fiber, float(np.mean(lam_um)), gaps_nm)):
-        t, _ = contra_transmission(kappa, coupler.l_c_um, delta)
-        if include_loss:
-            t = t * coupler.scattering_transmission(fiber.d_um, gap_nm=g)
-        t_min, t_max = float(np.min(t)), float(np.max(t))
-        ratio = min(max(1.0 - t_min / t_max, 0.0) if t_max > 0 else 1.0, 1.0 - 1e-15)
-        rows.append(
-            GapSweepRow(
-                gap_nm=float(g),
-                t_min=t_min,
-                t_max=t_max,
-                gamma=t_max - t_min,
-                kappa_l=float(np.arctanh(np.sqrt(ratio))),
-            )
-        )
-    return rows
+    kappa = coupler.kappa_perp(fiber, float(np.mean(lam_um)), gaps_nm)[:, None]  # row per gap
+    t = _lossless_transmission(kappa, coupler.l_c_um, beta_f, branches)
+    if include_loss:
+        t = t * coupler.scattering_transmission(fiber.d_um, gap_nm=gaps_nm)[:, None]
+    t_min, t_max = np.min(t, axis=1), np.max(t, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # T_max = 0: ratio 1
+        ratio = np.where(t_max > 0, np.maximum(1.0 - t_min / t_max, 0.0), 1.0)
+    kappa_l = np.arctanh(np.sqrt(np.minimum(ratio, 1.0 - 1e-15)))
+    return [GapSweepRow(*row) for row in
+            zip(gaps_nm.tolist(), t_min.tolist(), t_max.tolist(), (t_max - t_min).tolist(),
+                kappa_l.tolist())]

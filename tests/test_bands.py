@@ -25,7 +25,7 @@ from pcwgprobe.errors import (
     NoDefectModeError,
 )
 from pcwgprobe.fiber import FiberSpec, ModeField
-from pcwgprobe.slab import SlabSpec
+from pcwgprobe.slab import SlabSpec, slab_effective_index
 
 LAM_REF_UM = cfgmod.DEFAULTS["lattice"]["lam_ref_um"]
 
@@ -195,6 +195,17 @@ class TestThinning:
 
         with pytest.raises(ModeCutoffError):
             thinning_shift(default_spec, slab, 140.0, LAM_REF_UM)
+
+    @pytest.mark.parametrize("spec", [
+        bulk_spec(r_frac=0.25, pw_per_cell=7, n_eff=2.2),
+        bulk_spec(r_frac=0.30, pw_per_cell=9, n_eff=3.0),
+        bulk_spec(r_frac=0.40, pw_per_cell=7, n_eff=2.6),
+    ] + [PCWaveguideSpec().bulk().with_n_eff(slab_effective_index(SlabSpec(t_nm), LAM_REF_UM, 1))
+         for t_nm in (340.0, 300.0)])  # the TE-2 edges of the default thinning
+    def test_valence_edge_is_band_1_at_x(self, spec):
+        # band 1 rises monotonically along Gamma-X: the TE-2 edge needs one solve
+        path_max = float(np.max(bulk_bands(spec, num_bands=2).curves[0].omega_norm))
+        assert PlaneWaveSolver(spec).solve_k(np.pi / spec.lam_z_um, 2)[0] == path_max
 
 
 class TestBandCurve:

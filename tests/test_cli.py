@@ -111,6 +111,13 @@ class TestFiberCommand:
         err = capsys.readouterr().err
         assert "outside sampled range" in err and "Traceback" not in err
 
+    def test_nan_lc_mm_exits_2_naming_l_c(self, tmp_path, capsys):
+        taper = tmp_path / "taper.csv"
+        taper.write_text("l_c_mm,d_um\n0,2.0\n1,1.0\n")
+        assert run(["--out", tmp_path, "fiber", "--profile", taper, "--lc-mm", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert "l_c outside" in err and "Traceback" not in err
+
     def test_lc_mm_is_checked_before_the_profile_is_read(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert run(["--out", tmp_path, "fiber", "--profile", missing]) == 2
@@ -306,6 +313,20 @@ class TestBandsCache:
         # version 2 caches hold dispersive samples of the per-sample brentq solve
         keyed = {"version": 2, "slab": default_cfg["slab"], "lattice": default_cfg["lattice"]}
         self.check_old_cache_is_not_read(cli_out, bands_payload, default_cfg, monkeypatch, keyed)
+
+    def test_bands_without_te1(self, tmp_path, bands_payload, default_cfg, capsys):
+        payload = dict(bands_payload, curves=[c for c in bands_payload["curves"]
+                                              if c["label"] != "TE-1"])
+        (tmp_path / ".cache").mkdir()
+        key = cfgmod.bands_cache_key(default_cfg)
+        (tmp_path / ".cache" / f"bands_{key}.json").write_text(json.dumps(payload))
+        assert run(["--out", tmp_path, "bands"]) == 0
+        assert json.loads((tmp_path / "bands.json").read_text())["phase_match"] is None
+        assert "no TE-1 branch" in capsys.readouterr().err
+        for command in ("couple --sweep gap", "map synth"):
+            assert run(["--out", tmp_path] + command.split()) == 3
+            err = capsys.readouterr().err
+            assert "no TE-1 branch" in err and "Traceback" not in err
 
     @staticmethod
     def check_old_cache_is_not_read(cli_out, bands_payload, default_cfg, monkeypatch, keyed):

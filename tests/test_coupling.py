@@ -357,6 +357,34 @@ class TestCouplerConfig:
             assert cfg.scattering_transmission(0.9, 300.0) == 0.5
             assert cfg.scattering_transmission(1.9, 900.0) == 1.0
 
+    @staticmethod
+    def scalar_scattering(cfg, d, g):
+        """The scattering transmission of one (d, g) pair, term by term."""
+        with np.errstate(over="ignore"):
+            a = -(g - 400.0) / cfg.scatter_g_scale_nm
+            b = -(d - 1.0) / cfg.scatter_d_scale_um
+        if max(abs(a), abs(b)) > 300.0:
+            a, b = np.clip(np.clip(a, -1e300, 1e300) + np.clip(b, -1e300, 1e300), -800, 700), 0.0
+        return 1.0 - float(np.clip(cfg.scatter_loss_ref * np.exp(a) * np.exp(b), 0.0, 0.5))
+
+    @pytest.mark.parametrize("kw", [{}, {"scatter_g_scale_nm": 1.0, "scatter_d_scale_um": 0.003},
+                                    {"scatter_g_scale_nm": 1e-300}, {"scatter_d_scale_um": 5e-324}])
+    def test_broadcast_scattering_equals_the_scalar_formula(self, kw):
+        # the second config puts most of the grid far outside the calibration
+        cfg = CouplerConfig(**kw)
+        d = np.linspace(0.2, 2.6, 9)[:, None]
+        g = np.linspace(0.0, 1200.0, 7)
+        t = cfg.scattering_transmission(d, gap_nm=g)
+        assert t.shape == (9, 7)
+        ref = [[self.scalar_scattering(cfg, float(x), float(y)) for y in g] for x in d[:, 0]]
+        assert t.tobytes() == np.array(ref).tobytes()
+        loop = [[cfg.scattering_transmission(float(x), float(y)) for y in g] for x in d[:, 0]]
+        assert t.tobytes() == np.array(loop).tobytes()
+        own_gap = cfg.scattering_transmission(d[:, 0])  # the config's gap
+        assert own_gap.tobytes() == np.array(
+            [self.scalar_scattering(cfg, float(x), cfg.gap_nm) for x in d[:, 0]]).tobytes()
+        assert isinstance(cfg.scattering_transmission(1.0), float)
+
     @pytest.mark.parametrize("field, value", [
         ("scatter_g_scale_nm", 0.0), ("scatter_d_scale_um", -1.0), ("l_c_um", math.inf),
         ("gap_nm", math.nan), ("g_ref_nm", math.inf), ("d_ref_um", -math.inf),

@@ -422,6 +422,11 @@ class TestTaperProfile:
         with pytest.raises(ProfileRangeError):
             profile.diameter_at(5.6)
 
+    @pytest.mark.parametrize("lc", [np.nan, np.array([0.5, np.nan, 1.0])])
+    def test_nan_position_is_out_of_range(self, lc):
+        with pytest.raises(ProfileRangeError, match="l_c"):
+            TaperProfile.exponential(0.6, 5.5).diameter_at(lc)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TaperProfile((0.0, 0.0), (1.0, 2.0))  # not strictly increasing

@@ -103,6 +103,17 @@ class TestSynthesis:
             assert blocked.tobytes() == single.tobytes()
             solves.clear()
 
+    def test_curves_sharing_a_label_each_couple(self, small_setup):
+        # every curve is its own channel, whatever its label
+        taper, coupler, fiber = small_setup
+        lc = np.linspace(0.25, 0.38, 4)
+        contra = linear_curve("A", omega_at=0.4061, slope=-0.25)
+        maps = [synthesize_map(taper, [contra, linear_curve(label, omega_at=0.2168, slope=+0.25)],
+                               coupler, fiber, LAM_NM, lc, include_loss=True)
+                for label in ("A", "B")]
+        assert maps[0].t.tobytes() == maps[1].t.tobytes()
+        assert maps[0].meta["branches"] == ["A", "A"]
+
     def test_band_coverage_validated(self, small_setup):
         taper, coupler, fiber = small_setup
         far = linear_curve("TE-1", omega_at=0.9)  # lambda ~ 560-640 nm
@@ -157,6 +168,32 @@ class TestExtraction:
         s2 = np.polyfit([p.lc_mm for p in te2_pts],
                         [p.lambda_min_nm for p in te2_pts], 1)[0]
         assert s1 > 0 > s2
+
+    def test_tracking_flags_ambiguity_and_opens_and_ends_tracks(self):
+        # A drifts by 0.5 nm per column; B stops after column 2; C starts at
+        # column 3 below A; column 4 holds a second dip inside A's jump bound
+        lam = np.arange(1490.0, 1600.0, 0.25)
+        lc = np.arange(6) * 0.1
+        columns = [[1520.0 + 0.5 * i] + ([1560.0] if i < 3 else []) + ([1500.0] if i > 2 else [])
+                   + ([1524.5] if i == 4 else []) for i in range(lc.size)]
+        t = np.ones((lc.size, lam.size))
+        for row, dips in zip(t, columns):
+            for centre in dips:
+                row -= 0.5 * np.exp(-0.5 * ((lam - centre) / 0.2) ** 2)
+        points = extract_resonances(TransmissionMap(lam, lc[::-1], t[::-1]))  # scanned by l_c
+        got = [(round(p.lc_mm, 9), p.branch, p.ambiguous) for p in points]
+        assert got == [
+            (0.0, 0, False), (0.0, 1, False),
+            (0.1, 0, False), (0.1, 1, False),
+            (0.2, 0, False), (0.2, 1, False),
+            (0.3, 0, False), (0.3, 2, False),  # B has ended; C is new, after tracked A
+            (0.4, 0, True), (0.4, 2, False), (0.4, 3, False),  # A takes the nearer dip
+            (0.5, 0, False), (0.5, 2, False),  # the extra dip's track ends
+        ]
+        expected_lam = [1520.0, 1560.0, 1520.5, 1560.0, 1521.0, 1560.0, 1521.5, 1500.0,
+                        1522.0, 1500.0, 1524.5, 1522.5, 1500.0]
+        np.testing.assert_allclose([p.lambda_min_nm for p in points], expected_lam, atol=1e-9)
+        assert all(p.label == "unassigned" for p in points)
 
     def test_extraction_deterministic(self, small_setup, te1):
         taper, coupler, fiber = small_setup
@@ -240,6 +277,39 @@ class TestGapSweep:
         for r in rows:
             k_in = coupler.kappa_perp(fiber, lam_star_um, gap_nm=r.gap_nm)
             assert abs(r.kappa_l - k_in * coupler.l_c_um) / (k_in * coupler.l_c_um) < 0.02
+
+    @pytest.mark.parametrize("include_loss", [False, True])
+    def test_equals_a_per_gap_reference(self, te1, include_loss):
+        from pcwgprobe.bands import phase_match_crossing
+        from pcwgprobe.coupling import contra_transmission
+        from pcwgprobe.fiber import he11_neff
+        from pcwgprobe.pipeline import (
+            _GAP_SWEEP_POINTS,
+            _GAP_SWEEP_SPAN_NM,
+            GapSweepRow,
+            _branch_beta_of_lambda,
+        )
+
+        coupler, fiber = CouplerConfig(), FiberSpec(1.9)
+        gaps = np.array([0.0, 250.0, 475.0, 800.0, 3000.0])
+        lam_star = phase_match_crossing(te1, fiber).lambda_nm
+        lam_nm = np.linspace(lam_star - _GAP_SWEEP_SPAN_NM / 2, lam_star + _GAP_SWEEP_SPAN_NM / 2,
+                             _GAP_SWEEP_POINTS)
+        lam_um = lam_nm * 1e-3
+        delta = 0.5 * (2.0 * np.pi * he11_neff(fiber, lam_um) / lam_um
+                       - _branch_beta_of_lambda(te1, lam_nm))
+        reference = []
+        for g in gaps.tolist():
+            kappa = coupler.kappa_perp(fiber, float(np.mean(lam_um)), g)
+            t = contra_transmission(kappa, coupler.l_c_um, delta)[0]
+            if include_loss:
+                t = t * coupler.scattering_transmission(fiber.d_um, gap_nm=g)
+            t_min, t_max = float(np.min(t)), float(np.max(t))
+            ratio = min(max(1.0 - t_min / t_max, 0.0), 1.0 - 1e-15)
+            reference.append(GapSweepRow(g, t_min, t_max, t_max - t_min,
+                                         float(np.arctanh(np.sqrt(ratio)))))
+        rows = gap_sweep(gaps, coupler, fiber, te1, include_loss=include_loss)
+        assert repr(rows) == repr(reference)
 
     def test_large_gap_limit(self, te1):
         rows = gap_sweep(np.array([3000.0]), CouplerConfig(), FiberSpec(1.9), te1,

@@ -241,11 +241,12 @@ def _epsilon_table(spec: PCWaveguideSpec, mz, mx):
     table = np.zeros(q.shape)
     table[q <= 1e-12] = spec.eps_bg
     radii = spec.row_radii_um()
-    xs = spec.row_positions_um()
-    for r_um, x in zip(radii, xs):
-        if r_um <= 0:
-            continue
-        table += (1.0 - spec.eps_bg) * _hole_factor(q, r_um, area) * np.cos(DX * x)
+    # one factor per distinct radius (4 for 17 default rows), summed row by row
+    factor = {r: (1.0 - spec.eps_bg) * _hole_factor(q, r, area)
+              for r in np.unique(radii[radii > 0])}
+    for r_um, x in zip(radii, spec.row_positions_um()):
+        if r_um > 0:
+            table += factor[r_um] * np.cos(DX * x)
     return table
 
 
@@ -287,24 +288,30 @@ class PlaneWaveSolver:
         self.g, self._mz, self._mx = _basis(spec)
         p, px = self._mz[-1], self._mx[-1]
         table = _epsilon_table(spec, self._mz, self._mx)
-        # EPS between the (m_z, m >= 0) plane waves and the (m_z, +-m) ones
-        iz, m = np.divmod(np.arange(self._mz.size * (px + 1)), px + 1)
+        nz, nm = self._mz.size, px + 1
+        n, n_odd = nz * nm, nz * (nm - 1)
+        iz, m = np.divmod(np.arange(n), nm)
+        # EPS between the (m_z, m >= 0) plane waves and the (m_z, +-m) ones,
+        # indexed [iz, m, iz', m']
         dz = iz[:, None] - iz[None, :] + 2 * p
-        direct = table[dz, m[:, None] - m[None, :] + 2 * px]
-        mirrored = table[dz, m[:, None] + m[None, :] + 2 * px]
+        direct = table[dz, m[:, None] - m[None, :] + 2 * px].reshape(nz, nm, nz, nm)
+        mirrored = table[dz, m[:, None] + m[None, :] + 2 * px].reshape(nz, nm, nz, nm)
+        odd = np.s_[:, 1:, :, 1:]  # the odd sector's block (m, m' > 0) of a 4-D array
+        eta_o = _spd_inverse((direct[odd] - mirrored[odd]).reshape(n_odd, n_odd), "odd")
         w = np.where(m > 0, 1.0, np.sqrt(0.5))
-        pos = m > 0
-        odd = np.ix_(pos, pos)
-        eta_o = np.zeros((m.size, m.size))
-        eta_o[odd] = _spd_inverse((direct - mirrored)[odd], "odd")
-        eta_e = _spd_inverse(np.outer(w, w) * (direct + mirrored), "even")
+        eta_e = _spd_inverse(np.outer(w, w) * (direct + mirrored).reshape(n, n), "even")
         self._gz = (iz - p) * (2.0 * np.pi / spec.lam_z_um)
         self._gx = m * (2.0 * np.pi / spec.width_um)
-        gxx = np.outer(self._gx, self._gx)
+        gxx = np.outer(self._gx, self._gx).reshape(nz, nm, nz, nm)
+        # the x term takes the other sector's eta, which for the even sector
+        # is the odd eta padded with zeros on the m = 0 rows and columns
+        x_even = np.zeros_like(gxx)
+        x_even[odd] = gxx[odd] * eta_o.reshape(x_even[odd].shape)
+        x_odd = gxx[odd] * eta_e.reshape(gxx.shape)[odd]
         # per sector: its rows of the even basis (odd: m > 0), its eta and its
         # x term, which does not depend on beta
-        self._sectors = {"even": (slice(None), eta_e, gxx * eta_o),
-                         "odd": (pos, eta_o[odd], (gxx * eta_e)[odd])}
+        self._sectors = {"even": (slice(None), eta_e, x_even.reshape(n, n)),
+                         "odd": (m > 0, eta_o, x_odd.reshape(n_odd, n_odd))}
         # |m_x| amplitudes of one m_z row -> H(x), keyed by the sector's
         # vector length (odd omits the global factor i)
         n_x = 16 * spec.supercell_rows

@@ -27,7 +27,7 @@ from .bands import (
 )
 from .coupling import lateral_profile, WaveguideProfile
 from .errors import ConfigError, MapFormatError, PcwgProbeError, ProfileRangeError
-from .fiber import ModeField, TaperProfile, dbeta_dd, he11_neff
+from .fiber import ModeField, TaperProfile, neff_and_dbeta_dd
 from .pipeline import (
     TransmissionMap,
     atomic_write,
@@ -124,13 +124,13 @@ def cmd_fiber(cfg, args, out_dir: Path) -> int:
     fiber = cfgmod.build_fiber(cfg, d_um=d_um)
 
     lam_um = lam_nm * 1e-3
-    neff = he11_neff(fiber, lam_um)
+    neff, sens = neff_and_dbeta_dd(fiber, lam_um)
     beta = 2.0 * np.pi * neff / lam_um
     d_um = np.full(lam_nm.shape, fiber.d_um)
     _write_csv(
         out_dir / "fiber_dispersion.csv",
         "lambda_nm,d_um,n_eff,beta_rad_per_um,dbeta_dd_omega_over_c_per_um",
-        zip(lam_nm, d_um, neff, beta, dbeta_dd(fiber, lam_um)),
+        zip(lam_nm, d_um, neff, beta, sens),
     )
     return EXIT_OK
 
@@ -180,6 +180,7 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
     coupler = cfgmod.build_coupler(cfg)
     if args.sweep == "gap":
         fiber, gaps_nm = cfgmod.build_sweep_fiber(cfg, "gap_sweep_d_um"), cfgmod.build_gap_grid(cfg)
+        include_loss = cfgmod.switch(cfg, "coupler", "include_loss")
     else:
         fiber, gap_nm, dx_um = cfgmod.build_lateral_probe(cfg)
         spec, _ = cfgmod.build_lattice(cfg)
@@ -187,13 +188,7 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
     te1 = _te1(_curves_from_payload(payload))
 
     if args.sweep == "gap":
-        rows = gap_sweep(
-            gaps_nm,
-            coupler,
-            fiber,
-            te1,
-            include_loss=bool(cfg["coupler"]["include_loss"]),
-        )
+        rows = gap_sweep(gaps_nm, coupler, fiber, te1, include_loss=include_loss)
         _write_csv(
             out_dir / "gap_sweep.csv",
             "gap_nm,t_min,t_max,gamma,kappa_l",
@@ -250,6 +245,8 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
 def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
     if args.mode == "synth":
         lam_nm, lc_mm = cfgmod.build_map_grids(cfg)
+        include_loss = cfgmod.switch(cfg, "coupler", "include_loss")
+        noise_sigma = cfgmod.build_noise_sigma(cfg)
         payload = _bands_cached(cfg, out_dir, use_cache)
         te1 = _te1(_curves_from_payload(payload))
         taper = cfgmod.build_taper(cfg)
@@ -262,8 +259,8 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
             fiber,
             lam_nm,
             lc_mm,
-            include_loss=bool(cfg["coupler"]["include_loss"]),
-            noise_sigma=float(cfg["grids"]["noise_sigma"]),
+            include_loss=include_loss,
+            noise_sigma=noise_sigma,
             seed=seed,
         )
         map_path = out_dir / "map.csv"
@@ -350,9 +347,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out if args.out is not None else cfg["io"]["out_dir"])
-    use_cache = bool(cfg["io"]["cache"]) and not args.no_cache
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        use_cache = cfgmod.switch(cfg, "io", "cache") and not args.no_cache
         if args.command == "fiber":
             return cmd_fiber(cfg, args, out_dir)
         if args.command == "bands":

@@ -155,6 +155,24 @@ def _check_points(count: float, keys: str) -> None:
         raise ConfigError(f"config {keys}: {count:.3g} grid points, over {MAX_GRID_POINTS}")
 
 
+def switch(cfg: dict, section: str, key: str) -> bool:
+    """The on/off value of ``section.key``: a YAML boolean, else ConfigError."""
+    value = cfg[section][key]
+    if not isinstance(value, bool):
+        raise ConfigError(f"config '{section}.{key}' must be true or false, got {value!r}")
+    return value
+
+
+def _count(cfg: dict, section: str, key: str) -> int:
+    """The whole number at ``section.key``: an integer, or a float with an
+    integral value; a boolean, a string or a fraction is a ConfigError."""
+    value = cfg[section][key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"config '{section}.{key}' must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _section(name: str):
     """Decorates a builder: a value it rejects becomes a ConfigError naming the section."""
 
@@ -206,20 +224,21 @@ def build_lattice(cfg: dict):
     lat = cfg["lattice"]
     slab = build_slab(cfg)
     lam_ref = float(lat["lam_ref_um"])
+    dispersive_on = switch(cfg, "lattice", "dispersive")
     if lat["n_eff_override"] is not None:
         n_eff = float(lat["n_eff_override"])
         dispersive = None
     else:
         n_eff = slab_effective_index(slab, lam_ref, 0)
-        dispersive = DispersiveIndex(slab, lam_ref) if lat["dispersive"] else None
+        dispersive = DispersiveIndex(slab, lam_ref) if dispersive_on else None
     spec = PCWaveguideSpec(
         lam_z_nm=float(lat["lam_z_nm"]),
         lam_x_nm=float(lat["lam_x_nm"]),
         r_frac=float(lat["r_frac"]),
         grading=tuple(float(v) for v in lat["grading"]),
-        supercell_rows=int(lat["supercell_rows"]),
+        supercell_rows=_count(cfg, "lattice", "supercell_rows"),
         n_eff=float(n_eff),
-        pw_per_cell=int(lat["pw_per_cell"]),
+        pw_per_cell=_count(cfg, "lattice", "pw_per_cell"),
     )
     return spec, dispersive
 
@@ -227,8 +246,9 @@ def build_lattice(cfg: dict):
 @_section("lattice")
 def build_kpath(cfg: dict):
     lat = cfg["lattice"]
-    _check_points(float(lat["k_points"]), "'lattice.k_points'")
-    return np.linspace(float(lat["k_start"]), float(lat["k_stop"]), int(lat["k_points"]))
+    n = _count(cfg, "lattice", "k_points")
+    _check_points(n, "'lattice.k_points'")
+    return np.linspace(float(lat["k_start"]), float(lat["k_stop"]), n)
 
 
 @_section("coupler")
@@ -268,8 +288,8 @@ def build_lambda_grid(cfg: dict) -> np.ndarray:
 @_section("grids")
 def build_lc_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
-    _check_points(float(g["lc_points"]), "'grids.lc_points'")
-    n = int(g["lc_points"])
+    n = _count(cfg, "grids", "lc_points")
+    _check_points(n, "'grids.lc_points'")
     if n < 1 or float(g["lc_stop_mm"]) <= float(g["lc_start_mm"]):
         raise ConfigError("empty taper-position grid")
     return np.linspace(float(g["lc_start_mm"]), float(g["lc_stop_mm"]), n)
@@ -287,6 +307,16 @@ def build_map_grids(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
             f"{lc_mm.size * lam_nm.size:.3g} map cells, over {MAX_MAP_CELLS}"
         )
     return lam_nm, lc_mm
+
+
+@_section("grids")
+def build_noise_sigma(cfg: dict) -> float:
+    """Relative noise of a synthesized map: finite and >= 0."""
+    sigma = cfg["grids"]["noise_sigma"]
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 <= sigma < np.inf:
+        raise ConfigError(f"config 'grids.noise_sigma' must be a finite number >= 0, "
+                          f"got {sigma!r}")
+    return float(sigma)
 
 
 @_section("grids")
@@ -314,8 +344,8 @@ def build_lateral_probe(cfg: dict) -> tuple[FiberSpec, float, np.ndarray]:
     gap_nm, span = float(g["lateral_gap_nm"]), float(g["dx_span_um"])
     if not 0.0 <= gap_nm < np.inf:
         raise ConfigError(f"config 'grids.lateral_gap_nm' must be finite and >= 0, got {gap_nm}")
-    _check_points(float(g["dx_points"]), "'grids.dx_points'")
-    n = int(g["dx_points"])
+    n = _count(cfg, "grids", "dx_points")
+    _check_points(n, "'grids.dx_points'")
     if n < 5 or not 0.0 < span < np.inf:
         raise ConfigError("lateral sweep needs a finite span > 0 and >= 5 points")
     n += 1 - n % 2  # odd: dx = 0 on the grid and the sweep symmetric

@@ -202,7 +202,7 @@ class WaveguideProfile:
 
 
 _N_VERTICAL = 9  # depth samples of the overlap across the slab
-_DX_BLOCK = 256  # offsets per fiber-tail evaluation: ~5 MB per (block, n_x, 9) temporary
+_DX_BLOCK = 256  # offsets per fiber-tail evaluation: at most ~5 MB of (distance, 9) tail values
 
 
 def kappa_overlap(fiber_mode: ModeField, wg: WaveguideProfile, gap_nm: float,
@@ -215,7 +215,9 @@ def kappa_overlap(fiber_mode: ModeField, wg: WaveguideProfile, gap_nm: float,
     surface gap.  Both inputs must be power-normalized and taken at the
     same wavelength (to 1e-12 relative), else ValueError.  A scalar
     ``dx_um`` gives a float; a 1-D array gives one kappa per offset,
-    evaluating the fiber tail for ``_DX_BLOCK`` offsets at a time.
+    ``_DX_BLOCK`` offsets at a time.  The tail depends on x - dx only
+    through |x - dx|, so each block evaluates it once per distinct distance
+    (1,521 of the 22,032 on the default lateral sweep) and gathers.
     """
     if wg.norm_residual() > 1e-6:
         raise ValueError("waveguide profile is not power-normalized")
@@ -235,9 +237,10 @@ def kappa_overlap(fiber_mode: ModeField, wg: WaveguideProfile, gap_nm: float,
     offsets = np.asarray(dx_um, dtype=float)
     overlap = np.empty(offsets.shape)
     for i in range(0, offsets.size, _DX_BLOCK):
-        xx = wg.x_um[:, None] - offsets.ravel()[i:i + _DX_BLOCK, None, None]  # (block, n_x, 1)
-        psi_f = fiber_mode.radial(np.hypot(xx, h_um + depth))  # exterior tail over the slab
-        vert = np.sum(psi_f, axis=-1) * (t / _N_VERTICAL) / np.sqrt(t)
+        xx = np.abs(wg.x_um - offsets.ravel()[i:i + _DX_BLOCK, None])  # (block, n_x)
+        dist, at = np.unique(xx, return_inverse=True)
+        psi_f = fiber_mode.radial(np.hypot(dist[:, None], h_um + depth))  # tail over the slab
+        vert = (np.sum(psi_f, axis=-1) * (t / _N_VERTICAL) / np.sqrt(t))[at.reshape(xx.shape)]
         overlap.flat[i:i + _DX_BLOCK] = np.sum(np.real(wg.u) * vert, axis=-1) * dx_grid
     d_eps = wg.eps_bg - 1.0
     kappa = k0**2 / (2.0 * np.sqrt(beta_f * wg.beta_rad_per_um)) * d_eps * overlap

@@ -56,12 +56,13 @@ class FiberSpec:
     clad_index: float = 1.0
 
     def __post_init__(self):
-        if not self.d_um > 0:
-            raise ValueError(f"fiber diameter must be positive, got {self.d_um}")
-        if self.clad_index < 1.0:
-            raise ValueError(f"cladding index must be >= 1, got {self.clad_index}")
-        if self.core_index is not None and self.core_index <= self.clad_index:
-            raise ValueError("core index must exceed cladding index")
+        if not 0 < self.d_um < np.inf:
+            raise ValueError(f"fiber diameter must be finite and positive, got {self.d_um}")
+        if not 1.0 <= self.clad_index < np.inf:
+            raise ValueError(f"cladding index must be finite and >= 1, got {self.clad_index}")
+        if self.core_index is not None and not self.clad_index < self.core_index < np.inf:
+            raise ValueError(f"core index must be finite and exceed the cladding index, "
+                             f"got {self.core_index}")
 
     def n_core(self, lam_um):
         if self.core_index is not None:
@@ -192,18 +193,26 @@ def characteristic_residual(spec: FiberSpec, point: GuidedModePoint) -> float:
     return float(abs(value) / scale)
 
 
-def dbeta_dd(spec: FiberSpec, lam_um):
-    """Diameter sensitivity d(beta)/d(d) in units of (omega/c) per um.
+def neff_and_dbeta_dd(spec: FiberSpec, lam_um):
+    """HE11 n_eff of ``spec`` and its diameter sensitivity d(beta)/d(d) in
+    units of (omega/c) per um, over wavelengths ``lam_um`` (arrays, or 0-d
+    for a scalar), from one solve at d, d + dd and d - dd.
 
-    Centered finite difference with step max(1e-3 um, 1e-3 * d); the
-    step sits above the solver noise floor and below truncation error.
-    ``lam_um`` may be a scalar or an array of wavelengths.
+    The sensitivity is a centered finite difference with step
+    max(1e-3 um, 1e-3 * d); the step sits above the solver noise floor and
+    below truncation error.
     """
     dd = max(1e-3, 1e-3 * spec.d_um)
-    d = np.array([spec.d_um + dd, spec.d_um - dd]).reshape((2,) + (1,) * np.ndim(lam_um))
-    hi, lo = he11_neff(spec, lam_um, d)  # both diameters in one solve
+    d = np.array([spec.d_um, spec.d_um + dd, spec.d_um - dd])
+    n_eff, hi, lo = he11_neff(spec, lam_um, d.reshape((3,) + (1,) * np.ndim(lam_um)))
     # beta = n_eff * k0, so (dbeta/dd)/k0 reduces to d(n_eff)/dd.
-    sens = (hi - lo) / (2.0 * dd)
+    return n_eff, (hi - lo) / (2.0 * dd)
+
+
+def dbeta_dd(spec: FiberSpec, lam_um):
+    """Diameter sensitivity d(beta)/d(d) in units of (omega/c) per um, as
+    ``neff_and_dbeta_dd``; a scalar ``lam_um`` gives a float."""
+    sens = neff_and_dbeta_dd(spec, lam_um)[1]
     return float(sens) if sens.ndim == 0 else sens
 
 

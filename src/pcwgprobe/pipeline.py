@@ -260,7 +260,9 @@ def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fi
 
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        t = t * (1.0 + noise_sigma * rng.standard_normal(t.shape))
+        with np.errstate(over="ignore"):  # a huge sigma: the clips saturate T at 0 or 1
+            noise = np.clip(noise_sigma * rng.standard_normal(t.shape), -1.0, 1e300)
+        t = t * (1.0 + noise)
     t = np.clip(t, 0.0, 1.0)
 
     meta = {

@@ -407,6 +407,45 @@ def sector_blocks(solver, beta):
     return {"even": kzz * eta_e + gxx * eta_o, "odd": (kzz * eta_o + gxx * eta_e)[odd]}
 
 
+class TestSolverSetUp:
+    def test_hole_factor_once_per_distinct_radius(self, default_spec, monkeypatch):
+        from pcwgprobe import bands
+
+        calls, factor = [], bands._hole_factor
+        monkeypatch.setattr(bands, "_hole_factor", lambda *a: calls.append(a) or factor(*a))
+        PlaneWaveSolver(default_spec)
+        assert len(calls) == 4  # 17 rows, 4 radii
+
+    def test_sectors_equal_the_gathered_formula(self, default_spec):
+        # the sector blocks as built with boolean-mask odd blocks and a
+        # zero-padded odd eta in the even basis
+        from scipy.linalg import lapack
+
+        solver = PlaneWaveSolver(default_spec)
+        p, px = solver._mz[-1], solver._mx[-1]
+        table = _epsilon_table(default_spec, solver._mz, solver._mx)
+        iz, m = np.divmod(np.arange(solver._mz.size * (px + 1)), px + 1)
+        dz = iz[:, None] - iz[None, :] + 2 * p
+        direct = table[dz, m[:, None] - m[None, :] + 2 * px]
+        mirrored = table[dz, m[:, None] + m[None, :] + 2 * px]
+        w = np.where(m > 0, 1.0, np.sqrt(0.5))
+        odd = np.ix_(m > 0, m > 0)
+
+        def spd(eps):
+            inv = lapack.dpotri(lapack.dpotrf(eps)[0])[0]
+            return np.triu(inv) + np.triu(inv, 1).T
+
+        eta_o = np.zeros((m.size, m.size))
+        eta_o[odd] = spd((direct - mirrored)[odd])
+        eta_e = spd(np.outer(w, w) * (direct + mirrored))
+        gxx = np.outer(solver._gx, solver._gx)
+        expected = {"even": (eta_e, gxx * eta_o), "odd": (eta_o[odd], (gxx * eta_e)[odd])}
+        for parity, (eta, x_term) in expected.items():
+            _, got_eta, got_x = solver._sectors[parity]
+            assert np.array_equal(got_eta, eta) and np.array_equal(got_x, x_term)
+            assert got_eta.flags.c_contiguous  # the layout the matrix-vector products had
+
+
 class TestWindowSolve:
     def test_window_states_equal_the_lowest_42_inside_it(self, default_spec):
         import scipy.linalg

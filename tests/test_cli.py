@@ -62,6 +62,23 @@ class TestFiberCommand:
         ("coupler: {scatter_d_scale_um: 0.0}\n", "couple --sweep gap", "scatter_d_scale_um"),
         ("coupler: {l_c_um: .inf}\n", "couple --sweep gap", "l_c_um"),
         ("grids: {lateral_gap_nm: -1.0}\n", "couple --sweep lateral", "grids.lateral_gap_nm"),
+        # the map noise is a finite number >= 0
+        ("grids: {noise_sigma: abc}\n", "map synth", "'grids.noise_sigma'"),
+        ("grids: {noise_sigma: -1}\n", "map synth", "'grids.noise_sigma'"),
+        ("grids: {noise_sigma: .nan}\n", "map synth", "'grids.noise_sigma'"),
+        # non-finite fiber geometry is an input error, not a failed solve
+        ("", "fiber --d-um inf", "fiber diameter"),
+        ("fiber: {clad_index: .nan}\n", "fiber", "cladding index"),
+        ("fiber: {core_index: .inf}\n", "fiber", "core index"),
+        # a switch is a YAML boolean, a count a whole number
+        ("coupler: {include_loss: 'false'}\n", "couple --sweep gap", "'coupler.include_loss'"),
+        ("coupler: {include_loss: 0}\n", "map synth", "'coupler.include_loss'"),
+        ("lattice: {dispersive: 'false'}\n", "bands", "'lattice.dispersive'"),
+        ("io: {cache: 'false'}\n", "fiber", "'io.cache'"),
+        ("lattice: {pw_per_cell: 7.5}\n", "bands", "'lattice.pw_per_cell'"),
+        ("lattice: {supercell_rows: true}\n", "bands", "'lattice.supercell_rows'"),
+        ("grids: {dx_points: 81.9}\n", "couple --sweep lateral", "'grids.dx_points'"),
+        ("grids: {lc_points: '50'}\n", "map synth", "'grids.lc_points'"),
     ])
     def test_invalid_config_value_exits_2(self, cli_out, capsys, yaml_text, command, key):
         cfg = cli_out / "cfg.yaml"
@@ -81,6 +98,23 @@ class TestFiberCommand:
         err = capsys.readouterr().err
         assert f"'grids.{key}'" in err and "Traceback" not in err
         assert not (tmp_path / ".cache").exists()
+
+    @pytest.mark.parametrize("d_um", [0.8, 1.0, 1.2, 1.5, 1.9, 2.4])
+    def test_columns_equal_the_solver_from_one_solve(self, tmp_path, monkeypatch, d_um):
+        from pcwgprobe import fiber as fibermod
+
+        solves, roots = [], fibermod._he11_roots
+        monkeypatch.setattr(fibermod, "_he11_roots", lambda *a: solves.append(a) or roots(*a))
+        assert run(["--out", tmp_path, "fiber", "--d-um", d_um]) == 0
+        assert len(solves) == 1  # d and d +- dd together
+        monkeypatch.undo()
+        with open(tmp_path / "fiber_dispersion.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        lam_um = cfgmod.build_lambda_grid(cfgmod.load_config(None)) * 1e-3
+        spec = fibermod.FiberSpec(d_um)
+        assert [float(r["n_eff"]) for r in rows] == list(fibermod.he11_neff(spec, lam_um))
+        assert ([float(r["dbeta_dd_omega_over_c_per_um"]) for r in rows]
+                == list(fibermod.dbeta_dd(spec, lam_um)))
 
     def test_profile_input(self, tmp_path):
         taper = tmp_path / "taper.csv"
@@ -181,6 +215,16 @@ class TestCoupleCommand:
         summary = json.loads((cli_out / "lateral_summary.json").read_text())
         assert summary["fwhm_um"] == pytest.approx(2.08, rel=0.25)
 
+    def test_lateral_sweep_evaluates_the_tail_once_per_distance(self, cli_out, monkeypatch):
+        from pcwgprobe.fiber import ModeField
+
+        sizes, radial = [], ModeField.radial
+        monkeypatch.setattr(ModeField, "radial",
+                            lambda self, r: sizes.append(np.size(r)) or radial(self, r))
+        assert run(["--out", cli_out, "couple", "--sweep", "lateral"]) == 0
+        # 81 offsets x 272 grid points share 1,521 distances |x - dx|
+        assert 0 < sum(sizes) <= 1521 * 9
+
     @pytest.mark.parametrize("yaml_text, sweep, code", [
         # no half-maximum crossing: a dip saturated over the sweep, an all-zero one
         ("coupler: {kappa_ref_l: 599.0}\n", "lateral", 3),
@@ -222,6 +266,12 @@ class TestMapCommand:
         err = capsys.readouterr().err
         assert "'grids.lc_points'" in err and "'grids.lambda_start_nm/stop_nm/step_nm'" in err
         assert "Traceback" not in err
+
+    def test_negative_seed_exits_2_before_any_solve(self, tmp_path, capsys):
+        assert run(["--out", tmp_path, "--seed", "-5", "map", "synth"]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not (tmp_path / ".cache").exists()
 
     def test_seed_controls_noise(self, cli_out):
         assert run(["--out", cli_out, "--seed", "1", "map", "synth"]) == 0
@@ -313,6 +363,15 @@ class TestBandsCache:
         # version 2 caches hold dispersive samples of the per-sample brentq solve
         keyed = {"version": 2, "slab": default_cfg["slab"], "lattice": default_cfg["lattice"]}
         self.check_old_cache_is_not_read(cli_out, bands_payload, default_cfg, monkeypatch, keyed)
+
+    def test_valid_typed_values_keep_the_cache_key(self, tmp_path, default_cfg):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("lattice: {pw_per_cell: 7, supercell_rows: 17, dispersive: true}\n"
+                       "io: {cache: true}\n")
+        loaded = cfgmod.load_config(cfg)
+        assert cfgmod.bands_cache_key(loaded) == cfgmod.bands_cache_key(default_cfg)
+        assert cfgmod.bands_cache_key(default_cfg) == "288ba8a5bcde68ed"
+        assert cfgmod.build_lattice(loaded) is not None
 
     def test_bands_without_te1(self, tmp_path, bands_payload, default_cfg, capsys):
         payload = dict(bands_payload, curves=[c for c in bands_payload["curves"]

@@ -16,6 +16,7 @@ from pcwgprobe.fiber import (
     exterior_decay,
     fundamental_neff,
     he11_neff,
+    neff_and_dbeta_dd,
     silica_index,
 )
 from pcwgprobe.roots import bracketed_roots
@@ -55,6 +56,16 @@ def he11_reference(n1, n2, a_k0, samples=4001):
         else:
             b = m
     return float(a)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"d_um": np.inf}, {"d_um": np.nan}, {"d_um": 1.0, "clad_index": np.nan},
+    {"d_um": 1.0, "clad_index": np.inf}, {"d_um": 1.0, "core_index": np.nan},
+    {"d_um": 1.0, "core_index": np.inf},
+])
+def test_non_finite_geometry_is_rejected(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        FiberSpec(**kwargs)
 
 
 def test_sellmeier_silica_at_1550():
@@ -330,6 +341,15 @@ class TestDiameterSensitivity:
         assert np.array_equal(dbeta_dd(spec, lams), (hi - lo) / (2 * dd))
         assert dbeta_dd(spec, 1.6) == float(
             (he11_neff(spec, 1.6, 1.5 + dd) - he11_neff(spec, 1.6, 1.5 - dd)) / (2 * dd))
+
+    def test_index_and_sensitivity_from_one_solve(self, monkeypatch):
+        spec, lams = FiberSpec(1.5), np.linspace(1.5, 1.7, 7)
+        expected = he11_neff(spec, lams), dbeta_dd(spec, lams)
+        solves, roots = [], fibermod._he11_roots
+        monkeypatch.setattr(fibermod, "_he11_roots", lambda *a: solves.append(a) or roots(*a))
+        n_eff, sens = neff_and_dbeta_dd(spec, lams)
+        assert len(solves) == 1
+        assert np.array_equal(n_eff, expected[0]) and np.array_equal(sens, expected[1])
 
     def test_reference_sensitivity_large_taper(self):
         assert dbeta_dd(FiberSpec(1.9), 1.6) == pytest.approx(0.084, rel=0.20)

@@ -90,6 +90,7 @@ CONFIG_KEYS = {
     ("grids", "gap_sweep_d_um"): ODD,
     ("grids", "lateral_gap_nm"): ODD,
     ("grids", "lateral_d_um"): ODD,
+    ("grids", "noise_sigma"): ODD,
     ("grids", "lambda_start_nm"): BOUNDED,
     ("grids", "lambda_stop_nm"): BOUNDED,
     ("grids", "gap_start_nm"): BOUNDED,

@@ -128,6 +128,13 @@ class TestExtraction:
                                np.full((10, lam.size), 0.93))
         assert extract_resonances(tmap) == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_noise_saturates_without_overflow(self, small_setup, te1):
+        taper, coupler, fiber = small_setup
+        t = synthesize_map(taper, [te1], coupler, fiber, LAM_NM, LC_MM[:4], include_loss=True,
+                           noise_sigma=6.5e307, seed=4).t
+        assert set(np.unique(t)) <= {0.0, 1.0}
+
     def test_round_trip_recovers_injected_dips(self, small_setup, te1):
         taper, coupler, fiber = small_setup
         lam_step = 0.25

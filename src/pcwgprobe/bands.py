@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import j1
 
 from .errors import BandCoverageError, ConvergenceError, EigensolverError, NoDefectModeError
 from .fiber import C_UM_PER_S, he11_neff
@@ -215,6 +214,8 @@ def _basis(spec: PCWaveguideSpec):
 
 def _hole_factor(q, radius_um, cell_area_um2):
     """Fourier factor of one circular hole: 2 f J1(qR)/(qR); f at q=0."""
+    from scipy.special import j1  # J1 at any argument; every caller eigensolves anyway
+
     f = np.pi * radius_um**2 / cell_area_um2
     qr = q * radius_um
     out = np.full(np.shape(qr), f, dtype=float)

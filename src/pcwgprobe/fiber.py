@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j0, j1, k0e, k1e
 
 from .errors import ConvergenceError, NoGuidedModeError, ProfileRangeError
 from .roots import bracketed_roots, opposite_signs
@@ -32,6 +31,84 @@ _XTOL, _RTOL = 1e-15, 8.9e-16  # root tolerance: _XTOL + _RTOL |n_eff|
 _MAX_ITER = 60
 _RESIDUAL_TOL = 1e-10
 _UNPULLED_UM = 125.0  # standard fiber diameter, where an exponential taper ends
+
+
+def _even_odd(coef):
+    """Horner table for ``_polyval`` of the polynomials whose coefficients,
+    lowest power first and an even number of them, are the columns of
+    ``coef``.  Each polynomial splits into its even and odd parts, two
+    polynomials in x^2 stacked as rows, so one Horner pass over all of them
+    takes half the steps."""
+    coef = np.array(coef, dtype=float)
+    return np.hstack([coef[0::2], coef[1::2]])[::-1, :, None]
+
+
+def _polyval(table, x):
+    """The polynomials of a ``_even_odd`` table at ``x``, stacked on a new
+    first axis."""
+    shape, x = np.shape(x), np.reshape(x, -1)
+    x2 = x * x
+    acc = table[0] * x2
+    acc += table[1]
+    for c in table[2:]:
+        acc *= x2
+        acc += c
+    half = len(acc) // 2
+    out = acc[half:]
+    out *= x
+    out += acc[:half]
+    return out.reshape((half,) + shape)
+
+
+# J0 and J1/(u/2) as polynomials of degree 9 in t = (u/2)^2 on [0, 1.45]
+# (u <= 2.408, past j01): Chebyshev fits to their power series (mpmath, 40
+# digits), within 5.6e-18 of them; ``_j01`` is within 4.3e-16 of J0 and J1
+# (absolute) on [0, j01].  Columns J0, J1/(u/2), lowest power first.
+_J_TABLE = _even_odd([
+    (1.0, 1.0),
+    (-0.9999999999999992, -0.49999999999999994),
+    (0.2499999999999824, 0.08333333333333172),
+    (-0.027777777777622324, -0.006944444444430243),
+    (0.0017361111104136186, 0.00034722222215850514),
+    (-6.944444264612283e-05, -1.157407390981359e-05),
+    (1.9290095211149184e-06, 2.7557293428670295e-07),
+    (-3.936484988252101e-08, -4.920698877775916e-09),
+    (6.134981425237796e-10, 6.819863671302219e-11),
+    (-7.0620488808534446e-12, -7.109033202455927e-13),
+])
+# With t = (w/2)^2 and L = ln(w/2): K0 = A0 - L I0 and K1 = 1/w - (w/2)(A1 - L I1),
+# where A0 = sum psi(k+1) t^k/k!^2 and A1 = sum (psi(k+1) + psi(k+2))/2 t^k/(k!(k+1)!)
+# (Abramowitz & Stegun 9.6.11).  For w <= 2 (t <= 1) the four series are
+# polynomials of degree 9, Chebyshev fits as above, within 3.6e-19 of them.
+# Columns I0, I1/(w/2), A0, A1, lowest power first.
+_K_SERIES = _even_odd([
+    (1.0, 1.0, -0.5772156649015329, -0.07721566490153287),
+    (1.0, 0.5, 0.4227843350984672, 0.33639216754923357),
+    (0.249999999999999, 0.08333333333333325, 0.23069608377461445, 0.0907875834804276),
+    (0.027777777777790523, 0.006944444444445599, 0.03489215745646892, 0.009591094919668053),
+    (0.0017361111110283252, 0.00034722222221472124, 0.002614787618610217, 0.0005576797459652587),
+    (6.944444475322255e-05, 1.1574074102053664e-05, 0.00011848039436836223, 2.071123851351581e-05),
+    (1.9290116449015386e-06, 2.7557312873226304e-07, 3.612622452747443e-06, 5.357728046138563e-07),
+    (3.936858241069583e-08, 4.92103900873439e-09, 7.935328137352067e-08, 1.0226643974751503e-08),
+    (6.142859303643914e-10, 6.827101584780808e-11, 1.3147877336324059e-09, 1.499212334535999e-10),
+    (7.982920901751804e-12, 7.946866954119869e-13, 1.8015293331696398e-11, 1.8326071539913413e-12),
+])
+# sqrt(w) K0e(w) = P0/Q0 and sqrt(w) K1e(w) = P1/Q1 in x = 1/w for w > 2: degree-7
+# rationals fitted by iteratively reweighted relative least squares to mpmath
+# (40 digits) on 301 Chebyshev nodes of x in [0, 1/2], worst fit error 1.2e-17.
+# Every coefficient is positive, so the sums do not cancel.  Columns P0, P1, Q0,
+# Q1, lowest power first.  ``_k01e`` is within 1.1e-15 of K0e and K1e (relative)
+# on w in [1e-8, 1e3], the worst at w = 2, where the series ends.
+_K_RATIONAL = _even_odd([
+    (1.2533141373155003, 1.2533141373155003, 1.0, 1.0),
+    (17.592761314296308, 17.35326875454869, 14.161992634566937, 13.470905218717188),
+    (88.44225037482808, 87.02805994670578, 72.26664267606104, 64.50394343107858),
+    (199.77896945405362, 200.78322494699503, 167.51136271501687, 137.48893911013903),
+    (208.5619315917384, 224.41969078659565, 183.19112045599354, 133.8246116561793),
+    (92.78989067071618, 117.34274522131525, 89.08814555856128, 54.604415871048474),
+    (13.856600623357005, 24.96703299879753, 16.119222342951478, 7.267280533881906),
+    (0.32533729018919133, 1.4317037568827065, 0.6729948479619087, 0.13560050531109277),
+])
 
 
 def silica_index(lam_um):
@@ -85,6 +162,43 @@ class GuidedModePoint:
         return 2.0 * np.pi * self.n_eff / self.wavelength_um
 
 
+def _j01(u):
+    """(J0, J1) at ``u`` on a new first axis: accurate to rounding on
+    [0, j01], all that HE11 and ``ModeField`` evaluate, and not beyond."""
+    h = 0.5 * np.asarray(u, dtype=float)
+    out = _polyval(_J_TABLE, h * h)
+    out[1] *= h
+    return out
+
+
+def _k01e(w):
+    """(K0e, K1e) = e^w (K0, K1) at ``w`` >= 0 on a new first axis: the log
+    series up to w = 2 and the rational fit above, each on its own elements.
+    As scipy's, w = 0 gives non-finite values and w = inf zeros."""
+    w = np.asarray(w, dtype=float)
+    out = np.empty((2,) + w.shape)
+    small = w <= 2.0  # NaN goes to the fit, which keeps it
+    n_small = np.count_nonzero(small)
+    if n_small:
+        ws = w[small]
+        h = 0.5 * ws
+        with np.errstate(divide="ignore", invalid="ignore"):  # w = 0
+            series = _polyval(_K_SERIES, h * h)
+            k = series[2:] - np.log(h) * series[:2]  # K0, A1 - L I1
+            k[1] *= -h
+            k[1] += 1.0 / ws
+            k *= np.exp(ws)
+            out[:, small] = k
+    if n_small < w.size:
+        big = ~small
+        wb = w[big]
+        pq = _polyval(_K_RATIONAL, 1.0 / wb)
+        ratio = pq[:2] / pq[2:]
+        ratio /= np.sqrt(wb)
+        out[:, big] = ratio
+    return out
+
+
 def _char_m1(neff, n1, n2, a_k0, slope=False):
     """Exact m=1 hybrid-mode characteristic function and its scale (or slope).
 
@@ -95,27 +209,33 @@ def _char_m1(neff, n1, n2, a_k0, slope=False):
     the poles of J0/J1, so pole crossings fail that check.  With ``slope``
     the pair is (value, d value/d n_eff), from the same Bessel values: with
     r = J0/J1(u) and s = K0/K1(w), the recurrences give dp/du = 2r - u - u r^2
-    and dq/dw = w - 2s - w s^2; d(w^2)/dn_eff = -d(u^2)/dn_eff = 2 (a k0)^2 n_eff,
-    and u^2 + w^2 is constant, so the right side's slope is 2 n_eff/n1^2 (u^2 + w^2)^2.
+    and dq/dw = w - 2s - w s^2.  With g = d(w^2)/dn_eff = -d(u^2)/dn_eff
+    = 2 (a k0)^2 n_eff, d(p w^2)/dn_eff = g (p - w^2 (r/u - (1 + r^2)/2)) and
+    d(q u^2)/dn_eff = g (u^2 ((1 - s^2)/2 - s/w) - q); u^2 + w^2 is constant,
+    so the right side's slope is 2 n_eff/n1^2 (u^2 + w^2)^2.
     """
     neff = np.asarray(neff, dtype=float)
     # absurd indices or diameters overflow to inf or nan here; such values
     # fail the residual check, and the solve raises
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u2 = a_k0**2 * np.maximum(n1**2 - neff**2, 0.0)
-        w2 = a_k0**2 * np.maximum(neff**2 - n2**2, 0.0)
+        a2, nsq, n1sq = a_k0**2, neff**2, n1**2
+        u2 = a2 * np.maximum(n1sq - nsq, 0.0)
+        w2 = a2 * np.maximum(nsq - n2**2, 0.0)
         u, w = np.sqrt(u2), np.sqrt(w2)
-        r, s = j0(u) / j1(u), k0e(w) / k1e(w)  # scaled Ks stay finite
-        p, q = u * r - 1.0, -w * s - 1.0  # u^2 J1'/(u J1), w^2 K1'/(w K1)
-        lhs_a, lhs_b = p * w2 + q * u2, p * w2 + (n2 / n1) ** 2 * q * u2
-        lhs, rhs = lhs_a * lhs_b, (neff / n1) ** 2 * (u2 + w2) ** 2
+        (j0, j1), (k0e, k1e) = _j01(u), _k01e(w)
+        r, s = j0 / j1, k0e / k1e  # scaled Ks stay finite
+        p, q = u * r - 1.0, -1.0 - w * s  # u^2 J1'/(u J1), w^2 K1'/(w K1)
+        pw, qu, c = p * w2, q * u2, (n2 / n1) ** 2
+        lhs_a, lhs_b = pw + qu, pw + c * qu
+        v4 = (u2 + w2) ** 2
+        lhs, rhs = lhs_a * lhs_b, nsq / n1sq * v4
         if not slope:
             return lhs - rhs, np.abs(lhs) + np.abs(rhs)
-        dw2 = 2.0 * a_k0**2 * neff
-        dpw = p * dw2 - (2.0 * r - u - u * r**2) * w2 * dw2 / (2.0 * u)  # d(p w^2)/dn_eff
-        dqu = (w - 2.0 * s - w * s**2) * u2 * dw2 / (2.0 * w) - q * dw2  # d(q u^2)/dn_eff
-        drhs = 2.0 * neff / n1**2 * (u2 + w2) ** 2
-        return lhs - rhs, (dpw + dqu) * lhs_b + lhs_a * (dpw + (n2 / n1) ** 2 * dqu) - drhs
+        dpw = p - w2 * (r / u - 0.5 * (1.0 + r * r))  # d(p w^2)/dn_eff over g
+        dqu = u2 * (0.5 * (1.0 - s * s) - s / w) - q  # d(q u^2)/dn_eff over g
+        g = 2.0 * a2 * neff
+        dvalue = g * ((dpw + dqu) * lhs_b + lhs_a * (dpw + c * dqu)) - 2.0 * neff / n1sq * v4
+        return lhs - rhs, dvalue
 
 
 def _he11_bracket(n1, n2, a_k0):
@@ -243,8 +363,8 @@ class ModeField:
         self.gamma_per_um = self.w / self.a_um
         # Closed-form norm of the piecewise J0/K0 profile with psi(a) = 1:
         #   P = pi a^2 [ (J0^2+J1^2)/J0^2 |_u - 1 + K1^2/K0^2 |_w ]
-        k_ratio = k1e(self.w) / k0e(self.w)
-        power = np.pi * self.a_um**2 * ((j1(self.u) / j0(self.u)) ** 2 + k_ratio**2)
+        (self._j0u, j1u), (self._k0w, k1w) = _j01(self.u), _k01e(self.w)
+        power = np.pi * self.a_um**2 * ((j1u / self._j0u) ** 2 + (k1w / self._k0w) ** 2)
         self._amp = 1.0 / np.sqrt(power)
 
     def radial(self, r_um):
@@ -253,10 +373,10 @@ class ModeField:
         rho = r / self.a_um
         inside = rho <= 1.0
         out = np.empty(r.shape)
-        out[inside] = j0(self.u * rho[inside]) / j0(self.u)
+        out[inside] = _j01(self.u * rho[inside])[0] / self._j0u
         ro = rho[~inside]
         # K0(w rho)/K0(w) via scaled Bessels to stay finite for large rho.
-        out[~inside] = k0e(self.w * ro) / k0e(self.w) * np.exp(-self.w * (ro - 1.0))
+        out[~inside] = _k01e(self.w * ro)[0] / self._k0w * np.exp(-self.w * (ro - 1.0))
         return self._amp * out
 
     def __call__(self, x_um, y_um):

@@ -427,9 +427,14 @@ class TestGlobalFlags:
             "import sys\n"
             "import pcwgprobe.cli as cli\n"
             "heavy = ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg')\n"
+            "def scipy_loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "print(scipy_loaded())\n"
+            "assert cli.main(['--print-effective-config']) == 0\n"
             f"assert cli.main(['--out', {str(cli_out)!r}, 'bands']) == 0\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "print(scipy_loaded())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run(
@@ -438,7 +443,9 @@ class TestGlobalFlags:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "[]"  # after the import
-        assert lines[-1] == "[]"  # after a warm bands run
+        assert lines[1] == "[]"  # no scipy module at all after the import
+        assert lines[-2] == "[]"  # after a warm bands run
+        assert lines[-1] == "[]"  # no scipy after --print-effective-config and a warm bands run
         assert any(line.startswith("TE-1 crosses") for line in lines)
 
     def test_map_and_profile_commands_leave_interpolate_unimported(self, cli_out):
@@ -453,7 +460,11 @@ class TestGlobalFlags:
             f" {out + '/map.csv'!r}]) == 0\n"
             f"assert cli.main(['--out', {out!r}, 'fiber', '--profile', {str(profile)!r},"
             " '--lc-mm', '1.5']) == 0\n"
-            "print('scipy.interpolate' in sys.modules)\n"
+            "interpolate = 'scipy.interpolate' in sys.modules\n"
+            f"assert cli.main(['--out', {out!r}, 'fiber']) == 0\n"
+            f"assert cli.main(['--out', {out!r}, 'couple', '--sweep', 'gap']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(interpolate)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run(
@@ -461,6 +472,9 @@ class TestGlobalFlags:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+        # map synth/analyze, fiber (with and without --profile) and the gap
+        # sweep make no eigensolve, so they load no scipy module at all
+        assert proc.stdout.splitlines()[-2] == "[]"
         assert (cli_out / "bandpoints.json").exists()
         assert (cli_out / "fiber_dispersion.csv").exists()
 

@@ -1,7 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import jv, kve
+from scipy.special import j0, j1, jv, k0e, k1e, kve
 
 from pcwgprobe import config as cfgmod
 from pcwgprobe import fiber as fibermod
@@ -232,6 +233,65 @@ class TestArrayKernel:
             he11_neff(FiberSpec(1.0), 1.6, np.array([1.0, 0.12]))
 
 
+class TestBesselKernels:
+    """fiber's numpy J0/J1 and K0e/K1e against mpmath at 40 digits and scipy."""
+
+    @staticmethod
+    def mp_values(f, x):
+        with mpmath.workdps(40):
+            return np.array([[float(f(nu, mpmath.mpf(v))) for v in x] for nu in (0, 1)])
+
+    @staticmethod
+    def he11_both(monkeypatch, spec, lam, d=None):
+        """HE11 n_eff on fiber's kernels and on scipy's cephes j0/j1/k0e/k1e."""
+        n_eff = he11_neff(spec, lam, d)
+        with monkeypatch.context() as m:
+            m.setattr(fibermod, "_j01", lambda u: np.array([j0(u), j1(u)]))
+            m.setattr(fibermod, "_k01e", lambda w: np.array([k0e(w), k1e(w)]))
+            return n_eff, he11_neff(spec, lam, d)
+
+    def test_j_pair_on_the_he11_range(self):
+        u = np.append(np.linspace(0.0, J01, 2001), J01)
+        ref = self.mp_values(mpmath.besselj, u)
+        assert np.max(np.abs(fibermod._j01(u) - ref)) <= 1e-15
+
+    def test_k_pair_on_both_sides_of_the_series_end(self):
+        near_2 = 2.0 + np.concatenate([np.arange(-8, 9) * 4.4e-16, [-1e-9, 1e-9, -1e-6, 1e-6]])
+        w = np.concatenate([np.geomspace(1e-8, 1e3, 161), np.linspace(1.8, 2.2, 21), near_2])
+        assert (w < 2).any() and (w > 2).any() and (w == 2).any()
+        ref = self.mp_values(lambda nu, x: mpmath.besselk(nu, x) * mpmath.exp(x), w)
+        assert np.max(np.abs(fibermod._k01e(w) / ref - 1.0)) <= 2e-15
+
+    @pytest.mark.parametrize("kernel", [fibermod._j01, fibermod._k01e])
+    def test_shapes_follow_the_input(self, kernel):
+        x = np.array([[0.5, 2.3], [1.5, 2.0]])  # both sides of the K series end
+        assert kernel(x).shape == (2, 2, 2)
+        np.testing.assert_array_equal(kernel(x), kernel(x.ravel()).reshape(2, 2, 2))
+        np.testing.assert_array_equal(kernel(x[0, 1]), kernel(x.ravel())[:, 1])
+
+    def test_edge_values_match_scipy_finiteness(self):
+        # scipy: J0(0) = 1, J1(0) = 0, K0e(0) = K1e(0) = inf, K(inf) = 0, NaN stays
+        u, w = np.array([0.0, np.nan]), np.array([0.0, np.inf, np.nan])
+        for ours, ref in ((fibermod._j01(u), [j0(u), j1(u)]),
+                          (fibermod._k01e(w), [k0e(w), k1e(w)])):
+            ref = np.array(ref)
+            np.testing.assert_array_equal(np.isfinite(ours), np.isfinite(ref))
+            np.testing.assert_array_equal(ours[np.isfinite(ref)], ref[np.isfinite(ref)])
+
+    def test_he11_matches_scipy_kernels_on_the_map_grid(self, default_cfg, monkeypatch):
+        d, lam = default_map_grid(default_cfg)
+        spec = cfgmod.build_fiber(default_cfg)
+        n_eff, ref = self.he11_both(monkeypatch, spec, lam[None, :], d[:, None])
+        np.testing.assert_allclose(n_eff, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d_um", [0.6, 1.0, 1.9, 4.0])
+    def test_he11_matches_scipy_kernels_at_probe_diameters(self, default_cfg, monkeypatch,
+                                                           d_um):
+        lam = cfgmod.build_lambda_grid(default_cfg) * 1e-3
+        n_eff, ref = self.he11_both(monkeypatch, FiberSpec(d_um), lam)
+        np.testing.assert_allclose(n_eff, ref, rtol=1e-14, atol=0)
+
+
 class TestCharacteristicSlope:
     """The analytic d(value)/d(n_eff) of ``_char_m1`` and the Newton steps it feeds."""
 
@@ -401,8 +461,8 @@ class TestModeField:
 
     @pytest.mark.parametrize("d_um", [0.9, 1.0, 1.9])
     def test_matches_order_nu_bessel_reference(self, d_um):
-        # the cephes J0/J1/K0e/K1e field against one built from scipy's
-        # order-nu jv/kve; u stays well below j01, where j0 and jv(0) agree
+        # the field from fiber's own J0/J1/K0e/K1e kernels against one built
+        # from scipy's order-nu jv/kve; u stays well below j01
         mode = ModeField(FiberSpec(d_um), 1.6)
         a, u, w = d_um / 2, mode.u, mode.w
         assert u < 0.9 * J01

@@ -217,7 +217,8 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
         gap_nm,
         coupler.l_c_um,
         dx_um,
-        kappa_at_center=coupler.kappa_perp(fiber, pm.lambda_nm * 1e-3, gap_nm),
+        kappa_at_center=coupler.kappa_perp(fiber, pm.lambda_nm * 1e-3, gap_nm,
+                                           gamma_per_um=mode.gamma_per_um),
     )
     _write_csv(
         out_dir / "lateral_profile.csv",

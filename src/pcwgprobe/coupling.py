@@ -66,23 +66,29 @@ class CouplerConfig:
         if not 0.0 <= self.scatter_loss_ref <= 1.0:
             raise ValueError(f"scatter_loss_ref must lie in [0, 1], got {self.scatter_loss_ref}")
 
-    def decay_per_um(self, fiber: FiberSpec, lam_um: float, d_um=None):
+    def decay_per_um(self, fiber: FiberSpec, lam_um: float, d_um=None, gamma_per_um=None):
         """Gap decay rate of kappa: the fiber exterior decay constant,
-        over broadcast diameters ``d_um`` (default: the fiber's own)."""
+        over broadcast diameters ``d_um`` (default: the fiber's own), or
+        ``gamma_per_um`` where the caller has solved it already."""
         if self.g0_nm is not None:
             return 1e3 / self.g0_nm
+        if gamma_per_um is not None:
+            return gamma_per_um
         return exterior_decay(fiber, lam_um, d_um)
 
-    def kappa_perp(self, fiber: FiberSpec, lam_um: float, gap_nm=None, d_um=None):
+    def kappa_perp(self, fiber: FiberSpec, lam_um: float, gap_nm=None, d_um=None,
+                   gamma_per_um=None):
         """Parametric kappa_perp(g, d) [1/um], broadcast over gaps and diameters.
 
         kappa = (kappa_ref_l / L_c) e^(-gamma(d) (g - g_ref)) e^(-(d_ref - d)/d_kappa)
 
-        A kappa past the float range raises PcwgProbeError.
+        ``gamma_per_um``, the fiber mode's own decay constant (as
+        ``ModeField.gamma_per_um``), spares the solve.  A kappa past the
+        float range raises PcwgProbeError.
         """
         g = self.gap_nm if gap_nm is None else np.asarray(gap_nm, dtype=float)
         d = fiber.d_um if d_um is None else np.asarray(d_um, dtype=float)
-        gamma = self.decay_per_um(fiber, lam_um, d_um)
+        gamma = self.decay_per_um(fiber, lam_um, d_um, gamma_per_um)
         kappa_ref = self.kappa_ref_l / self.l_c_um
         with np.errstate(over="ignore", invalid="ignore"):
             size = np.exp(-(self.d_ref_um - d) / self.d_kappa_um)

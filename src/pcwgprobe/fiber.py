@@ -179,7 +179,10 @@ def _k01e(w):
     out = np.empty((2,) + w.shape)
     small = w <= 2.0  # NaN goes to the fit, which keeps it
     n_small = np.count_nonzero(small)
-    if n_small:
+    # a region holding every element is indexed by ``...``: no gather or scatter
+    small, big = ((..., None) if n_small == w.size else (None, ...) if not n_small
+                  else (small, ~small))
+    if small is not None:
         ws = w[small]
         h = 0.5 * ws
         with np.errstate(divide="ignore", invalid="ignore"):  # w = 0
@@ -189,8 +192,7 @@ def _k01e(w):
             k[1] += 1.0 / ws
             k *= np.exp(ws)
             out[:, small] = k
-    if n_small < w.size:
-        big = ~small
+    if big is not None:
         wb = w[big]
         pq = _polyval(_K_RATIONAL, 1.0 / wb)
         ratio = pq[:2] / pq[2:]
@@ -249,14 +251,17 @@ def _he11_f(neff, n1, n2, a_k0):
     return _char_m1(neff, n1, n2, a_k0, slope=True)
 
 
-def _he11_roots(n1, n2, a_k0):
+def _he11_roots(n1, n2, a_k0, start=None):
     """HE11 n_eff for broadcast arrays of core index, cladding index and a*k0.
 
     HE11 is the only root with u below j01, the first zero of J0, so
     n_eff in (sqrt(max(n2^2, n1^2 - (j01/(a k0))^2)), n1) brackets it away
     from every pole.  ``bracketed_roots`` refines them all at once by Newton
-    steps on ``_char_m1``'s analytic slope, and every root must pass the
-    relative residual check.  The first element that fails raises:
+    steps on ``_char_m1``'s analytic slope, from ``start`` (broadcast; an
+    estimate of the roots) if given, else from the bracket's upper end.
+    Either way the whole bracket's sign change is tested first, and every
+    root must pass the relative residual check.  The first element that
+    fails raises:
     NoGuidedModeError for an empty bracket or one with no sign change (too
     thin a fiber), ConvergenceError for a root that did not settle or failed
     the check.
@@ -267,7 +272,7 @@ def _he11_roots(n1, n2, a_k0):
         i = np.flatnonzero(~(a < b))[0]
         raise NoGuidedModeError(
             f"empty HE11 bracket in the index window ({n2.flat[i]}, {n1.flat[i]})")
-    out = bracketed_roots(_he11_f, a, b, (n1, n2, a_k0), _XTOL, _RTOL, _MAX_ITER)
+    out = bracketed_roots(_he11_f, a, b, (n1, n2, a_k0), _XTOL, _RTOL, _MAX_ITER, start)
     value, scale = _char_m1(out, n1, n2, a_k0)
     bad = np.flatnonzero(~(np.abs(value) < _RESIDUAL_TOL * scale))
     if bad.size:
@@ -284,13 +289,14 @@ def _he11_roots(n1, n2, a_k0):
     return out
 
 
-def he11_neff(spec: FiberSpec, lam_um, d_um=None) -> np.ndarray:
+def he11_neff(spec: FiberSpec, lam_um, d_um=None, start=None) -> np.ndarray:
     """HE11 n_eff of ``spec`` over broadcast wavelengths and diameters
-    (``d_um`` defaults to the spec's own), solved as one array."""
+    (``d_um`` defaults to the spec's own), solved as one array; ``start``
+    is an optional first Newton iterate, as in ``_he11_roots``."""
     lam = np.asarray(lam_um, dtype=float)
     d = spec.d_um if d_um is None else np.asarray(d_um, dtype=float)
     a_k0 = np.pi * d / lam  # (d/2) * (2 pi / lambda)
-    return _he11_roots(spec.n_core(lam), spec.clad_index, a_k0)
+    return _he11_roots(spec.n_core(lam), spec.clad_index, a_k0, start)
 
 
 def fundamental_neff(spec: FiberSpec, lam_um: float) -> GuidedModePoint:
@@ -329,18 +335,16 @@ def neff_and_dbeta_dd(spec: FiberSpec, lam_um):
     return n_eff, (hi - lo) / (2.0 * dd)
 
 
-def dbeta_dd(spec: FiberSpec, lam_um):
-    """Diameter sensitivity d(beta)/d(d) in units of (omega/c) per um, as
-    ``neff_and_dbeta_dd``; a scalar ``lam_um`` gives a float."""
-    sens = neff_and_dbeta_dd(spec, lam_um)[1]
-    return float(sens) if sens.ndim == 0 else sens
+def _decay(spec: FiberSpec, lam_um, n_eff):
+    """Evanescent decay constant gamma = sqrt(beta^2 - k0^2 n_clad^2) [1/um]
+    of the solved index ``n_eff``."""
+    return 2.0 * np.pi / np.asarray(lam_um) * np.sqrt(n_eff**2 - spec.clad_index**2)
 
 
 def exterior_decay(spec: FiberSpec, lam_um, d_um=None):
-    """Evanescent decay constant gamma = sqrt(beta^2 - k0^2 n_clad^2) [1/um]
-    over broadcast wavelengths and diameters, as ``he11_neff``."""
-    n_eff = he11_neff(spec, lam_um, d_um)
-    gamma = 2.0 * np.pi / np.asarray(lam_um) * np.sqrt(n_eff**2 - spec.clad_index**2)
+    """Evanescent decay constant gamma [1/um] of HE11 over broadcast
+    wavelengths and diameters, as ``he11_neff``."""
+    gamma = _decay(spec, lam_um, he11_neff(spec, lam_um, d_um))
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
@@ -359,8 +363,8 @@ class ModeField:
         n1 = spec.n_core(lam_um)
         k0 = 2.0 * np.pi / lam_um
         self.u = self.a_um * k0 * np.sqrt(n1**2 - self.point.n_eff**2)
-        self.w = self.a_um * k0 * np.sqrt(self.point.n_eff**2 - spec.clad_index**2)
-        self.gamma_per_um = self.w / self.a_um
+        self.gamma_per_um = float(_decay(spec, lam_um, self.point.n_eff))
+        self.w = self.a_um * self.gamma_per_um
         # Closed-form norm of the piecewise J0/K0 profile with psi(a) = 1:
         #   P = pi a^2 [ (J0^2+J1^2)/J0^2 |_u - 1 + K1^2/K0^2 |_w ]
         (self._j0u, j1u), (self._k0w, k1w) = _j01(self.u), _k01e(self.w)

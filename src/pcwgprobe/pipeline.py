@@ -203,6 +203,26 @@ def _branch_beta_of_lambda(curve: BandCurve, lam_nm_grid: np.ndarray):
 
 
 _MAP_BLOCK = 6144  # (position, sub-position, wavelength) elements per fiber solve
+# The map's fiber solve first solves every _COARSE_STRIDE-th wavelength and the
+# last one; a cubic through the nearest four of those roots starts each
+# element's Newton steps.
+_COARSE_STRIDE = 16
+
+
+def _cubic_weights(x, xq):
+    """Rows of node indices into the increasing ``x`` and the matching
+    weights: sum(w * y[idx]) is the cubic through the four nodes (all of
+    them if ``x`` has fewer) around each ``xq``."""
+    p = min(4, x.size)
+    first = np.clip(np.searchsorted(x, xq) - p // 2, 0, x.size - p)
+    idx = first + np.arange(p)[:, None]
+    nodes = x[idx]
+    w = np.ones(idx.shape)
+    for i in range(p):
+        for j in range(p):
+            if j != i:
+                w[i] *= (xq - nodes[j]) / (nodes[i] - nodes[j])
+    return idx, w
 
 
 def _lossless_transmission(kappa, l_c_um, beta_f, branches):
@@ -249,12 +269,17 @@ def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fi
     scatter = np.ones(lc_mm.size)
     if include_loss:
         scatter = coupler.scattering_transmission(taper.diameter_at(lc_mm))
+    # one coarse-wavelength solve for every diameter starts the fine solves
+    coarse = np.append(np.arange(0, lam_um.size - 1, _COARSE_STRIDE), lam_um.size - 1)
+    n_coarse = he11_neff(fiber, lam_um[coarse], d_sub[..., None])
+    idx, w = _cubic_weights(lam_um[coarse], lam_um)
     t = np.empty((lc_mm.size, wavelengths_nm.size))
     rows = max(1, _MAP_BLOCK // (offsets.size * lam_um.size))
     for i in range(0, lc_mm.size, rows):
         blk = slice(i, i + rows)
         # one (position x sub-position x wavelength) fiber solve per block
-        beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um, d_sub[blk, :, None]) / lam_um
+        start = np.sum(w * n_coarse[blk][..., idx], axis=-2)
+        beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um, d_sub[blk, :, None], start) / lam_um
         t_sub = _lossless_transmission(kappa[blk], coupler.l_c_um, beta_f, branches)
         t[blk] = t_sub.sum(axis=1) / offsets.size * scatter[blk, None]
 
@@ -306,6 +331,7 @@ def _column_dips(lam_nm, t_row):
     diffs = np.abs(np.diff(t_row))
     sigma = 1.4826 * float(np.median(diffs)) / np.sqrt(2.0)
     threshold = baseline - max(_DEPTH_SIGMAS * sigma, 1e-6)
+    t = t_row.tolist()  # the sample-by-sample searches compare Python floats
 
     edges = np.diff(np.concatenate(([0], t_row < threshold, [0])))  # +1 opens a run, -1 ends it
     dips = []
@@ -319,12 +345,12 @@ def _column_dips(lam_nm, t_row):
             # window (a 3-point vertex is noise-limited on wide dips);
             # the window stays inside this run so a shallow noise run on a
             # shoulder cannot swallow a neighboring dip
-            depth0 = baseline - t_row[m]
+            limit = t[m] + 0.25 * (baseline - t[m])
             lo_w = m
-            while lo_w > j and t_row[lo_w - 1] <= t_row[m] + 0.25 * depth0:
+            while lo_w > j and t[lo_w - 1] <= limit:
                 lo_w -= 1
             hi_w = m
-            while hi_w < k and t_row[hi_w + 1] <= t_row[m] + 0.25 * depth0:
+            while hi_w < k and t[hi_w + 1] <= limit:
                 hi_w += 1
             if hi_w - lo_w >= 2:
                 xs = lam_nm[lo_w : hi_w + 1] - lam_nm[m]
@@ -335,15 +361,15 @@ def _column_dips(lam_nm, t_row):
                     if abs(vertex) <= max(abs(xs[0]), abs(xs[-1])):
                         lam_min = lam_nm[m] + vertex
                         t_min = float(a0 - a1**2 / (4.0 * a2))
-            half = baseline - 0.5 * (baseline - t_min)
+            half = float(baseline - 0.5 * (baseline - t_min))
             left = right = np.nan
             for p in range(m - 1, -1, -1):  # first sample at/above the half level
-                if t_row[p] >= half:
+                if t[p] >= half:
                     fr = (half - t_row[p + 1]) / (t_row[p] - t_row[p + 1])
                     left = lam_nm[p + 1] - fr * (lam_nm[p + 1] - lam_nm[p])
                     break
-            for p in range(m + 1, len(t_row)):
-                if t_row[p] >= half:
+            for p in range(m + 1, len(t)):
+                if t[p] >= half:
                     fr = (half - t_row[p - 1]) / (t_row[p] - t_row[p - 1])
                     right = lam_nm[p - 1] + fr * (lam_nm[p] - lam_nm[p - 1])
                     break

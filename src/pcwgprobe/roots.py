@@ -14,7 +14,8 @@ def opposite_signs(fa, fb):
     return np.sign(fa) * np.sign(fb) < 0
 
 
-def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, max_iter=60):
+def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, max_iter=60,
+                    start=None):
     """Roots of ``f(x, *args) = 0`` in the brackets (a, b), elementwise.
 
     ``a``, ``b`` and ``args`` broadcast to one shape; ``f`` maps an array of
@@ -28,6 +29,13 @@ def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, 
     element also stops once its bracket is narrower than that or ``f``
     vanishes.  Elements with no sign change, or not settled within
     ``max_iter`` steps, are NaN.
+
+    ``start`` (with a slope; broadcast to that shape) is the first iterate in
+    place of ``b``: after the sign test at ``a`` and ``b``, ``f`` is evaluated
+    at the start, and Newton steps go on from there in the part of the bracket
+    whose ends differ in sign.  A start outside [a, b], or NaN, is ``b``.
+    None, the default, takes no such evaluation: the iterates are those from
+    ``b``.
     """
     a, b, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, *args)))
     shape = a.shape
@@ -39,11 +47,19 @@ def bracketed_roots(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, 
     todo = np.flatnonzero(opposite_signs(fa, fb))  # elements refining; b is the newest iterate
     # g is the slope at b (Newton) or the scaled value at a (regula falsi)
     a, b, fb, g = a[todo], b[todo], fb[todo], (g if newton else fa)[todo]
+    x0 = None  # the first iterate, if not b
+    if newton and start is not None:
+        x0 = np.broadcast_to(np.asarray(start, dtype=float), shape).ravel()[todo]
+        x0 = np.where((np.minimum(a, b) <= x0) & (x0 <= np.maximum(a, b)), x0, b)
     last = before = np.abs(b - a)  # Newton: the last two step lengths
     for _ in range(max_iter):
         if not todo.size:
             break
-        if newton:
+        if x0 is not None:
+            c, x0 = x0, None
+            fc, g = f(c, *(p[todo] for p in args))
+            a = np.where(opposite_signs(fc, fb), b, a)
+        elif newton:
             # a zero slope bisects; a step that rounds to b lands inside
             step = np.divide(fb, g, out=np.full(fb.shape, np.inf), where=g != 0)
             size, width = np.abs(step), np.abs(b - a)

@@ -114,7 +114,7 @@ class TestFiberCommand:
         spec = fibermod.FiberSpec(d_um)
         assert [float(r["n_eff"]) for r in rows] == list(fibermod.he11_neff(spec, lam_um))
         assert ([float(r["dbeta_dd_omega_over_c_per_um"]) for r in rows]
-                == list(fibermod.dbeta_dd(spec, lam_um)))
+                == list(fibermod.neff_and_dbeta_dd(spec, lam_um)[1]))
 
     def test_profile_input(self, tmp_path):
         taper = tmp_path / "taper.csv"
@@ -224,6 +224,15 @@ class TestCoupleCommand:
         assert run(["--out", cli_out, "couple", "--sweep", "lateral"]) == 0
         # 81 offsets x 272 grid points share 1,521 distances |x - dx|
         assert 0 < sum(sizes) <= 1521 * 9
+
+    def test_lateral_sweep_solves_the_fiber_once(self, cli_out, monkeypatch):
+        # kappa at the centre takes gamma from the mode field's own solve
+        from pcwgprobe import fiber as fibermod
+
+        solves, roots = [], fibermod._he11_roots
+        monkeypatch.setattr(fibermod, "_he11_roots", lambda *a: solves.append(a) or roots(*a))
+        assert run(["--out", cli_out, "couple", "--sweep", "lateral"]) == 0
+        assert [np.size(a[2]) for a in solves].count(1) == 1  # the probe point
 
     @pytest.mark.parametrize("yaml_text, sweep, code", [
         # no half-maximum crossing: a dip saturated over the sweep, an all-zero one

@@ -335,6 +335,18 @@ class TestCouplerConfig:
             rtol=1e-14, atol=0,
         )
 
+    def test_solved_decay_constant_spares_the_solve(self, monkeypatch):
+        fiber, gaps = FiberSpec(1.0), np.array([300.0, 400.0])
+        mode = ModeField(fiber, 1.6)
+        expected = CouplerConfig().kappa_perp(fiber, 1.6, gaps)
+        fixed = CouplerConfig(g0_nm=120.0).kappa_perp(fiber, 1.6, gaps)
+        monkeypatch.setattr("pcwgprobe.coupling.exterior_decay", None)  # no second solve
+        given = CouplerConfig().kappa_perp(fiber, 1.6, gaps, gamma_per_um=mode.gamma_per_um)
+        assert given.tobytes() == expected.tobytes()
+        # a configured decay length still wins
+        assert CouplerConfig(g0_nm=120.0).kappa_perp(
+            fiber, 1.6, gaps, gamma_per_um=mode.gamma_per_um).tobytes() == fixed.tobytes()
+
     def test_batched_kappa_over_gaps(self):
         cfg = CouplerConfig()
         gaps = np.arange(250.0, 801.0, 25.0)

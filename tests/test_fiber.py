@@ -13,7 +13,6 @@ from pcwgprobe.fiber import (
     ModeField,
     TaperProfile,
     characteristic_residual,
-    dbeta_dd,
     exterior_decay,
     fundamental_neff,
     he11_neff,
@@ -232,6 +231,20 @@ class TestArrayKernel:
         with pytest.raises(NoGuidedModeError):
             he11_neff(FiberSpec(1.0), 1.6, np.array([1.0, 0.12]))
 
+    @pytest.mark.parametrize("start", [1.0 + 1e-9, 1.2, np.nan])
+    def test_a_start_keeps_the_no_guided_mode_error(self, start):
+        # the whole bracket's sign test still runs first
+        with pytest.raises(NoGuidedModeError, match="no guided m=1 solution"):
+            he11_neff(FiberSpec(1.0), 1.6, np.array([1.0, 0.12]), start)
+
+    def test_a_start_near_the_roots_keeps_them(self, default_cfg):
+        d, lam = default_map_grid(default_cfg)
+        spec = cfgmod.build_fiber(default_cfg)
+        cold = he11_neff(spec, lam[None, :], d[:, None])
+        for shift in (-1e-6, 1e-6, 1e-3):
+            warm = he11_neff(spec, lam[None, :], d[:, None], cold * (1.0 + shift))
+            np.testing.assert_allclose(warm, cold, rtol=1e-14, atol=0)
+
 
 class TestBesselKernels:
     """fiber's numpy J0/J1 and K0e/K1e against mpmath at 40 digits and scipy."""
@@ -277,6 +290,18 @@ class TestBesselKernels:
             ref = np.array(ref)
             np.testing.assert_array_equal(np.isfinite(ours), np.isfinite(ref))
             np.testing.assert_array_equal(ours[np.isfinite(ref)], ref[np.isfinite(ref)])
+
+    @pytest.mark.parametrize("w", [np.linspace(0.42, 0.63, 97), np.geomspace(2.0 + 1e-12, 1e3, 97),
+                                   np.array([0.0, 0.5, 2.0]), np.array([np.nan, np.inf, 3.0])],
+                             ids=["series", "fit", "series_with_zero", "fit_with_nan_and_inf"])
+    def test_one_region_equals_the_masked_path(self, w):
+        # one region takes no gather or scatter; an appended element of the
+        # other region sends the same values through the masked path
+        direct = fibermod._k01e(w)
+        mixed = fibermod._k01e(np.append(w, 5.0 if w[-1] <= 2.0 else 0.5))
+        assert direct.tobytes() == mixed[:, :-1].tobytes()
+        single = np.stack([fibermod._k01e(v) for v in w], axis=-1)  # 0-d inputs
+        assert single.tobytes() == direct.tobytes()
 
     def test_he11_matches_scipy_kernels_on_the_map_grid(self, default_cfg, monkeypatch):
         d, lam = default_map_grid(default_cfg)
@@ -389,22 +414,23 @@ class TestDiameterSensitivity:
              - fundamental_neff(spec.with_diameter(1.5 - dd), lam).n_eff) / (2 * dd)
             for lam in lams
         ]
-        vector = dbeta_dd(spec, lams)
+        vector = neff_and_dbeta_dd(spec, lams)[1]
         np.testing.assert_allclose(vector, scalar, rtol=1e-9, atol=0)
-        assert [dbeta_dd(spec, lam) for lam in lams] == pytest.approx(vector, rel=1e-9)
+        assert ([neff_and_dbeta_dd(spec, lam)[1] for lam in lams]
+                == pytest.approx(vector, rel=1e-9))
 
     def test_one_solve_equals_two(self):
         spec = FiberSpec(1.5)
         lams = np.linspace(1.5, 1.7, 7)
         dd = 1.5e-3
         hi, lo = he11_neff(spec, lams, 1.5 + dd), he11_neff(spec, lams, 1.5 - dd)
-        assert np.array_equal(dbeta_dd(spec, lams), (hi - lo) / (2 * dd))
-        assert dbeta_dd(spec, 1.6) == float(
+        assert np.array_equal(neff_and_dbeta_dd(spec, lams)[1], (hi - lo) / (2 * dd))
+        assert neff_and_dbeta_dd(spec, 1.6)[1] == float(
             (he11_neff(spec, 1.6, 1.5 + dd) - he11_neff(spec, 1.6, 1.5 - dd)) / (2 * dd))
 
     def test_index_and_sensitivity_from_one_solve(self, monkeypatch):
         spec, lams = FiberSpec(1.5), np.linspace(1.5, 1.7, 7)
-        expected = he11_neff(spec, lams), dbeta_dd(spec, lams)
+        expected = he11_neff(spec, lams), neff_and_dbeta_dd(spec, lams)[1]
         solves, roots = [], fibermod._he11_roots
         monkeypatch.setattr(fibermod, "_he11_roots", lambda *a: solves.append(a) or roots(*a))
         n_eff, sens = neff_and_dbeta_dd(spec, lams)
@@ -412,17 +438,18 @@ class TestDiameterSensitivity:
         assert np.array_equal(n_eff, expected[0]) and np.array_equal(sens, expected[1])
 
     def test_reference_sensitivity_large_taper(self):
-        assert dbeta_dd(FiberSpec(1.9), 1.6) == pytest.approx(0.084, rel=0.20)
+        assert neff_and_dbeta_dd(FiberSpec(1.9), 1.6)[1] == pytest.approx(0.084, rel=0.20)
 
     def test_reference_sensitivity_small_taper(self):
-        assert dbeta_dd(FiberSpec(1.0), 1.6) == pytest.approx(0.36, rel=0.20)
+        assert neff_and_dbeta_dd(FiberSpec(1.0), 1.6)[1] == pytest.approx(0.36, rel=0.20)
 
     def test_small_over_large_ratio(self):
-        ratio = dbeta_dd(FiberSpec(1.0), 1.6) / dbeta_dd(FiberSpec(1.9), 1.6)
+        ratio = (neff_and_dbeta_dd(FiberSpec(1.0), 1.6)[1]
+                 / neff_and_dbeta_dd(FiberSpec(1.9), 1.6)[1])
         assert 3.0 <= ratio <= 6.0
 
     def test_saturates_for_thick_fiber(self):
-        assert dbeta_dd(FiberSpec(10.0), 1.6) < 0.01
+        assert neff_and_dbeta_dd(FiberSpec(10.0), 1.6)[1] < 0.01
 
 
 class TestModeField:
@@ -442,6 +469,14 @@ class TestModeField:
         )
         assert mode.gamma_per_um == pytest.approx(gamma_expected, rel=1e-12)
         assert exterior_decay(spec, 1.6) == pytest.approx(gamma_expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d_um", [0.8, 1.0, 1.9])
+    def test_decay_constant_has_one_formula(self, d_um):
+        spec = FiberSpec(d_um)
+        for lam in np.linspace(1.5, 1.7, 9):
+            mode = ModeField(spec, lam)
+            assert mode.gamma_per_um == exterior_decay(spec, lam)
+            assert mode.w == mode.a_um * mode.gamma_per_um
 
     def test_exterior_tail_falls_by_e_squared(self):
         # asymptotic decay: two decay lengths out the field drops by ~e^-2

@@ -81,7 +81,8 @@ class TestSynthesis:
         assert np.all(np.diff(dip_lam) > 0)
 
     def test_blocked_solve_equals_one_position_at_a_time(self, small_setup, monkeypatch):
-        # 7 positions of 5 sub-positions x 241 wavelengths: blocks of 5 and 2
+        # 7 positions of 5 sub-positions x 241 wavelengths: one coarse-wavelength
+        # solve, then blocks of 5 and 2
         from pcwgprobe import pipeline
 
         taper, coupler, fiber = small_setup
@@ -94,7 +95,7 @@ class TestSynthesis:
         for loss in (False, True):
             blocked = synthesize_map(taper, curves, coupler, fiber, LAM_NM, lc,
                                      include_loss=loss).t
-            assert len(solves) == 2
+            assert len(solves) == 3
             single = np.vstack([
                 synthesize_map(taper, curves, coupler, fiber, LAM_NM, lc[i:i + 1],
                                include_loss=loss).t
@@ -102,6 +103,56 @@ class TestSynthesis:
             ])
             assert blocked.tobytes() == single.tobytes()
             solves.clear()
+
+    @staticmethod
+    def default_map(default_cfg, te1):
+        return dict(taper=cfgmod.build_taper(default_cfg), curves=[te1],
+                    coupler=cfgmod.build_coupler(default_cfg),
+                    fiber=cfgmod.build_fiber(default_cfg), wavelengths_nm=LAM_NM,
+                    lc_mm=LC_MM, include_loss=True)
+
+    def test_coarse_start_keeps_the_cold_roots(self, default_cfg, te1, monkeypatch):
+        from pcwgprobe import fiber as fibermod, pipeline
+
+        solves = []
+        he11 = pipeline.he11_neff
+        monkeypatch.setattr(pipeline, "he11_neff",
+                            lambda *a: solves.append((a, he11(*a))) or solves[-1][1])
+        synthesize_map(**self.default_map(default_cfg, te1))
+        started = [(a, n_eff) for a, n_eff in solves if len(a) == 4]
+        assert len(solves) == len(started) + 1  # one coarse solve, then the blocks
+        assert sum(n_eff.size for _, n_eff in started) == LC_MM.size * 5 * LAM_NM.size
+        for (fiber, lam_um, d_um, _), n_eff in started:
+            np.testing.assert_allclose(n_eff, he11(fiber, lam_um, d_um), rtol=1e-14, atol=0)
+            value, scale = fibermod._char_m1(n_eff, fiber.n_core(lam_um), fiber.clad_index,
+                                             np.pi * d_um / lam_um)
+            assert np.max(np.abs(value) / scale) < 1e-10
+
+    def test_default_map_takes_few_evaluations_per_element(self, default_cfg, te1,
+                                                           monkeypatch):
+        # _char_m1 element evaluations over the whole synthesis, coarse solve,
+        # bracket ends and residual checks included: 8.90 when every element
+        # took its Newton steps from the bracket end
+        from pcwgprobe import fiber as fibermod
+
+        sizes = []
+        char_m1 = fibermod._char_m1
+        monkeypatch.setattr(fibermod, "_char_m1",
+                            lambda neff, *a, **k: sizes.append(np.size(neff))
+                            or char_m1(neff, *a, **k))
+        synthesize_map(**self.default_map(default_cfg, te1))
+        assert sum(sizes) / (LC_MM.size * 5 * LAM_NM.size) <= 6.5
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4, 16])
+    def test_start_weights_reproduce_the_node_polynomial(self, n_nodes):
+        # a cubic through the four nearest nodes, of lower degree with fewer
+        from pcwgprobe.pipeline import _cubic_weights
+
+        x = np.linspace(1.565, 1.625, n_nodes)
+        poly = np.polynomial.Polynomial([1.4, -0.3, 2.0, 0.7][:min(n_nodes, 4)])
+        xq = np.linspace(x[0], x[-1], 241)
+        idx, w = _cubic_weights(x, xq)
+        np.testing.assert_allclose(np.sum(w * poly(x)[idx], axis=0), poly(xq), rtol=1e-14)
 
     def test_curves_sharing_a_label_each_couple(self, small_setup):
         # every curve is its own channel, whatever its label

@@ -111,3 +111,60 @@ def test_opposite_signs_ignores_zero_and_nan():
     fa = np.array([-1e-200, 1e300, 0.0, np.nan, 2.0, -0.0])
     fb = np.array([1e-200, -1e300, 1.0, -1.0, 3.0, 1.0])
     assert opposite_signs(fa, fb).tolist() == [True, True, False, False, False, False]
+
+
+def cube_with_slope(seen):
+    def f(x, c):
+        seen.append(x.copy())
+        return x**3 - c, 3 * x**2
+    return f
+
+
+def test_start_at_b_takes_the_iterates_from_b():
+    c = np.linspace(0.5, 40.0, 30)
+    cold, warm = [], []
+    roots = bracketed_roots(cube_with_slope(cold), 0.0, 4.0, (c,), xtol=1e-15)
+    again = bracketed_roots(cube_with_slope(warm), 0.0, 4.0, (c,), xtol=1e-15, start=4.0)
+    assert roots.tobytes() == again.tobytes()
+    # one more evaluation, at the start b; after it the same points, bit for bit
+    assert len(warm) == len(cold) + 1
+    assert warm[2].tobytes() == cold[1].tobytes()
+    assert all(w.tobytes() == v.tobytes() for w, v in zip(warm[:2] + warm[3:], cold))
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+def test_start_on_either_side_converges_in_fewer_evaluations(side):
+    c = np.linspace(0.5, 40.0, 30)
+    cold, warm = [], []
+    roots = bracketed_roots(cube_with_slope(cold), 0.0, 4.0, (c,), xtol=1e-15)
+    start = np.cbrt(c) * (1.0 + side * 1e-4)
+    again = bracketed_roots(cube_with_slope(warm), 0.0, 4.0, (c,), xtol=1e-15, start=start)
+    np.testing.assert_allclose(again, np.cbrt(c), rtol=1e-14)
+    np.testing.assert_allclose(again, roots, rtol=1e-14)
+    assert sum(map(len, warm)) < sum(map(len, cold))
+
+
+@pytest.mark.parametrize("start", [-0.5, 4.5, np.nan, np.inf],
+                         ids=["below", "above", "nan", "inf"])
+def test_start_outside_the_bracket_is_b(start):
+    c = np.linspace(0.5, 40.0, 30)
+    cold, warm = [], []
+    roots = bracketed_roots(cube_with_slope(cold), 0.0, 4.0, (c,), xtol=1e-15)
+    again = bracketed_roots(cube_with_slope(warm), 0.0, 4.0, (c,), xtol=1e-15, start=start)
+    assert roots.tobytes() == again.tobytes()
+    seen = np.concatenate(warm)
+    assert np.all((seen >= 0.0) & (seen <= 4.0))
+
+
+def test_start_keeps_the_nan_rule():
+    # no sign change over the whole bracket: NaN, even from a start at a root
+    c = np.array([1.0, -1.0, 9.0])
+    roots = bracketed_roots(lambda x, c: (x**2 - c, 2 * x), 0.0, 2.0, (c,),
+                            start=np.array([1.001, 0.5, 1.9]))
+    assert roots[0] == pytest.approx(1.0, abs=1e-11)
+    assert np.isnan(roots[1]) and np.isnan(roots[2])
+
+
+def test_start_on_the_root_settles_there():
+    root = bracketed_roots(lambda x: (x - 0.25, np.ones_like(x)), 0.0, 1.0, start=0.25)
+    assert float(root) == 0.25

@@ -273,7 +273,7 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
     # analyze
     if args.input is None:
         raise ConfigError("map analyze needs --in PATH")
-    meta_path = Path(args.input).with_suffix("").with_suffix(".meta.json")
+    meta_path = Path(args.input).with_name(f"{Path(args.input).stem}.meta.json")
     tmap = TransmissionMap.from_csv(
         args.input, meta_path=meta_path if meta_path.exists() else None
     )

@@ -258,10 +258,10 @@ def _he11_roots(n1, n2, a_k0, start=None):
     n_eff in (sqrt(max(n2^2, n1^2 - (j01/(a k0))^2)), n1) brackets it away
     from every pole.  ``bracketed_roots`` refines them all at once by Newton
     steps on ``_char_m1``'s analytic slope, from ``start`` (broadcast; an
-    estimate of the roots) if given, else from the bracket's upper end.
-    Either way the whole bracket's sign change is tested first, and every
-    root must pass the relative residual check.  The first element that
-    fails raises:
+    estimate of the roots) if given, else from the bracket's upper end.  A
+    sign change proves the HE11 root: on a start's narrow bracket, which
+    lies inside the HE11 one, else on the whole bracket.  Every root must
+    pass the relative residual check.  The first element that fails raises:
     NoGuidedModeError for an empty bracket or one with no sign change (too
     thin a fiber), ConvergenceError for a root that did not settle or failed
     the check.

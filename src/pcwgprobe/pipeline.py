@@ -15,7 +15,6 @@ refined sub-grid, tracked across columns into branches, and mapped to
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -71,12 +70,13 @@ class TransmissionMap:
             raise ValueError("transmission values must lie in [0, 1]")
 
     def to_csv(self, path, meta_path=None):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([MAP_HEADER_CELL] + [repr(float(v)) for v in self.wavelengths_nm])
-        for lc, row in zip(self.lc_mm, self.t):
-            writer.writerow([repr(float(lc))] + [repr(float(v)) for v in row])
-        atomic_write(path, buf.getvalue())
+        """The map as CSV: each cell the shortest repr of its float, rows
+        ended by ``"\\r\\n"``, as ``csv.writer`` writes them (no cell needs
+        quoting)."""
+        lines = [",".join([MAP_HEADER_CELL, *map(repr, self.wavelengths_nm.tolist())])]
+        lines += [",".join(map(repr, row))
+                  for row in np.column_stack([self.lc_mm, self.t]).tolist()]
+        atomic_write(path, "\r\n".join(lines) + "\r\n")
         if meta_path is not None:
             atomic_write(meta_path, json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
 
@@ -269,17 +269,22 @@ def synthesize_map(taper: TaperProfile, curves: list, coupler: CouplerConfig, fi
     scatter = np.ones(lc_mm.size)
     if include_loss:
         scatter = coupler.scattering_transmission(taper.diameter_at(lc_mm))
-    # one coarse-wavelength solve for every diameter starts the fine solves
-    coarse = np.append(np.arange(0, lam_um.size - 1, _COARSE_STRIDE), lam_um.size - 1)
+    # one coarse-wavelength solve for every diameter gives those wavelengths'
+    # roots and starts the solves of the others
+    coarse = np.zeros(lam_um.size, bool)
+    coarse[::_COARSE_STRIDE] = coarse[-1] = True
     n_coarse = he11_neff(fiber, lam_um[coarse], d_sub[..., None])
-    idx, w = _cubic_weights(lam_um[coarse], lam_um)
+    idx, w = _cubic_weights(lam_um[coarse], lam_um[~coarse])
     t = np.empty((lc_mm.size, wavelengths_nm.size))
     rows = max(1, _MAP_BLOCK // (offsets.size * lam_um.size))
     for i in range(0, lc_mm.size, rows):
         blk = slice(i, i + rows)
         # one (position x sub-position x wavelength) fiber solve per block
+        n_eff = np.empty(d_sub[blk].shape + lam_um.shape)
+        n_eff[..., coarse] = n_coarse[blk]
         start = np.sum(w * n_coarse[blk][..., idx], axis=-2)
-        beta_f = 2.0 * np.pi * he11_neff(fiber, lam_um, d_sub[blk, :, None], start) / lam_um
+        n_eff[..., ~coarse] = he11_neff(fiber, lam_um[~coarse], d_sub[blk, :, None], start)
+        beta_f = 2.0 * np.pi * n_eff / lam_um
         t_sub = _lossless_transmission(kappa[blk], coupler.l_c_um, beta_f, branches)
         t[blk] = t_sub.sum(axis=1) / offsets.size * scatter[blk, None]
 
@@ -318,65 +323,68 @@ _SIDELOBE_DEPTH_FRAC = 0.25
 _MAX_JUMP_NM = 5.0
 
 
-def _column_dips(lam_nm, t_row):
-    """Local minima below baseline - max(3 sigma, floor), sub-grid refined.
+def _dip_levels(t):
+    """Baseline and dip threshold of each row of ``t``, all rows at once:
+    the baseline is the median of the row's top quartile, the threshold
+    baseline - max(3 sigma, floor), with sigma the noise that the median
+    sample-to-sample step implies."""
+    top = np.quantile(t, 0.75, axis=1)
+    baseline = np.nanmedian(np.where(t >= top[:, None], t, np.nan), axis=1)
+    sigma = 1.4826 * np.median(np.abs(np.diff(t, axis=1)), axis=1) / np.sqrt(2.0)
+    return baseline, baseline - np.maximum(_DEPTH_SIGMAS * sigma, 1e-6)
 
-    Runs shorter than ``_MIN_RUN`` samples are treated as noise.  The
-    two-mode transfer function carries oscillatory sidelobes around each
+
+def _column_dips(lam_nm, t_row, baseline, runs):
+    """Local minima of the ``runs`` (first, stop) of samples below the
+    threshold, sub-grid refined.
+
+    The two-mode transfer function carries oscillatory sidelobes around each
     resonance; a dip much shallower than a deeper dip nearby is one of
     those and is suppressed rather than reported as its own resonance.
     """
-    top = np.quantile(t_row, 0.75)
-    baseline = float(np.median(t_row[t_row >= top]))
-    diffs = np.abs(np.diff(t_row))
-    sigma = 1.4826 * float(np.median(diffs)) / np.sqrt(2.0)
-    threshold = baseline - max(_DEPTH_SIGMAS * sigma, 1e-6)
     t = t_row.tolist()  # the sample-by-sample searches compare Python floats
-
-    edges = np.diff(np.concatenate(([0], t_row < threshold, [0])))  # +1 opens a run, -1 ends it
     dips = []
-    for j, stop in zip(np.flatnonzero(edges > 0).tolist(), np.flatnonzero(edges < 0).tolist()):
+    for j, stop in runs:
         k = stop - 1  # the run below threshold is j..k
-        if k - j + 1 >= _MIN_RUN:
-            seg = slice(j, k + 1)
-            m = j + int(np.argmin(t_row[seg]))
-            lam_min, t_min = lam_nm[m], t_row[m]
-            # sub-grid refinement: quadratic fit over the quarter-depth
-            # window (a 3-point vertex is noise-limited on wide dips);
-            # the window stays inside this run so a shallow noise run on a
-            # shoulder cannot swallow a neighboring dip
-            limit = t[m] + 0.25 * (baseline - t[m])
-            lo_w = m
-            while lo_w > j and t[lo_w - 1] <= limit:
-                lo_w -= 1
-            hi_w = m
-            while hi_w < k and t[hi_w + 1] <= limit:
-                hi_w += 1
-            if hi_w - lo_w >= 2:
-                xs = lam_nm[lo_w : hi_w + 1] - lam_nm[m]
-                ys = t_row[lo_w : hi_w + 1]
-                a2, a1, a0 = np.polyfit(xs, ys, 2)
-                if a2 > 0:
-                    vertex = -a1 / (2.0 * a2)
-                    if abs(vertex) <= max(abs(xs[0]), abs(xs[-1])):
-                        lam_min = lam_nm[m] + vertex
-                        t_min = float(a0 - a1**2 / (4.0 * a2))
-            half = float(baseline - 0.5 * (baseline - t_min))
-            left = right = np.nan
-            for p in range(m - 1, -1, -1):  # first sample at/above the half level
-                if t[p] >= half:
-                    fr = (half - t_row[p + 1]) / (t_row[p] - t_row[p + 1])
-                    left = lam_nm[p + 1] - fr * (lam_nm[p + 1] - lam_nm[p])
-                    break
-            for p in range(m + 1, len(t)):
-                if t[p] >= half:
-                    fr = (half - t_row[p - 1]) / (t_row[p] - t_row[p - 1])
-                    right = lam_nm[p - 1] + fr * (lam_nm[p] - lam_nm[p - 1])
-                    break
-            width = (
-                right - left if np.isfinite(left) and np.isfinite(right) else float("nan")
-            )
-            dips.append((float(lam_min), float(t_min), float(width)))
+        seg = slice(j, k + 1)
+        m = j + int(np.argmin(t_row[seg]))
+        lam_min, t_min = lam_nm[m], t_row[m]
+        # sub-grid refinement: quadratic fit over the quarter-depth
+        # window (a 3-point vertex is noise-limited on wide dips);
+        # the window stays inside this run so a shallow noise run on a
+        # shoulder cannot swallow a neighboring dip
+        limit = t[m] + 0.25 * (baseline - t[m])
+        lo_w = m
+        while lo_w > j and t[lo_w - 1] <= limit:
+            lo_w -= 1
+        hi_w = m
+        while hi_w < k and t[hi_w + 1] <= limit:
+            hi_w += 1
+        if hi_w - lo_w >= 2:
+            xs = lam_nm[lo_w : hi_w + 1] - lam_nm[m]
+            ys = t_row[lo_w : hi_w + 1]
+            a2, a1, a0 = np.polyfit(xs, ys, 2)
+            if a2 > 0:
+                vertex = -a1 / (2.0 * a2)
+                if abs(vertex) <= max(abs(xs[0]), abs(xs[-1])):
+                    lam_min = lam_nm[m] + vertex
+                    t_min = float(a0 - a1**2 / (4.0 * a2))
+        half = float(baseline - 0.5 * (baseline - t_min))
+        left = right = np.nan
+        for p in range(m - 1, -1, -1):  # first sample at/above the half level
+            if t[p] >= half:
+                fr = (half - t_row[p + 1]) / (t_row[p] - t_row[p + 1])
+                left = lam_nm[p + 1] - fr * (lam_nm[p + 1] - lam_nm[p])
+                break
+        for p in range(m + 1, len(t)):
+            if t[p] >= half:
+                fr = (half - t_row[p - 1]) / (t_row[p] - t_row[p - 1])
+                right = lam_nm[p - 1] + fr * (lam_nm[p] - lam_nm[p - 1])
+                break
+        width = (
+            right - left if np.isfinite(left) and np.isfinite(right) else float("nan")
+        )
+        dips.append((float(lam_min), float(t_min), float(width)))
 
     keep = []
     for lam, tmin, width in dips:
@@ -400,12 +408,22 @@ def extract_resonances(tmap: TransmissionMap) -> list:
     flags the point as ambiguous.  Labels stay "unassigned" here; see
     ``label_branches``.  An empty result is valid (constant map).
     """
-    order = np.argsort(tmap.lc_mm)
+    baseline, threshold = _dip_levels(tmap.t)
+    # runs below threshold of every column: +1 opens a run, -1 ends it; runs
+    # shorter than _MIN_RUN samples are noise
+    edges = np.diff((tmap.t < threshold[:, None]).astype(np.int8), axis=1, prepend=0, append=0)
+    column, first = np.nonzero(edges > 0)
+    stop = np.nonzero(edges < 0)[1]
+    long = stop - first >= _MIN_RUN
+    column, runs = column[long], list(zip(first[long].tolist(), stop[long].tolist()))
+    bounds = np.searchsorted(column, np.arange(tmap.lc_mm.size + 1)).tolist()
+    baseline = baseline.tolist()
     points: list[ResonancePoint] = []
     open_tracks: list[tuple] = []  # (branch, wavelength of its last dip)
     next_branch = 0
-    for i in order:
-        dips = _column_dips(tmap.wavelengths_nm, tmap.t[i])
+    for i in np.argsort(tmap.lc_mm).tolist():
+        dips = _column_dips(tmap.wavelengths_nm, tmap.t[i], baseline[i],
+                            runs[bounds[i]:bounds[i + 1]])
         assigned = {}  # dip index -> (branch, ambiguous): tracked dips, then new ones
         for branch, lam0 in open_tracks:
             cands = sorted((abs(dips[j][0] - lam0), j) for j in range(len(dips))

@@ -266,6 +266,20 @@ class TestMapCommand:
         assert len(points) == len(bandpoints) >= 45
         assert {p["label"] for p in points} >= {"TE-1"}
 
+    @pytest.mark.parametrize("name", ["map", "run.v2"])
+    def test_analyze_reads_the_sidecar_of_its_own_stem(self, cli_out, capsys, name):
+        # <stem>.meta.json: run.v2.csv reads run.v2.meta.json, never run.meta.json
+        assert run(["--out", cli_out, "--seed", "9", "map", "synth"]) == 0
+        csv_path = cli_out / f"{name}.csv"
+        if name != "map":
+            (cli_out / "map.csv").rename(csv_path)
+        (cli_out / "map.meta.json").unlink()
+        (cli_out / "run.meta.json").write_text("not json")  # another map's, malformed
+        assert run(["--out", cli_out, "map", "analyze", "--in", csv_path]) == 0
+        (cli_out / f"{name}.meta.json").write_text("not json")
+        assert run(["--out", cli_out, "map", "analyze", "--in", csv_path]) == 2
+        assert f"{name}.meta.json: not a JSON sidecar" in capsys.readouterr().err
+
     def test_map_cell_count_is_capped_before_synthesis(self, cli_out, capsys, monkeypatch):
         # each grid passes its own cap, but the map would be 100000 x 99984 cells
         monkeypatch.setattr(cli, "synthesize_map", lambda *a, **k: pytest.fail("synthesized"))

@@ -233,9 +233,45 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("start", [1.0 + 1e-9, 1.2, np.nan])
     def test_a_start_keeps_the_no_guided_mode_error(self, start):
-        # the whole bracket's sign test still runs first
+        # the whole bracket's sign test still runs where the narrow one fails
         with pytest.raises(NoGuidedModeError, match="no guided m=1 solution"):
             he11_neff(FiberSpec(1.0), 1.6, np.array([1.0, 0.12]), start)
+
+    def test_a_start_on_a_too_thin_taper_keeps_the_message(self):
+        # the thin element starts from the thick one's root, inside its bracket
+        spec, d = FiberSpec(1.0), np.array([1.0, 0.12])
+        start = float(he11_neff(spec, 1.6))
+        a_k0 = np.pi * 0.12 / 1.6
+        v = a_k0 * np.sqrt(float(silica_index(1.6)) ** 2 - 1.0)
+        assert fibermod._he11_bracket(silica_index(1.6), 1.0, a_k0)[0] < start
+        message = (f"no guided m=1 solution bracketed for V={v:.3f} "
+                   f"(diameter too small for the numerical bracket)")
+        with pytest.raises(NoGuidedModeError) as err:
+            he11_neff(spec, 1.6, d, start)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("shift", [-1e-6, 1e-6, np.nan, 1.0, -0.5],
+                             ids=["below", "above", "nan", "past_n1", "past_n2"])
+    def test_a_start_off_its_narrow_bracket_takes_the_whole_bracket(self, default_cfg,
+                                                                    monkeypatch, shift):
+        # 1e-6 off the root is outside the narrow bracket; a NaN start, and
+        # one outside the HE11 bracket, have none
+        d, lam = default_map_grid(default_cfg)
+        spec = cfgmod.build_fiber(default_cfg)
+        cold = he11_neff(spec, lam[None, :], d[:, None])
+        seen = []
+        he11_f = fibermod._he11_f
+        monkeypatch.setattr(fibermod, "_he11_f", lambda x, *a: seen.append(x) or he11_f(x, *a))
+        warm = he11_neff(spec, lam[None, :], d[:, None], cold * (1.0 + shift))
+        seen = [x for x in seen if x.size]
+        np.testing.assert_allclose(warm, cold, rtol=1e-14, atol=0)
+        n1, a_k0 = spec.n_core(lam)[None, :], np.pi * d[:, None] / lam
+        value, scale = fibermod._char_m1(warm, n1, spec.clad_index, a_k0)
+        assert np.max(np.abs(value) / scale) < 1e-10
+        # the two narrow ends, if started, then the sign test at the bracket's ends
+        narrow = 2 if abs(shift) < 1e-3 else 0
+        ends = np.broadcast_arrays(*fibermod._he11_bracket(n1, spec.clad_index, a_k0))
+        assert [x.tobytes() for x in seen[narrow:narrow + 2]] == [e.tobytes() for e in ends]
 
     def test_a_start_near_the_roots_keeps_them(self, default_cfg):
         d, lam = default_map_grid(default_cfg)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -121,8 +124,9 @@ class TestSynthesis:
         synthesize_map(**self.default_map(default_cfg, te1))
         started = [(a, n_eff) for a, n_eff in solves if len(a) == 4]
         assert len(solves) == len(started) + 1  # one coarse solve, then the blocks
-        assert sum(n_eff.size for _, n_eff in started) == LC_MM.size * 5 * LAM_NM.size
-        for (fiber, lam_um, d_um, _), n_eff in started:
+        # the coarse solve gives its wavelengths' elements, the blocks the others
+        assert sum(n_eff.size for _, n_eff in solves) == LC_MM.size * 5 * LAM_NM.size
+        for (fiber, lam_um, d_um, *_), n_eff in solves:
             np.testing.assert_allclose(n_eff, he11(fiber, lam_um, d_um), rtol=1e-14, atol=0)
             value, scale = fibermod._char_m1(n_eff, fiber.n_core(lam_um), fiber.clad_index,
                                              np.pi * d_um / lam_um)
@@ -142,6 +146,19 @@ class TestSynthesis:
                             or char_m1(neff, *a, **k))
         synthesize_map(**self.default_map(default_cfg, te1))
         assert sum(sizes) / (LC_MM.size * 5 * LAM_NM.size) <= 6.5
+
+    def test_narrow_start_brackets_take_few_evaluations(self, default_cfg, te1, monkeypatch):
+        # as above: 5.56 when each started element took the sign test at the
+        # whole bracket's ends before its start
+        from pcwgprobe import fiber as fibermod
+
+        sizes = []
+        char_m1 = fibermod._char_m1
+        monkeypatch.setattr(fibermod, "_char_m1",
+                            lambda neff, *a, **k: sizes.append(np.size(neff))
+                            or char_m1(neff, *a, **k))
+        synthesize_map(**self.default_map(default_cfg, te1))
+        assert sum(sizes) / (LC_MM.size * 5 * LAM_NM.size) <= 4.8
 
     @pytest.mark.parametrize("n_nodes", [2, 3, 4, 16])
     def test_start_weights_reproduce_the_node_polynomial(self, n_nodes):
@@ -173,6 +190,23 @@ class TestSynthesis:
 
 
 class TestExtraction:
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "constant"])
+    def test_dip_levels_equal_the_per_column_calls(self, noisy):
+        from pcwgprobe.pipeline import _dip_levels
+
+        rng = np.random.default_rng(3)
+        t = rng.uniform(0.2, 1.0, (40, 241)) if noisy else np.full((40, 241), 0.93)
+        baseline, threshold = [], []
+        for row in t:
+            top = np.quantile(row, 0.75)
+            base = float(np.median(row[row >= top]))
+            sigma = 1.4826 * float(np.median(np.abs(np.diff(row)))) / np.sqrt(2.0)
+            baseline.append(base)
+            threshold.append(base - max(3.0 * sigma, 1e-6))
+        levels = _dip_levels(t)
+        assert levels[0].tobytes() == np.array(baseline).tobytes()
+        assert levels[1].tobytes() == np.array(threshold).tobytes()
+
     def test_constant_map_yields_no_resonances(self):
         lam = np.arange(1565.0, 1625.0, 0.25)
         tmap = TransmissionMap(lam, np.linspace(0.2, 0.5, 10),
@@ -390,6 +424,18 @@ class TestMapCsv:
         np.testing.assert_array_equal(back.t, tmap.t)
         np.testing.assert_array_equal(back.wavelengths_nm, tmap.wavelengths_nm)
         assert back.meta["gap_nm"] == tmap.meta["gap_nm"]
+
+    def test_bytes_equal_a_csv_writer_rendering(self, tmp_path):
+        tmap = TransmissionMap([1565.0, 1565.25, 1565.5, 1565.75, 1566.0], [0.25, 1e22],
+                               [[5e-324, 1e-300, 0.1, 1 / 3, 1.0], [1.0, 1 / 3, 0.1, 1e-300, 0.0]])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["lc_mm\\lambda_nm"] + [repr(float(v)) for v in tmap.wavelengths_nm])
+        for lc, row in zip(tmap.lc_mm, tmap.t):
+            writer.writerow([repr(float(lc))] + [repr(float(v)) for v in row])
+        tmap.to_csv(tmp_path / "map.csv")
+        assert (tmp_path / "map.csv").read_bytes() == buf.getvalue().encode()
+        assert b"\r\n1e+22,1.0," in buf.getvalue().encode()
 
     def test_truncated_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -120,16 +120,30 @@ def cube_with_slope(seen):
     return f
 
 
-def test_start_at_b_takes_the_iterates_from_b():
+def test_start_at_b_takes_the_sign_test_then_steps_from_its_narrow_end():
+    # no root within 1e-9 of b: after the narrow ends, clipped at b, the sign
+    # test at a and b as from no start, then steps from the narrow end toward a
     c = np.linspace(0.5, 40.0, 30)
     cold, warm = [], []
     roots = bracketed_roots(cube_with_slope(cold), 0.0, 4.0, (c,), xtol=1e-15)
     again = bracketed_roots(cube_with_slope(warm), 0.0, 4.0, (c,), xtol=1e-15, start=4.0)
-    assert roots.tobytes() == again.tobytes()
-    # one more evaluation, at the start b; after it the same points, bit for bit
-    assert len(warm) == len(cold) + 1
-    assert warm[2].tobytes() == cold[1].tobytes()
-    assert all(w.tobytes() == v.tobytes() for w, v in zip(warm[:2] + warm[3:], cold))
+    np.testing.assert_allclose(again, roots, rtol=1e-14)
+    assert warm[0].tolist() == [4.0 - 4e-9] * c.size and warm[1].tolist() == [4.0] * c.size
+    assert warm[2].tobytes() == cold[0].tobytes() and warm[3].tobytes() == cold[1].tobytes()
+    assert np.all(np.concatenate(warm[4:]) < 4.0 - 4e-9)
+
+
+def test_start_near_the_root_skips_the_sign_test_at_a_and_b():
+    # the narrow ends prove the roots: one Newton step from the nearer end,
+    # taken whole, and one that settles unevaluated
+    c = np.linspace(0.5, 40.0, 30)
+    warm = []
+    roots = bracketed_roots(cube_with_slope(warm), 0.0, 4.0, (c,), xtol=1e-15,
+                            start=np.cbrt(c) * (1.0 + 1e-12))
+    np.testing.assert_allclose(roots, np.cbrt(c), rtol=1e-14)
+    assert [len(x) for x in warm] == [c.size] * 3  # the two narrow ends, one step
+    seen = np.concatenate(warm)
+    assert np.all((seen > 0.0) & (seen < 4.0))
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])

@@ -11,7 +11,10 @@ Exit codes: 0 success, 2 input/config error, 3 computation failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -41,6 +44,11 @@ from .pipeline import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
+
+# glibc's mallopt parameters (<malloc.h>) and its largest mmap threshold on
+# 64-bit hosts
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEEP_BYTES = 32 << 20
 
 
 def _write_csv(path: Path, header: str, rows):
@@ -278,6 +286,7 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
         args.input, meta_path=meta_path if meta_path.exists() else None
     )
     taper = cfgmod.build_taper(cfg)
+    taper.diameter_at(tmap.lc_mm)  # every l_c on the profile, not only those with a dip
     fiber = cfgmod.build_fiber(cfg)
     points = extract_resonances(tmap)
     label_branches(points, taper)
@@ -289,6 +298,38 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
 
 
 # -- entry point ---------------------------------------------------------------
+
+
+def _mallopt():
+    """glibc's ``int mallopt(int param, int value)``, or None on any other C
+    library."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):  # no such name or symbol
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def keep_heap() -> bool:
+    """Keep freed memory in the heap for the next array call.
+
+    glibc returns the top of the heap to the system once more than 128 KiB
+    of it is free, and serves blocks above its dynamic mmap threshold from
+    fresh mappings.  Either way the working set of every fiber kernel block,
+    window eigensolve and solver set-up is faulted in again on its next
+    call.  Raising both thresholds to 32 MiB keeps those temporaries in the
+    heap; raising only the trim threshold would freeze the mmap threshold
+    at 128 KiB.  True if glibc took both settings; elsewhere nothing is set.
+    """
+    mallopt = _mallopt()
+    if mallopt is None:
+        return False
+    return all([mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP_BYTES) == 1,
+                mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP_BYTES) == 1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
 

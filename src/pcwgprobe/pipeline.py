@@ -83,12 +83,15 @@ class TransmissionMap:
     @classmethod
     def from_csv(cls, path, meta_path=None):
         try:
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
+            text = Path(path).read_text()
         except UnicodeDecodeError as exc:
             raise MapFormatError(f"{path}: not a text file: {exc}") from exc
-        if not rows:
+        if not text:
             raise MapFormatError(f"{path}: empty file", line=1)
+        lines = text.removesuffix("\n").split("\n")
+        # the cells csv.reader reads: a plain split where no cell is quoted
+        rows = (list(csv.reader(lines)) if '"' in text
+                else [line.split(",") if line else [] for line in lines])
         header = rows[0]
         if not header or header[0] != MAP_HEADER_CELL:
             raise MapFormatError(
@@ -102,24 +105,19 @@ class TransmissionMap:
             raise MapFormatError(
                 f"{path}: wavelength grid must be increasing with >= 2 points", line=1
             )
-        lc, data = [], []
-        for i, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            if len(row) != wavelengths.size + 1:
-                raise MapFormatError(
-                    f"{path}: expected {wavelengths.size + 1} cells, got {len(row)}",
-                    line=i,
-                    column=len(row),
-                )
-            try:
-                values = _finite_cells(path, row, line=i)
-            except ValueError as exc:
-                raise MapFormatError(f"{path}: non-numeric cell: {exc}", line=i) from exc
-            lc.append(values[0])
-            data.append(values[1:])
-        if not data:
+        body = [(i, row) for i, row in enumerate(rows[1:], start=2) if row]
+        if not body:
             raise MapFormatError(f"{path}: no data rows", line=2)
+        # the whole body in one conversion; only a failed one goes cell by cell
+        # to name the first bad cell
+        n_cells = wavelengths.size + 1
+        try:
+            cells = np.array([row for _, row in body], dtype=float)
+            whole = cells.shape == (len(body), n_cells) and np.isfinite(cells).all()
+        except ValueError:  # a non-numeric cell, or rows of unequal length
+            whole = False
+        if not whole:
+            cells = np.array([_row_cells(path, row, i, n_cells) for i, row in body])
         meta = {}
         if meta_path is not None:
             try:
@@ -127,9 +125,22 @@ class TransmissionMap:
             except ValueError as exc:  # also UnicodeDecodeError
                 raise MapFormatError(f"{meta_path}: not a JSON sidecar: {exc}") from exc
         try:
-            return cls(np.array(wavelengths), np.array(lc), np.array(data), meta)
+            return cls(wavelengths, cells[:, 0], cells[:, 1:], meta)
         except ValueError as exc:
             raise MapFormatError(f"{path}: {exc}") from exc
+
+
+def _row_cells(path, row, line, n_cells):
+    """A map row's ``n_cells`` cells as floats, or the MapFormatError that
+    names its first bad cell."""
+    if len(row) != n_cells:
+        raise MapFormatError(
+            f"{path}: expected {n_cells} cells, got {len(row)}", line=line, column=len(row)
+        )
+    try:
+        return _finite_cells(path, row, line=line)
+    except ValueError as exc:
+        raise MapFormatError(f"{path}: non-numeric cell: {exc}", line=line) from exc
 
 
 def _finite_cells(path, cells, line, first_column=1):
@@ -334,21 +345,41 @@ def _dip_levels(t):
     return baseline, baseline - np.maximum(_DEPTH_SIGMAS * sigma, 1e-6)
 
 
-def _column_dips(lam_nm, t_row, baseline, runs):
+def _quadratic_fit(x, y):
+    """``np.polyfit(x, y, 2)`` in closed form, on Python floats.
+
+    The least squares run on the centred abscissae u = x - mean(x), over the
+    orthogonal basis 1, u and w = u^2 - S2/n - (S3/S2) u (Sk the sum of
+    u^k), so each coefficient is one projection.
+    """
+    n = len(x)
+    xm, ym = sum(x) / n, sum(y) / n
+    u = [xi - xm for xi in x]
+    dy = [yi - ym for yi in y]
+    s2 = sum(ui * ui for ui in u)
+    s3 = sum(ui * ui * ui for ui in u)
+    w = [ui * ui - s2 / n - s3 / s2 * ui for ui in u]
+    c2 = sum(wi * di for wi, di in zip(w, dy)) / sum(wi * wi for wi in w)
+    c1 = (sum(ui * di for ui, di in zip(u, dy)) - s3 * c2) / s2
+    c0 = ym - s2 / n * c2
+    # c2 u^2 + c1 u + c0 in powers of x
+    return c2, c1 - 2.0 * c2 * xm, c0 - c1 * xm + c2 * xm * xm
+
+
+def _column_dips(lam_nm, t, baseline, runs):
     """Local minima of the ``runs`` (first, stop) of samples below the
-    threshold, sub-grid refined.
+    threshold, sub-grid refined.  ``lam_nm`` and ``t`` are one column's
+    wavelengths and transmissions as lists of floats.
 
     The two-mode transfer function carries oscillatory sidelobes around each
     resonance; a dip much shallower than a deeper dip nearby is one of
     those and is suppressed rather than reported as its own resonance.
     """
-    t = t_row.tolist()  # the sample-by-sample searches compare Python floats
     dips = []
     for j, stop in runs:
         k = stop - 1  # the run below threshold is j..k
-        seg = slice(j, k + 1)
-        m = j + int(np.argmin(t_row[seg]))
-        lam_min, t_min = lam_nm[m], t_row[m]
+        m = min(range(j, k + 1), key=t.__getitem__)
+        lam_min, t_min = lam_nm[m], t[m]
         # sub-grid refinement: quadratic fit over the quarter-depth
         # window (a 3-point vertex is noise-limited on wide dips);
         # the window stays inside this run so a shallow noise run on a
@@ -361,30 +392,26 @@ def _column_dips(lam_nm, t_row, baseline, runs):
         while hi_w < k and t[hi_w + 1] <= limit:
             hi_w += 1
         if hi_w - lo_w >= 2:
-            xs = lam_nm[lo_w : hi_w + 1] - lam_nm[m]
-            ys = t_row[lo_w : hi_w + 1]
-            a2, a1, a0 = np.polyfit(xs, ys, 2)
+            xs = [x - lam_nm[m] for x in lam_nm[lo_w : hi_w + 1]]
+            a2, a1, a0 = _quadratic_fit(xs, t[lo_w : hi_w + 1])
             if a2 > 0:
                 vertex = -a1 / (2.0 * a2)
                 if abs(vertex) <= max(abs(xs[0]), abs(xs[-1])):
                     lam_min = lam_nm[m] + vertex
-                    t_min = float(a0 - a1**2 / (4.0 * a2))
-        half = float(baseline - 0.5 * (baseline - t_min))
-        left = right = np.nan
+                    t_min = a0 - a1**2 / (4.0 * a2)
+        half = baseline - 0.5 * (baseline - t_min)
+        left = right = math.nan
         for p in range(m - 1, -1, -1):  # first sample at/above the half level
             if t[p] >= half:
-                fr = (half - t_row[p + 1]) / (t_row[p] - t_row[p + 1])
+                fr = (half - t[p + 1]) / (t[p] - t[p + 1])
                 left = lam_nm[p + 1] - fr * (lam_nm[p + 1] - lam_nm[p])
                 break
         for p in range(m + 1, len(t)):
             if t[p] >= half:
-                fr = (half - t_row[p - 1]) / (t_row[p] - t_row[p - 1])
+                fr = (half - t[p - 1]) / (t[p] - t[p - 1])
                 right = lam_nm[p - 1] + fr * (lam_nm[p] - lam_nm[p - 1])
                 break
-        width = (
-            right - left if np.isfinite(left) and np.isfinite(right) else float("nan")
-        )
-        dips.append((float(lam_min), float(t_min), float(width)))
+        dips.append((lam_min, t_min, right - left))
 
     keep = []
     for lam, tmin, width in dips:
@@ -417,12 +444,12 @@ def extract_resonances(tmap: TransmissionMap) -> list:
     long = stop - first >= _MIN_RUN
     column, runs = column[long], list(zip(first[long].tolist(), stop[long].tolist()))
     bounds = np.searchsorted(column, np.arange(tmap.lc_mm.size + 1)).tolist()
-    baseline = baseline.tolist()
+    baseline, lam_nm = baseline.tolist(), tmap.wavelengths_nm.tolist()
     points: list[ResonancePoint] = []
     open_tracks: list[tuple] = []  # (branch, wavelength of its last dip)
     next_branch = 0
     for i in np.argsort(tmap.lc_mm).tolist():
-        dips = _column_dips(tmap.wavelengths_nm, tmap.t[i], baseline[i],
+        dips = _column_dips(lam_nm, tmap.t[i].tolist(), baseline[i],
                             runs[bounds[i]:bounds[i + 1]])
         assigned = {}  # dip index -> (branch, ambiguous): tracked dips, then new ones
         for branch, lam0 in open_tracks:

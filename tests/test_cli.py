@@ -348,6 +348,25 @@ class TestMapCommand:
         err = capsys.readouterr().err
         assert "outside sampled range" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dip", [False, True], ids=["flat", "dip"])
+    def test_analyze_one_row_outside_the_taper_exits_2(self, cli_out, capsys, dip):
+        # rows inside the default taper's 0 ... 5.5 mm, then one at 99 mm
+        # that is flat or holds a dip: either way no output is written
+        lam = np.arange(1565.0, 1580.0, 0.5)
+        rows = ["lc_mm\\lambda_nm," + ",".join(repr(float(v)) for v in lam)]
+        for lc in (0.2, 0.3, 99.0):
+            t = np.full(lam.size, 0.95)
+            if dip or lc < 99.0:
+                t[9:12] = (0.5, 0.1, 0.5)
+            rows.append(repr(lc) + "," + ",".join(repr(float(v)) for v in t))
+        path = cli_out / "beyond.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert run(["--out", cli_out, "map", "analyze", "--in", path]) == 2
+        err = capsys.readouterr().err
+        assert "l_c outside sampled range [0.0, 5.5] mm" in err and "Traceback" not in err
+        assert not (cli_out / "resonances.json").exists()
+        assert not (cli_out / "bandpoints.json").exists()
+
     def test_analyze_missing_input_exits_2(self, cli_out):
         assert run(["--out", cli_out, "map", "analyze", "--in", cli_out / "nope.csv"]) == 2
 
@@ -500,6 +519,53 @@ class TestGlobalFlags:
         assert proc.stdout.splitlines()[-2] == "[]"
         assert (cli_out / "bandpoints.json").exists()
         assert (cli_out / "fiber_dispersion.csv").exists()
+
+    @pytest.mark.skipif(cli._mallopt() is None, reason="the C library has no mallopt")
+    def test_repeated_passes_fault_in_no_heap(self, cli_out):
+        # glibc keeps freed array temporaries in the heap for the next call:
+        # a second cold bands pass and a second map synth in one process touch
+        # no new pages (about 25,000 and 6,400 minor faults when glibc trims)
+        script = (
+            "import contextlib, io, resource, sys\n"
+            "import pcwgprobe.cli as cli\n"
+            "def faults(*commands):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    for argv in commands:\n"
+            f"        assert cli.main(['--out', {str(cli_out)!r}, *argv]) == 0\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "bands = (['--no-cache', 'bands'], ['--no-cache', 'bands', '--thinned', '300'])\n"
+            "synth = (['--seed', '1', 'map', 'synth'],)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    counts = [faults(*bands), faults(*bands), faults(*synth), faults(*synth)]\n"
+            "print(*counts)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, bands, _, synth = map(int, proc.stdout.split())
+        assert bands < 1000 and synth < 1000
+
+    @pytest.mark.skipif(cli._mallopt() is None, reason="the C library has no mallopt")
+    def test_glibc_takes_both_heap_settings(self):
+        assert cli.keep_heap.__wrapped__() is True
+
+    @pytest.mark.parametrize("lookup", ["no confstr name", "no mallopt symbol"])
+    def test_without_mallopt_the_heap_is_left_alone(self, monkeypatch, tmp_path, lookup):
+        import ctypes
+
+        def unknown_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        if lookup == "no confstr name":
+            monkeypatch.setattr(os, "confstr", unknown_name)
+        else:
+            monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli._mallopt() is None
+        monkeypatch.setattr(cli, "keep_heap", cli.keep_heap.__wrapped__)  # not cached
+        assert cli.keep_heap() is False
+        assert run(["--out", tmp_path, "fiber", "--d-um", "1.0"]) == 0
 
     def test_outputs_end_with_single_newline(self, tmp_path):
         assert run(["--out", tmp_path, "fiber", "--d-um", "1.0"]) == 0

@@ -1,5 +1,6 @@
 import csv
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +207,57 @@ class TestExtraction:
         levels = _dip_levels(t)
         assert levels[0].tobytes() == np.array(baseline).tobytes()
         assert levels[1].tobytes() == np.array(threshold).tobytes()
+
+    @staticmethod
+    def exact_quadratic(x, y):
+        """The least-squares quadratic's (a2, a1, a0), solved in rationals."""
+        x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        s = [sum(xi**k for xi in x) for k in range(5)]
+        rows = [[s[i + j] for j in range(3)] + [sum(xi**i * yi for xi, yi in zip(x, y))]
+                for i in range(3)]
+        for i in range(3):
+            for k in range(i + 1, 3):
+                rows[k] = [a - rows[k][i] / rows[i][i] * b for a, b in zip(rows[k], rows[i])]
+        c = [Fraction(0)] * 3
+        for i in (2, 1, 0):
+            c[i] = (rows[i][3] - sum(rows[i][j] * c[j] for j in range(i + 1, 3))) / rows[i][i]
+        return [float(v) for v in c[::-1]]
+
+    @pytest.mark.parametrize("noise_sigma, seed", [(0.0, None), (0.005, 11), (0.02, 3)])
+    def test_dip_fits_equal_polyfit(self, default_cfg, te1, monkeypatch, noise_sigma, seed):
+        # np.polyfit's own error reaches 5e-12 of a2 on the shallowest
+        # windows, so it is met to 1e-12 of the largest coefficient, and the
+        # rational solution to 1e-13 per coefficient
+        from pcwgprobe import pipeline
+
+        fits = []
+        fit = pipeline._quadratic_fit
+        monkeypatch.setattr(pipeline, "_quadratic_fit",
+                            lambda x, y: fits.append((x, y, fit(x, y))) or fits[-1][2])
+        extract_resonances(synthesize_map(**TestSynthesis.default_map(default_cfg, te1),
+                                          noise_sigma=noise_sigma, seed=seed))
+        assert len(fits) >= 40
+        for x, y, coefficients in fits:
+            reference = np.polyfit(x, y, 2)
+            np.testing.assert_allclose(coefficients, reference, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(reference)))
+            np.testing.assert_allclose(coefficients, self.exact_quadratic(x, y), rtol=1e-13,
+                                       atol=0)
+
+    def test_quadratic_fit_equals_polyfit_on_random_windows(self):
+        from pcwgprobe.pipeline import _quadratic_fit
+
+        rng = np.random.default_rng(8)
+        for n in range(3, 12):
+            for _ in range(20):
+                x = (np.arange(n) - rng.integers(0, n)) * 0.25
+                y = 0.3 + rng.uniform(0.1, 2.0) * (x - rng.uniform(-0.2, 0.2)) ** 2
+                y += rng.normal(0.0, 0.01, n)
+                coefficients = _quadratic_fit(x.tolist(), y.tolist())
+                np.testing.assert_allclose(coefficients, np.polyfit(x, y, 2), rtol=1e-12,
+                                           atol=0)
+                np.testing.assert_allclose(coefficients, self.exact_quadratic(x, y),
+                                           rtol=1e-13, atol=0)
 
     def test_constant_map_yields_no_resonances(self):
         lam = np.arange(1565.0, 1625.0, 0.25)
@@ -479,6 +531,62 @@ class TestMapCsv:
         with pytest.raises(MapFormatError) as err:
             TransmissionMap.from_csv(path)
         assert (err.value.line, err.value.column) == (1, 3)
+
+    PLAIN = ("lc_mm\\lambda_nm,1565.0,1565.25,1565.5\n"
+             "0.2,0.9,0.5,0.875\n"
+             "0.3,0.25,0.125,1.0\n")
+
+    @pytest.mark.parametrize("variant", {
+        "quoted": lambda s: s.replace("0.5,", '"0.5",').replace("1565.25", '"1565.25"'),
+        "blank lines": lambda s: s.replace("\n", "\n\n"),
+        "crlf": lambda s: s.replace("\n", "\r\n"),
+        "no final newline": lambda s: s.rstrip("\n"),
+        "all of them": lambda s: s.replace("0.5,", '"0.5",').replace("\n", "\r\n\r\n"),
+    }.items(), ids=lambda v: v[0])
+    def test_reads_what_csv_reader_reads(self, tmp_path, variant):
+        plain, path = tmp_path / "plain.csv", tmp_path / "variant.csv"
+        plain.write_text(self.PLAIN, newline="")
+        path.write_text(variant[1](self.PLAIN), newline="")
+        want, back = TransmissionMap.from_csv(plain), TransmissionMap.from_csv(path)
+        for name in ("wavelengths_nm", "lc_mm", "t"):
+            assert getattr(back, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_cells_equal_a_per_cell_float_parse(self, tmp_path):
+        # shortest reprs, 25 significant digits (which round on reading) and
+        # other spellings float() accepts
+        rng = np.random.default_rng(5)
+        spell = [repr, lambda v: f"{v:.25g}", lambda v: f" {v:.17e}", lambda v: f"+{v:.12f} "]
+        cells = [[spell[(i + j) % 4](float(v)) for j, v in enumerate(row)]
+                 for i, row in enumerate(rng.uniform(0.0, 1.0, (7, 9)))]
+        header = "lc_mm\\lambda_nm," + ",".join(repr(1565.0 + 0.25 * j) for j in range(8))
+        path = tmp_path / "map.csv"
+        path.write_text("\n".join([header] + [",".join(row) for row in cells]) + "\n")
+        back = TransmissionMap.from_csv(path)
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assert back.lc_mm.tobytes() == expected[:, 0].tobytes()
+        assert back.t.tobytes() == expected[:, 1:].tobytes()
+
+    @pytest.mark.parametrize("rows, line, column", [
+        (["0.2,0.9,0.9,0.9", "0.3,0.9,abc,0.9", "0.4,nan,0.9,0.9"], 3, None),
+        (["0.2,0.9,inf,0.9", "0.3,0.9,abc,0.9"], 2, 3),
+        (["0.2,0.9,0.9,0.9", "0.3,0.9,0.9,0.9,0.9"], 3, 5),
+        (["0.2,0.9,0.9,0.9", "", "0.3,0.9,0.9"], 4, 3),
+        (["0.2", "0.3"], 2, 1),
+    ])
+    def test_first_bad_cell_is_named(self, tmp_path, rows, line, column):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["lc_mm\\lambda_nm,1565.0,1566.0,1567.0"] + rows) + "\n")
+        with pytest.raises(MapFormatError) as err:
+            TransmissionMap.from_csv(path)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text, line", [("", 1), ("\n", 1), ("lc_mm\\lambda_nm,1.0,2.0\n\n", 2)])
+    def test_empty_file_header_only_and_blank_body_rejected(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(MapFormatError) as err:
+            TransmissionMap.from_csv(path)
+        assert err.value.line == line
 
     def test_failed_write_leaves_old_files(self, tmp_path, monkeypatch):
         old = TransmissionMap([1565.0, 1566.0], [0.2], [[0.9, 0.8]], {"seed": 1})

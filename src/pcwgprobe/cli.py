@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import functools
 import json
 import os
 import sys
@@ -300,20 +299,6 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
-def _mallopt():
-    """glibc's ``int mallopt(int param, int value)``, or None on any other C
-    library."""
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
-            return None
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError, ValueError):  # no such name or symbol
-        return None
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt
-
-
-@functools.cache
 def keep_heap() -> bool:
     """Keep freed memory in the heap for the next array call.
 
@@ -323,11 +308,16 @@ def keep_heap() -> bool:
     window eigensolve and solver set-up is faulted in again on its next
     call.  Raising both thresholds to 32 MiB keeps those temporaries in the
     heap; raising only the trim threshold would freeze the mmap threshold
-    at 128 KiB.  True if glibc took both settings; elsewhere nothing is set.
+    at 128 KiB.  True if glibc took both settings; on any other C library
+    (no glibc version, or no ``mallopt`` symbol) nothing is set.
     """
-    mallopt = _mallopt()
-    if mallopt is None:
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):  # no such name or symbol
         return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     return all([mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP_BYTES) == 1,
                 mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP_BYTES) == 1])
 

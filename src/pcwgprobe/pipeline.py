@@ -83,15 +83,12 @@ class TransmissionMap:
     @classmethod
     def from_csv(cls, path, meta_path=None):
         try:
-            text = Path(path).read_text()
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
             raise MapFormatError(f"{path}: not a text file: {exc}") from exc
-        if not text:
+        if not rows:
             raise MapFormatError(f"{path}: empty file", line=1)
-        lines = text.removesuffix("\n").split("\n")
-        # the cells csv.reader reads: a plain split where no cell is quoted
-        rows = (list(csv.reader(lines)) if '"' in text
-                else [line.split(",") if line else [] for line in lines])
         header = rows[0]
         if not header or header[0] != MAP_HEADER_CELL:
             raise MapFormatError(

@@ -3,7 +3,9 @@
 Subcommands: fiber (taper dispersion CSV), bands (waveguide bandstructure
 JSON + gap report), couple (gap sweep / lateral profile data), map
 (transmission-map synthesis and analysis).  All output is plot-ready
-CSV/JSON written atomically under --out.
+CSV/JSON written atomically under --out.  Each subcommand imports the
+physics modules it calls when it runs, so a fresh process loads only
+those.
 
 Exit codes: 0 success, 2 input/config error, 3 computation failure.
 """
@@ -20,25 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .bands import (
-    BandCurve,
-    defect_profile,
-    phase_match_crossing,
-    thinning_shift,
-    waveguide_bands,
-)
-from .coupling import lateral_profile, WaveguideProfile
 from .errors import ConfigError, MapFormatError, PcwgProbeError, ProfileRangeError
-from .fiber import ModeField, TaperProfile, neff_and_dbeta_dd
-from .pipeline import (
-    TransmissionMap,
-    atomic_write,
-    extract_resonances,
-    gap_sweep,
-    label_branches,
-    synthesize_map,
-    to_bandstructure,
-)
+from .fileio import atomic_write
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,6 +51,8 @@ def _write_json(path: Path, payload):
 
 
 def _bands_payload(cfg):
+    from .bands import waveguide_bands
+
     spec, dispersive = cfgmod.build_lattice(cfg)
     res = waveguide_bands(spec, kpath_norm=cfgmod.build_kpath(cfg), dispersive=dispersive)
     return {
@@ -101,6 +88,8 @@ def _read_cache(cache_file: Path):
 
 
 def _curves_from_payload(payload):
+    from .bands import BandCurve
+
     lam_z_um = payload["lam_z_nm"] * 1e-3
     return [BandCurve.from_dict(d, lam_z_um) for d in payload["curves"]]
 
@@ -117,6 +106,8 @@ def _te1(curves):
 
 
 def cmd_fiber(cfg, args, out_dir: Path) -> int:
+    from .fiber import TaperProfile, neff_and_dbeta_dd
+
     lam_nm = cfgmod.build_lambda_grid(cfg)
     if args.profile:
         if args.lc_mm is None:
@@ -143,6 +134,8 @@ def cmd_fiber(cfg, args, out_dir: Path) -> int:
 
 
 def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
+    from .bands import phase_match_crossing, thinning_shift
+
     if args.thinned is not None and not (np.isfinite(args.thinned) and args.thinned > 0):
         raise ConfigError(f"--thinned T_NM must be a finite thickness > 0 nm, got {args.thinned}")
     payload = _bands_cached(cfg, out_dir, use_cache)
@@ -195,6 +188,8 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
     te1 = _te1(_curves_from_payload(payload))
 
     if args.sweep == "gap":
+        from .pipeline import gap_sweep
+
         rows = gap_sweep(gaps_nm, coupler, fiber, te1, include_loss=include_loss)
         _write_csv(
             out_dir / "gap_sweep.csv",
@@ -206,6 +201,10 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
         return EXIT_OK
 
     # lateral sweep at the near-field probe geometry
+    from .bands import defect_profile, phase_match_crossing
+    from .coupling import WaveguideProfile, lateral_profile
+    from .fiber import ModeField
+
     pm = phase_match_crossing(te1, fiber)
     beta_norm = pm.beta_rad_per_um * spec.lam_z_um / (2.0 * np.pi)
     x, u = defect_profile(spec, te1, beta_norm)
@@ -251,6 +250,14 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
 
 
 def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
+    from .pipeline import (
+        TransmissionMap,
+        extract_resonances,
+        label_branches,
+        synthesize_map,
+        to_bandstructure,
+    )
+
     if args.mode == "synth":
         lam_nm, lc_mm = cfgmod.build_map_grids(cfg)
         include_loss = cfgmod.switch(cfg, "coupler", "include_loss")
@@ -367,21 +374,20 @@ def main(argv=None) -> int:
 
     try:
         cfg = cfgmod.load_config(args.config)
+        if args.print_effective_config:
+            print(cfgmod.effective_config_yaml(cfg), end="")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.print_effective_config:
-        print(cfgmod.effective_config_yaml(cfg), end="")
     if args.command is None:
         if args.print_effective_config:
             return EXIT_OK
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(args.out if args.out is not None else cfg["io"]["out_dir"])
-
     try:
+        out_dir = Path(args.out) if args.out is not None else cfgmod.build_out_dir(cfg)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         use_cache = cfgmod.switch(cfg, "io", "cache") and not args.no_cache

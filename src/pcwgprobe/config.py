@@ -11,22 +11,33 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-
-import yaml
-
-from .bands import DispersiveIndex, PCWaveguideSpec
-from .coupling import (
-    D_KAPPA_UM,
-    D_REF_UM,
-    G_REF_NM,
-    KAPPA_REF_L,
-    CouplerConfig,
-)
-from .errors import ConfigError
-from .fiber import FiberSpec, TaperProfile
-from .slab import DEFAULT_EFFECTIVE_HOLE_FILL, SlabSpec, slab_effective_index
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .errors import ConfigError
+
+if TYPE_CHECKING:  # each builder imports its class when it is called
+    from .coupling import CouplerConfig
+    from .fiber import FiberSpec, TaperProfile
+    from .slab import SlabSpec
+
+# Reference coupling amplitude: kappa_perp * L_c = 4.0 at the reference
+# point (g = 250 nm gap, d = 1.9 um taper), which puts the on-resonance
+# transmission floor well below 1% there.  The gap law away from the
+# reference follows the fiber mode's own evanescent decay constant; the
+# diameter factor exp(-(d_ref - d)/d_kappa) is calibrated so a 1.0 um
+# taper at g = 400 nm reaches a resonant dip of ~0.9 (kappa L_c = 1.82).
+KAPPA_REF_L = 4.0
+G_REF_NM = 250.0
+D_REF_UM = 1.9
+D_KAPPA_UM = 2.0393
+
+# Mode-weighted air fill of the perforated membrane; see the slab module's
+# docstring for the calibration (order-0 index 2.6000 at t=340 nm,
+# n_Si=3.4, 1.6 um).
+DEFAULT_EFFECTIVE_HOLE_FILL = 0.238287
 
 DEFAULTS = {
     "fiber": {
@@ -113,11 +124,17 @@ def load_config(path=None) -> dict:
     """Load a YAML config and merge it over the defaults."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
+    import yaml
+
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             user = yaml.safe_load(fh) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:  # PyYAML composes nested nodes recursively
+        raise ConfigError(f"config {path} is nested too deeply") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     if not isinstance(user, dict):
@@ -126,7 +143,12 @@ def load_config(path=None) -> dict:
 
 
 def effective_config_yaml(cfg: dict) -> str:
-    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
+    import yaml
+
+    try:
+        return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
+    except RecursionError as exc:  # PyYAML represents nested nodes recursively
+        raise ConfigError("config is nested too deeply to echo") from exc
 
 
 # Bump whenever the bands a config yields change: older caches are then not read.
@@ -173,6 +195,15 @@ def _count(cfg: dict, section: str, key: str) -> int:
     return int(value)
 
 
+def _path(cfg: dict, section: str, key: str) -> str:
+    """The file path at ``section.key``: a string holding no NUL byte (no
+    file name does), else ConfigError."""
+    value = cfg[section][key]
+    if not isinstance(value, str) or "\0" in value:
+        raise ConfigError(f"config '{section}.{key}' must be a path, got {value!r}")
+    return value
+
+
 def _section(name: str):
     """Decorates a builder: a value it rejects becomes a ConfigError naming the section."""
 
@@ -189,8 +220,15 @@ def _section(name: str):
     return decorate
 
 
+def build_out_dir(cfg: dict) -> Path:
+    """The output directory ``io.out_dir``."""
+    return Path(_path(cfg, "io", "out_dir"))
+
+
 @_section("fiber")
 def build_fiber(cfg: dict, d_um=None) -> FiberSpec:
+    from .fiber import FiberSpec
+
     f = cfg["fiber"]
     return FiberSpec(
         d_um=float(d_um if d_um is not None else f["d_um"]),
@@ -201,14 +239,18 @@ def build_fiber(cfg: dict, d_um=None) -> FiberSpec:
 
 @_section("fiber")
 def build_taper(cfg: dict) -> TaperProfile:
+    from .fiber import TaperProfile
+
     f = cfg["fiber"]
-    if f["taper_csv"]:
-        return TaperProfile.from_csv(f["taper_csv"])
+    if f["taper_csv"] is not None:
+        return TaperProfile.from_csv(_path(cfg, "fiber", "taper_csv"))
     return TaperProfile.exponential(float(f["taper_waist_um"]), float(f["taper_pull_mm"]))
 
 
 @_section("slab")
 def build_slab(cfg: dict) -> SlabSpec:
+    from .slab import SlabSpec
+
     s = cfg["slab"]
     return SlabSpec(
         t_nm=float(s["t_nm"]),
@@ -221,6 +263,9 @@ def build_slab(cfg: dict) -> SlabSpec:
 @_section("lattice")
 def build_lattice(cfg: dict):
     """PCWaveguideSpec plus the dispersive-index handle (or None)."""
+    from .bands import DispersiveIndex, PCWaveguideSpec
+    from .slab import slab_effective_index
+
     lat = cfg["lattice"]
     slab = build_slab(cfg)
     lam_ref = float(lat["lam_ref_um"])
@@ -253,6 +298,8 @@ def build_kpath(cfg: dict):
 
 @_section("coupler")
 def build_coupler(cfg: dict) -> CouplerConfig:
+    from .coupling import CouplerConfig
+
     c = cfg["coupler"]
     return CouplerConfig(
         gap_nm=float(c["gap_nm"]),

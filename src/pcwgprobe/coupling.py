@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import D_KAPPA_UM, D_REF_UM, G_REF_NM, KAPPA_REF_L  # calibration: see config
 from .errors import (
     InsufficientFringesError,
     NonPhysicalContrastError,
@@ -23,17 +24,6 @@ from .errors import (
     UndefinedWidthError,
 )
 from .fiber import FiberSpec, ModeField, exterior_decay
-
-# Reference coupling amplitude: kappa_perp * L_c = 4.0 at the reference
-# point (g = 250 nm gap, d = 1.9 um taper), which puts the on-resonance
-# transmission floor well below 1% there.  The gap law away from the
-# reference follows the fiber mode's own evanescent decay constant; the
-# diameter factor exp(-(d_ref - d)/d_kappa) is calibrated so a 1.0 um
-# taper at g = 400 nm reaches a resonant dip of ~0.9 (kappa L_c = 1.82).
-KAPPA_REF_L = 4.0
-G_REF_NM = 250.0
-D_REF_UM = 1.9
-D_KAPPA_UM = 2.0393
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -28,24 +26,9 @@ from .bands import BandCurve, phase_match_crossing
 from .coupling import CouplerConfig, co_transmission, contra_transmission
 from .errors import BandCoverageError, MapFormatError
 from .fiber import C_UM_PER_S, FiberSpec, TaperProfile, he11_neff
+from .fileio import atomic_write
 
 MAP_HEADER_CELL = "lc_mm\\lambda_nm"
-
-
-def atomic_write(path, text: str):
-    """Write ``text`` to ``path`` through a temporary file and ``os.replace``,
-    so readers see either the old file or the complete new one."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @dataclass

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_EFFECTIVE_HOLE_FILL
 from .errors import ConvergenceError, ModeCutoffError
 from .roots import bracketed_roots
-
-# Mode-weighted air fill of the perforated membrane; see module docstring
-# for the calibration (order-0 index 2.6000 at t=340 nm, n_Si=3.4, 1.6 um).
-DEFAULT_EFFECTIVE_HOLE_FILL = 0.238287
 
 
 @dataclass(frozen=True)

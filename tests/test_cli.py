@@ -89,6 +89,9 @@ class TestFiberCommand:
         ("lattice: {supercell_rows: true}\n", "bands", "'lattice.supercell_rows'"),
         ("grids: {dx_points: 81.9}\n", "couple --sweep lateral", "'grids.dx_points'"),
         ("grids: {lc_points: '50'}\n", "map synth", "'grids.lc_points'"),
+        # a path is a string: a boolean or a number would be opened as a file descriptor
+        ("fiber: {taper_csv: false}\n", "map synth", "'fiber.taper_csv'"),
+        ("fiber: {taper_csv: [a]}\n", "map synth", "'fiber.taper_csv'"),
     ])
     def test_invalid_config_value_exits_2(self, cli_out, capsys, yaml_text, command, key):
         cfg = cli_out / "cfg.yaml"
@@ -292,7 +295,8 @@ class TestMapCommand:
 
     def test_map_cell_count_is_capped_before_synthesis(self, cli_out, capsys, monkeypatch):
         # each grid passes its own cap, but the map would be 100000 x 99984 cells
-        monkeypatch.setattr(cli, "synthesize_map", lambda *a, **k: pytest.fail("synthesized"))
+        monkeypatch.setattr("pcwgprobe.pipeline.synthesize_map",
+                            lambda *a, **k: pytest.fail("synthesized"))
         cfg = cli_out / "cfg.yaml"
         cfg.write_text("grids: {lc_points: 100000, lambda_step_nm: 0.0006001}\n")
         assert run(["--config", cfg, "--out", cli_out, "map", "synth"]) == 2
@@ -473,6 +477,53 @@ class TestGlobalFlags:
         out = capsys.readouterr().out
         assert "lam_z_nm: 500.0" in out
         assert "gap_nm: 700.0" in out
+
+    def test_config_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_bytes(b"fiber:\n  d_um: 1.2 \xff\xfe\n")
+        assert run(["--config", cfg, "--out", tmp_path, "fiber"]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["5", "null", "[a]", '"a\\0b"'])
+    def test_out_dir_that_is_not_a_path_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text(f"io: {{out_dir: {value}}}\n")
+        assert run(["--config", "cfg.yaml", "fiber"]) == 2
+        err = capsys.readouterr().err
+        assert "'io.out_dir'" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    # the physics modules: the import and --print-effective-config load none of them
+    PHYSICS = {f"pcwgprobe.{m}" for m in ("bands", "fiber", "slab", "roots", "coupling",
+                                          "pipeline")}
+
+    @pytest.mark.parametrize("argv, unloaded, loaded", [
+        (None, PHYSICS | {"yaml"}, set()),
+        (["--print-effective-config"], PHYSICS, {"yaml"}),
+        (["fiber"], {"pcwgprobe.bands", "pcwgprobe.slab", "pcwgprobe.coupling",
+                     "pcwgprobe.pipeline", "yaml"}, {"pcwgprobe.fiber"}),
+        (["bands"], {"pcwgprobe.coupling", "pcwgprobe.pipeline", "yaml"},
+         {"pcwgprobe.bands"}),
+    ], ids=["import", "print-effective-config", "fiber", "warm-bands"])
+    def test_each_command_loads_only_the_modules_it_runs(self, cli_out, argv, unloaded, loaded):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import pcwgprobe.cli as cli\n"
+            f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert cli.main(['--out', {str(cli_out)!r}, *argv]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        modules = set(json.loads(proc.stdout))
+        assert sorted(unloaded & modules) == []
+        assert loaded <= modules
 
     def test_start_up_leaves_optimize_interpolate_and_linalg_unimported(self, cli_out):
         script = (

@@ -1,6 +1,6 @@
 """Property tests of the CLI's exit-code contract: whatever the config
-values or the cells of a map CSV, ``main`` ends in exit 0, 2 or 3 and
-prints no traceback.
+file's bytes or values or the cells of a map CSV, ``main`` ends in exit
+0, 2 or 3 and prints no traceback.
 
 The examples are derandomized, so the suite stays deterministic; raise
 ``max_examples`` locally to search further.  Grids stay small: the
@@ -152,6 +152,29 @@ def test_config_values_keep_the_exit_code_contract(cli_out, cfg, command):
     code, text = run_main(["--config", path, "--out", cli_out] + command)
     assert code in (0, 2, 3), text
     assert "Traceback" not in text
+
+
+# heads that lead raw bytes into the sections that the two commands read
+CONFIG_HEADS = [b"", b"fiber:\n  d_um: ", b"fiber: {clad_index: ", b"grids:\n  lambda_step_nm: ",
+                b"io:\n  cache: ", b"lattice:\n  "]
+
+
+@FUZZ
+@given(head=st.sampled_from(CONFIG_HEADS), tail=st.binary(max_size=24))
+@example(head=b"fiber:\n  d_um: ", tail=b"1.2 \xff\xfe\n")  # not UTF-8
+@example(head=b"io: {out_dir: ", tail=b"5}\n")  # an output directory that is not a path
+@example(head=b"io: {out_dir: ", tail=b"null}\n")
+@example(head=b"io: {out_dir: ", tail=b"[a]}\n")
+@example(head=b"", tail=b"[" * 1000)  # deeper than PyYAML can compose
+@example(head=b"fiber: {core_index: ", tail=b"[" * 400 + b"]" * 400 + b"}")  # or echo
+def test_config_bytes_keep_the_exit_code_contract(tmp_path, monkeypatch, head, tail):
+    monkeypatch.chdir(tmp_path)  # without --out, fiber writes under io.out_dir
+    path = tmp_path / "fuzz.yaml"
+    path.write_bytes(head + tail)
+    for command in (["--print-effective-config"], ["fiber"]):
+        code, text = run_main(["--config", path] + command)
+        assert code in (0, 2, 3), text
+        assert "Traceback" not in text
 
 
 # each grid-sizing key with a command that builds its grid

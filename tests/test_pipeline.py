@@ -598,7 +598,7 @@ class TestMapCsv:
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr("pcwgprobe.pipeline.os.replace", fail)
+        monkeypatch.setattr("pcwgprobe.fileio.os.replace", fail)
         with pytest.raises(OSError):
             new.to_csv(path, meta_path=meta)
         assert (path.read_bytes(), meta.read_bytes()) == before

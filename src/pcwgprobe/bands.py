@@ -29,14 +29,20 @@ Units: lengths in um internally, frequencies reported both normalized
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BandCoverageError, ConvergenceError, EigensolverError, NoDefectModeError
 from .fiber import C_UM_PER_S, he11_neff
 from .roots import bracketed_roots
-from .slab import SlabSpec, slab_effective_index
+
+if TYPE_CHECKING:  # a warm bands run never loads the slab solver
+    from .slab import SlabSpec
 
 _NEG_EIG_TOL = 1e-8
 _EIG_RESIDUAL_TOL = 1e-9
@@ -253,14 +259,157 @@ def _epsilon_table(spec: PCWaveguideSpec, mz, mx):
 
 def _spd_inverse(eps, parity):
     """Inverse of a sector's EPS block from its Cholesky factor, which fails
-    (EigensolverError) unless the block is positive definite."""
+    (EigensolverError) unless the block is positive definite.
+
+    ``eps`` is symmetric and C-ordered, so ``eps.T`` is the same matrix in
+    Fortran order and LAPACK factors and inverts it in place.
+    """
     from scipy.linalg import lapack
 
-    chol, info = lapack.dpotrf(eps)
-    inv, info = lapack.dpotri(chol) if info == 0 else (None, info)
+    chol, info = lapack.dpotrf(eps.T, overwrite_a=1)
+    inv, info = lapack.dpotri(chol, overwrite_c=1) if info == 0 else (None, info)
     if info != 0:
         raise EigensolverError(f"{parity}-sector EPS block is not positive definite")
-    return np.triu(inv) + np.triu(inv, 1).T
+    # dpotrf zeroed the other triangle, and dpotri left it so
+    diagonal = inv.diagonal().copy()
+    inv += inv.T
+    np.fill_diagonal(inv, diagonal)
+    return inv.T
+
+
+# The dsyevr parameter list that scipy.linalg.cython_lapack exports, with its
+# double typedef written out: the counts are C ints (LP64 LAPACK).
+_DSYEVR_SIGNATURE = (
+    "void (char *, char *, char *, int *, double *, int *, double *, double *, int *, int *, "
+    "double *, int *, double *, double *, int *, int *, double *, int *, int *, int *, int *)"
+)
+
+
+def _bind_dsyevr(capsule):
+    """ctypes function of the dsyevr pointer in a scipy.linalg.cython_lapack
+    capsule, after checking the capsule's signature string against
+    ``_DSYEVR_SIGNATURE``.
+
+    ctypes releases the GIL for the call.  Every argument is a pointer: the
+    three ``char *`` ones as bytes, the others as addresses.
+    """
+    import ctypes
+    import re
+
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    name = get_name(capsule)
+    found = re.sub(r"__pyx_t_\w+_d \*", "double *", (name or b"").decode())
+    if found != _DSYEVR_SIGNATURE:
+        raise EigensolverError(f"unexpected dsyevr signature from scipy: {found!r}")
+    params = found[found.index("(") + 1:-1].split(", ")
+    types = [ctypes.c_char_p if p == "char *" else ctypes.c_void_p for p in params]
+    return ctypes.CFUNCTYPE(None, *types)(get_pointer(capsule, name))
+
+
+@functools.cache
+def _dsyevr():
+    """LAPACK dsyevr through the function pointer scipy.linalg.cython_lapack
+    exports (numba binds LAPACK through the same capsules)."""
+    from scipy.linalg import cython_lapack
+
+    return _bind_dsyevr(cython_lapack.__pyx_capi__["dsyevr"])
+
+
+@functools.cache
+def _hold_blas_at_one_thread() -> bool:
+    """Hold every loaded scipy-openblas (numpy's and scipy's) at one thread
+    for the rest of the process.
+
+    ``waveguide_bands`` solves its k-points on one thread per core, and
+    OpenBLAS's own workers, which spin while they wait, would compete with
+    them for the same cores.  Restoring the pools after each call would
+    restart those workers.  False where no scipy-openblas is found (no
+    ``/proc/self/maps``, or another BLAS); nothing is changed then.
+    """
+    import ctypes
+
+    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
+
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return False
+    paths = {f[5].rstrip("\n") for f in fields
+             if len(f) == 6 and os.path.basename(f[5]).startswith("libscipy_openblas")}
+    held = False
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                held = True
+    return held
+
+
+class _WindowEigh:
+    """One thread's dsyevr arrays for symmetric blocks of up to ``n`` rows.
+
+    Each k-point and sector reuses them instead of allocating n x n ones
+    per solve; ``block(rows)`` is a reusable array to build Theta in.
+    """
+
+    def __init__(self, n):
+        self._dsyevr = _dsyevr()
+        self._a, self._z = np.empty(n * n), np.empty(n * n)
+        self._w, self._isuppz = np.empty(n), np.empty(2 * n, np.intc)
+        # n, lda, il, iu, m, ldz, lwork, liwork, info; vl, vu, abstol
+        self._ints, self._reals = np.zeros(9, np.intc), np.zeros(3)
+        self._work, self._iwork = np.empty(1), np.empty(1, np.intc)
+        self._lwork = {}  # rows -> (lwork, liwork) from LAPACK's workspace query
+
+    def block(self, rows):
+        return self._a[: rows * rows].reshape(rows, rows)
+
+    def _call(self, a, rows, lo, hi, lwork, liwork):
+        ints, reals = self._ints, self._reals
+        ints[:] = rows, rows, 1, rows, 0, rows, lwork, liwork, 0
+        reals[:] = lo, hi, 0.0
+        i, r = ints.ctypes.data, reals.ctypes.data
+        self._dsyevr(b"V", b"V", b"L", i, a.ctypes.data, i + 4, r, r + 8, i + 8, i + 12,
+                     r + 16, i + 16, self._w.ctypes.data, self._z.ctypes.data, i + 20,
+                     self._isuppz.ctypes.data, self._work.ctypes.data, i + 24,
+                     self._iwork.ctypes.data, i + 28, i + 32)
+        return int(ints[4]), int(ints[8])
+
+    def solve(self, theta, lo, hi):
+        """(values, vectors) of the symmetric ``theta`` with lo < value <= hi,
+        bit for bit as ``scipy.linalg.eigh(theta, subset_by_value=(lo, hi))``
+        gives them.
+
+        LAPACK reads the lower triangle of ``theta`` in column-major order
+        and overwrites it.  Both results are views of this object's arrays,
+        valid until its next call.
+        """
+        rows = theta.shape[0]
+        if not (theta.dtype == np.float64 and theta.shape == (rows, rows)
+                and theta.flags.c_contiguous and theta.flags.writeable and rows <= self._w.size):
+            raise ValueError(f"need a writeable C-ordered float64 square block of at most "
+                             f"{self._w.size} rows, got {theta.dtype} {theta.shape}")
+        if not lo < hi:
+            raise ValueError(f"empty eigenvalue interval ({lo}, {hi}]")
+        if rows not in self._lwork:  # the sizes scipy's eigh queries and passes
+            self._call(theta, rows, lo, hi, -1, -1)
+            self._lwork[rows] = int(self._work[0]), int(self._iwork[0])
+        lwork, liwork = self._lwork[rows]
+        if self._work.size < lwork:
+            self._work = np.empty(lwork)
+        if self._iwork.size < liwork:
+            self._iwork = np.empty(liwork, np.intc)
+        m, info = self._call(theta, rows, lo, hi, lwork, liwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info={info})")
+        return self._w[:m], self._z[: rows * m].reshape(m, rows).T
 
 
 class PlaneWaveSolver:
@@ -285,6 +434,9 @@ class PlaneWaveSolver:
     """
 
     def __init__(self, spec: PCWaveguideSpec):
+        from numpy.lib.stride_tricks import as_strided
+
+        _hold_blas_at_one_thread()
         self.spec = spec
         self.g, self._mz, self._mx = _basis(spec)
         p, px = self._mz[-1], self._mx[-1]
@@ -293,10 +445,11 @@ class PlaneWaveSolver:
         n, n_odd = nz * nm, nz * (nm - 1)
         iz, m = np.divmod(np.arange(n), nm)
         # EPS between the (m_z, m >= 0) plane waves and the (m_z, +-m) ones,
-        # indexed [iz, m, iz', m']
-        dz = iz[:, None] - iz[None, :] + 2 * p
-        direct = table[dz, m[:, None] - m[None, :] + 2 * px].reshape(nz, nm, nz, nm)
-        mirrored = table[dz, m[:, None] + m[None, :] + 2 * px].reshape(nz, nm, nz, nm)
+        # indexed [iz, m, iz', m']: table[iz - iz', m -+ m'] relative to its
+        # G = 0 entry, as views with negative strides into the table
+        origin, (s0, s1) = table[2 * p:, 2 * px:], table.strides
+        direct = as_strided(origin, (nz, nm, nz, nm), (s0, s1, -s0, -s1), writeable=False)
+        mirrored = as_strided(origin, (nz, nm, nz, nm), (s0, s1, -s0, s1), writeable=False)
         odd = np.s_[:, 1:, :, 1:]  # the odd sector's block (m, m' > 0) of a 4-D array
         eta_o = _spd_inverse((direct[odd] - mirrored[odd]).reshape(n_odd, n_odd), "odd")
         w = np.where(m > 0, 1.0, np.sqrt(0.5))
@@ -322,6 +475,13 @@ class PlaneWaveSolver:
             m.size: np.sqrt(2.0) * w[: px + 1, None] * np.cos(arg),
             m.size - self._mz.size: np.sqrt(2.0) * np.sin(arg[1:]),
         }
+        self._threads = threading.local()  # each thread's _WindowEigh
+
+    def _window_eigh(self) -> _WindowEigh:
+        work = getattr(self._threads, "eigh", None)
+        if work is None:
+            work = self._threads.eigh = _WindowEigh(self._gz.size)
+        return work
 
     @property
     def n_pw(self):
@@ -336,29 +496,34 @@ class PlaneWaveSolver:
         other.  With ``num_bands``: the lowest ``num_bands`` of the solved
         sectors, merged and sorted; a negative lowest eigenvalue raises
         EigensolverError.  With ``window=(lo, hi)``, 0 <= lo < hi: only the
-        states with lo < omega < hi (LAPACK syevr computes just those), as
+        states with lo < omega < hi (LAPACK dsyevr computes just those), as
         {parity: (omega, vecs)} per solved sector with the eigenvectors as
         columns in the sector basis.  A window cannot see the lowest
         eigenvalue, but Theta is PSD by construction (see the class notes);
         each vector must satisfy |Theta v - w^2 v| <= 1e-9 w^2.
         """
-        import scipy.linalg
-
         kz = self._gz + beta_rad_per_um
         to_omega = self.spec.lam_z_um / (2.0 * np.pi)
         found = {}
         for parity in parities:
             rows, eta, x_term = self._sectors[parity]
-            theta = np.outer(kz[rows], kz[rows]) * eta + x_term
+            kzr = kz[rows]
+            work = None if window is None else self._window_eigh()
+            # a window's Theta is built in this thread's dsyevr array
+            theta = np.outer(kzr, kzr, out=None if work is None else work.block(kzr.size))
+            theta *= eta
+            theta += x_term
             where = f"at beta={beta_rad_per_um:.6f} rad/um ({parity} sector, n_pw={self.n_pw})"
             try:
                 if window is None:
+                    import scipy.linalg
+
                     vals = scipy.linalg.eigh(theta, eigvals_only=True, subset_by_index=(
                         0, min(num_bands, theta.shape[0]) - 1))
                 else:  # ValueError: not lo < hi, a stop band closed to rounding
                     bounds = (np.asarray(window) / to_omega) ** 2
-                    vals, vecs = scipy.linalg.eigh(theta, subset_by_value=tuple(bounds))
-            except (scipy.linalg.LinAlgError, ValueError) as exc:
+                    vals, vecs = work.solve(theta, *bounds)
+            except (np.linalg.LinAlgError, ValueError) as exc:
                 raise EigensolverError(f"eigensolve failed {where}: {exc}") from exc
             if window is None:
                 scale = max(abs(vals[-1]), 1.0)
@@ -369,12 +534,14 @@ class PlaneWaveSolver:
                 continue
             omega = np.sqrt(vals) * to_omega
             keep = (omega > window[0]) & (omega < window[1])  # syevr's interval is half-open
-            # compress copies the kept columns out of LAPACK's n x n
-            # workspace, which a view would keep alive as long as the vectors
+            # copies out of the thread's arrays, which the next solve overwrites
             vals, vecs = vals[keep], vecs.compress(keep, axis=1)
-            # one product per state: numpy has an OpenBLAS of its own, and a matrix
-            # product (Theta @ V) wakes its threads, which slow scipy's eigensolves
-            res = [np.linalg.norm(theta @ v - w * v) / w for w, v in zip(vals, vecs.T)]
+            # dsyevr has overwritten Theta, so Theta v is formed from the stored
+            # blocks, k_z o (eta (k_z o v)) + (x term) v, one state at a time: where
+            # the BLAS is not held at one thread, a matrix product would wake numpy's
+            # OpenBLAS pool, whose spinning threads slow scipy's
+            res = [np.linalg.norm(kzr * (eta @ (kzr * v)) + x_term @ v - w * v) / w
+                   for w, v in zip(vals, vecs.T)]
             if not all(r <= _EIG_RESIDUAL_TOL for r in res):
                 raise EigensolverError(f"eigenvector residual {max(res):.3e} {where}")
             found[parity] = (omega[keep], vecs)
@@ -510,6 +677,8 @@ class DispersiveIndex:
 
     def n(self, lam_um):
         """Order-0 slab index at scalar or array wavelengths."""
+        from .slab import slab_effective_index
+
         return slab_effective_index(self.slab, lam_um)
 
     @property
@@ -518,6 +687,24 @@ class DispersiveIndex:
 
 
 _LOCALIZATION_THRESHOLD = 0.5  # |H|^2 fraction on the graded rows of a defect state
+
+
+def _map_on_cores(fn, *args):
+    """``[fn(*a) for a in zip(*args)]`` on one thread per usable core, never
+    more threads than calls, all of them ended when this returns.
+
+    The window eigensolves release the GIL.  Where the BLAS cannot be held
+    at one thread (see ``_hold_blas_at_one_thread``), the calls run here in
+    order.
+    """
+    calls = len(args[0])
+    workers = min(calls, len(os.sched_getaffinity(0))) if _hold_blas_at_one_thread() else 1
+    if workers <= 1:
+        return [fn(*a) for a in zip(*args)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:  # a failed call cancels the calls not started
+        return list(pool.map(fn, *args))
 
 
 def _track_branches(cand_per_k):
@@ -574,15 +761,19 @@ def waveguide_bands(
     gap, windows = _defect_windows(spec, kpath_norm)
 
     solver = PlaneWaveSolver(spec)
-    cand_per_k = {parity: [] for parity in parities}
-    for bn, window in zip(kpath_norm, windows):
+
+    def candidates(bn, window):
+        """The localized states of one k-point per sector, as (omega, vec, S)."""
         beta = bn * 2.0 * np.pi / spec.lam_z_um
-        for parity, (omega, vecs) in solver.solve_k(beta, window=window, parities=parities).items():
-            cand_per_k[parity].append([
-                (w, v, solver.sensitivity(beta, w, v) if dispersive is not None else np.nan)
-                for w, v in zip(omega, vecs.T)
-                if solver.localization(v) > _LOCALIZATION_THRESHOLD
-            ])
+        return {parity: [
+            (w, v, solver.sensitivity(beta, w, v) if dispersive is not None else np.nan)
+            for w, v in zip(omega, vecs.T)
+            if solver.localization(v) > _LOCALIZATION_THRESHOLD
+        ] for parity, (omega, vecs) in solver.solve_k(beta, window=window,
+                                                      parities=parities).items()}
+
+    per_k = _map_on_cores(candidates, kpath_norm, windows)
+    cand_per_k = {parity: [cands[parity] for cands in per_k] for parity in parities}
 
     branches = sorted(  # by first k-point, then frequency
         ((parity, samples) for parity, cands in cand_per_k.items()
@@ -748,6 +939,8 @@ def thinning_shift(
     what sets how fast it moves with thickness.  Raises ModeCutoffError
     if order 1 is below cutoff at either thickness.
     """
+    from .slab import slab_effective_index
+
     if t_thin_nm == slab.t_nm:
         return ThinningShift({"TE-1": 0.0, "TE-2": 0.0}, spec.lam_z_um)
 

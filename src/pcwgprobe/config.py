@@ -9,7 +9,6 @@ below (echo the merged result with --print-effective-config).
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -157,6 +156,8 @@ BANDS_CACHE_VERSION = 3
 
 def bands_cache_key(cfg: dict) -> str:
     """Stable short hash of everything the cached bands depend on."""
+    import hashlib  # only the commands that read or write the bands cache hash
+
     payload = {"version": BANDS_CACHE_VERSION, "slab": cfg["slab"], "lattice": cfg["lattice"]}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 

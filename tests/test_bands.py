@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from pcwgprobe.bands import (
     BandCurve,
     PCWaveguideSpec,
     PlaneWaveSolver,
+    _WindowEigh,
     _basis,
     _defect_windows,
     _epsilon_table,
@@ -467,14 +470,12 @@ class TestWindowSolve:
                 np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-10)
 
     def test_factored_blocks_equal_the_reference_formula(self, default_spec, monkeypatch):
-        import scipy.linalg
-
         kpath = np.linspace(0.30, 0.50, 26)  # the default path
         _, windows = _defect_windows(default_spec, kpath)
         solver = PlaneWaveSolver(default_spec)
-        factored, eigh = [], scipy.linalg.eigh
-        monkeypatch.setattr(scipy.linalg, "eigh",
-                            lambda a, **kw: factored.append(a) or eigh(a, **kw))
+        factored, solve = [], _WindowEigh.solve  # copies: dsyevr overwrites Theta
+        monkeypatch.setattr(_WindowEigh, "solve", lambda self, a, lo, hi: factored.append(
+            a.copy()) or solve(self, a, lo, hi))
         for bn, window in zip(kpath, windows):
             beta = bn * 2 * np.pi / default_spec.lam_z_um
             factored.clear()
@@ -518,6 +519,48 @@ class TestWindowSolve:
         with pytest.raises(EigensolverError, match="residual"):
             solver.solve_k(beta, window=window)
 
+    @pytest.mark.parametrize("window", [(0.3, 0.3), (0.31, 0.3)])
+    def test_empty_window_raises(self, default_spec, window):
+        solver = PlaneWaveSolver(default_spec)
+        with pytest.raises(EigensolverError, match="eigensolve failed .*empty"):
+            solver.solve_k(0.42 * 2 * np.pi / default_spec.lam_z_um, window=window)
+
+    def test_binding_equals_scipy_eigh_bit_for_bit(self, default_spec):
+        import scipy.linalg
+
+        kpath = np.linspace(0.30, 0.50, 26)[::5]  # on the default path
+        _, windows = _defect_windows(default_spec, kpath)
+        solver = PlaneWaveSolver(default_spec)
+        work = _WindowEigh(solver._gz.size)
+        to_omega = default_spec.lam_z_um / (2 * np.pi)
+        for bn, window in zip(kpath, windows):
+            lo, hi = (np.asarray(window) / to_omega) ** 2
+            for theta in sector_blocks(solver, bn * 2 * np.pi / default_spec.lam_z_um).values():
+                ref_vals, ref_vecs = scipy.linalg.eigh(theta, subset_by_value=(lo, hi))
+                block = work.block(theta.shape[0])
+                block[...] = theta
+                vals, vecs = work.solve(block, lo, hi)
+                assert vals.size > 0
+                assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+    def test_binding_checks_the_capsule_signature(self):
+        import ctypes
+
+        from scipy.linalg import cython_lapack
+
+        from pcwgprobe.bands import _DSYEVR_SIGNATURE, _bind_dsyevr
+
+        assert _bind_dsyevr(cython_lapack.__pyx_capi__["dsyevr"]) is not None
+        new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
+                                ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+        target = ctypes.c_int()  # a valid pointer that is never called
+        for wrong in (_DSYEVR_SIGNATURE.replace("int *", "long *"),  # 64-bit counts
+                      _DSYEVR_SIGNATURE.replace(", int *)", ")"),  # 20 parameters
+                      _DSYEVR_SIGNATURE.replace("double *", "float *")):
+            name = wrong.encode()  # the capsule keeps only a pointer to its name
+            with pytest.raises(EigensolverError, match="signature"):
+                _bind_dsyevr(new(ctypes.addressof(target), name, None))
+
     def test_lowest_eigenvalue_check_raises(self, default_spec):
         solver = PlaneWaveSolver(default_spec.bulk())
         solver._sectors = {parity: (rows, -eta, -x_term)
@@ -548,6 +591,9 @@ class TestSectorSelection:
         calls, eigh = [], scipy.linalg.eigh  # (rows, windowed) of every eigensolve
         monkeypatch.setattr(scipy.linalg, "eigh", lambda a, **kw: calls.append(
             (a.shape[0], "subset_by_value" in kw)) or eigh(a, **kw))
+        solve = _WindowEigh.solve  # the window solves
+        monkeypatch.setattr(_WindowEigh, "solve", lambda self, a, lo, hi: calls.append(
+            (a.shape[0], True)) or solve(self, a, lo, hi))
         thinning_shift(default_spec, SlabSpec(340.0), 300.0, LAM_REF_UM)
         assert not any(rows == 357 for rows, _ in calls)  # the odd supercell block
         assert sum(windowed for _, windowed in calls) == 2 * 13  # one even solve per k
@@ -565,6 +611,98 @@ class TestSectorSelection:
         for (x, u), curve in zip(one, (te1, te1_odd)):
             x2, u2 = defect_profile(default_spec, curve, beta_norm)
             assert np.array_equal(x, x2) and np.array_equal(u, u2)
+
+
+class TestSolveOnCores:
+    """waveguide_bands solves its k-points on one thread per usable core."""
+
+    def test_one_worker_gives_the_same_bands(self, default_cfg, monkeypatch):
+        import threading
+
+        from pcwgprobe import bands
+
+        spec, dispersive = cfgmod.build_lattice(default_cfg)
+        kpath = np.linspace(0.30, 0.50, 26)  # the default path
+        sensitivity = PlaneWaveSolver.sensitivity
+
+        def run():
+            """Curves, sorted (beta, omega, S) of every sample, solving threads."""
+            samples, threads = [], set()
+
+            def record(self, beta, omega, vec):
+                threads.add(threading.get_ident())
+                value = sensitivity(self, beta, omega, vec)
+                samples.append((beta, omega, value))
+                return value
+
+            with monkeypatch.context() as patch:
+                patch.setattr(PlaneWaveSolver, "sensitivity", record)
+                curves = waveguide_bands(spec, kpath_norm=kpath, dispersive=dispersive).curves
+            return curves, sorted(samples), threads
+
+        cores = len(os.sched_getaffinity(0))
+        runs = {"default": run()}
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            runs["one core"] = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(bands, "_hold_blas_at_one_thread", lambda: False)
+            runs["BLAS not held"] = run()
+        curves, samples, threads = runs.pop("default")
+        if cores > 1 and bands._hold_blas_at_one_thread():
+            assert len(threads) > 1
+        for name, (other_curves, other_samples, other_threads) in runs.items():
+            assert len(other_threads) == 1, name
+            assert other_samples == samples, name
+            assert [c.label for c in other_curves] == [c.label for c in curves], name
+            for a, b in zip(curves, other_curves):
+                assert np.array_equal(a.beta_rad_per_um, b.beta_rad_per_um), name
+                assert np.array_equal(a.omega_norm, b.omega_norm), name
+
+    def test_residual_fault_in_a_worker_raises_and_ends_the_threads(self, default_spec,
+                                                                    monkeypatch):
+        import threading
+
+        init = PlaneWaveSolver.__init__
+
+        def corrupted(self, spec):
+            init(self, spec)
+            if spec.grading:  # the supercell's odd sector, as the residual test corrupts one
+                rows, eta, x_term = self._sectors["odd"]
+                self._sectors["odd"] = (rows, eta + np.triu(1e-3 * np.abs(eta), 1), x_term)
+
+        monkeypatch.setattr(PlaneWaveSolver, "__init__", corrupted)
+        before = threading.active_count()
+        with pytest.raises(EigensolverError, match="residual .*odd sector"):
+            waveguide_bands(default_spec, kpath_norm=np.linspace(0.30, 0.50, 26))
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+    def test_blas_is_held_at_one_thread_after_a_solve(self, default_spec, monkeypatch):
+        import builtins
+        import ctypes
+
+        from pcwgprobe import bands
+
+        PlaneWaveSolver(default_spec.bulk())
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                     if "libscipy_openblas" in line.split("/")[-1]}
+        assert bands._hold_blas_at_one_thread() is bool(paths)
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            getter = getattr(lib, "scipy_openblas_get_num_threads64_", None) or getattr(
+                lib, "scipy_openblas_get_num_threads")
+            assert getter() == 1, path
+        real_open = builtins.open
+
+        def no_maps(path, *args, **kwargs):
+            if path == "/proc/self/maps":
+                raise FileNotFoundError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", no_maps)
+        assert bands._hold_blas_at_one_thread.__wrapped__() is False
 
 
 class TestDispersiveFixedPoint:

@@ -500,11 +500,11 @@ class TestGlobalFlags:
 
     @pytest.mark.parametrize("argv, unloaded, loaded", [
         (None, PHYSICS | {"yaml"}, set()),
-        (["--print-effective-config"], PHYSICS, {"yaml"}),
+        (["--print-effective-config"], PHYSICS | {"hashlib"}, {"yaml"}),
         (["fiber"], {"pcwgprobe.bands", "pcwgprobe.slab", "pcwgprobe.coupling",
-                     "pcwgprobe.pipeline", "yaml"}, {"pcwgprobe.fiber"}),
-        (["bands"], {"pcwgprobe.coupling", "pcwgprobe.pipeline", "yaml"},
-         {"pcwgprobe.bands"}),
+                     "pcwgprobe.pipeline", "yaml", "hashlib"}, {"pcwgprobe.fiber"}),
+        (["bands"], {"pcwgprobe.coupling", "pcwgprobe.pipeline", "pcwgprobe.slab", "yaml",
+                     "concurrent.futures"}, {"pcwgprobe.bands"}),
     ], ids=["import", "print-effective-config", "fiber", "warm-bands"])
     def test_each_command_loads_only_the_modules_it_runs(self, cli_out, argv, unloaded, loaded):
         script = (

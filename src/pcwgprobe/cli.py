@@ -162,8 +162,8 @@ def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
 
     if args.thinned is not None:
         spec, _ = cfgmod.build_lattice(cfg)
-        lam_ref_um = float(cfg["lattice"]["lam_ref_um"])
-        shift = thinning_shift(spec, cfgmod.build_slab(cfg), float(args.thinned), lam_ref_um)
+        shift = thinning_shift(spec, cfgmod.build_slab(cfg), float(args.thinned),
+                               cfg["lattice"]["lam_ref_um"])
         payload["thinning"] = {
             "t_thin_nm": float(args.thinned),
             "d_omega_norm": shift.d_omega_norm,
@@ -180,7 +180,6 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
     coupler = cfgmod.build_coupler(cfg)
     if args.sweep == "gap":
         fiber, gaps_nm = cfgmod.build_sweep_fiber(cfg, "gap_sweep_d_um"), cfgmod.build_gap_grid(cfg)
-        include_loss = cfgmod.switch(cfg, "coupler", "include_loss")
     else:
         fiber, gap_nm, dx_um = cfgmod.build_lateral_probe(cfg)
         spec, _ = cfgmod.build_lattice(cfg)
@@ -190,7 +189,8 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
     if args.sweep == "gap":
         from .pipeline import gap_sweep
 
-        rows = gap_sweep(gaps_nm, coupler, fiber, te1, include_loss=include_loss)
+        rows = gap_sweep(gaps_nm, coupler, fiber, te1,
+                         include_loss=cfg["coupler"]["include_loss"])
         _write_csv(
             out_dir / "gap_sweep.csv",
             "gap_nm,t_min,t_max,gamma,kappa_l",
@@ -260,7 +260,6 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
 
     if args.mode == "synth":
         lam_nm, lc_mm = cfgmod.build_map_grids(cfg)
-        include_loss = cfgmod.switch(cfg, "coupler", "include_loss")
         noise_sigma = cfgmod.build_noise_sigma(cfg)
         payload = _bands_cached(cfg, out_dir, use_cache)
         te1 = _te1(_curves_from_payload(payload))
@@ -274,7 +273,7 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
             fiber,
             lam_nm,
             lc_mm,
-            include_loss=include_loss,
+            include_loss=cfg["coupler"]["include_loss"],
             noise_sigma=noise_sigma,
             seed=seed,
         )
@@ -387,10 +386,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        out_dir = Path(args.out) if args.out is not None else cfgmod.build_out_dir(cfg)
+        out_dir = Path(args.out if args.out is not None else cfg["io"]["out_dir"])
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        use_cache = cfgmod.switch(cfg, "io", "cache") and not args.no_cache
+        use_cache = cfg["io"]["cache"] and not args.no_cache
         if args.command == "fiber":
             return cmd_fiber(cfg, args, out_dir)
         if args.command == "bands":

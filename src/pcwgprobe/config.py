@@ -2,15 +2,16 @@
 
 Sections ``fiber``, ``slab``, ``lattice``, ``coupler``, ``grids``,
 ``io``; every physical quantity carries its unit in the key name.
-Unknown keys are rejected; missing keys fall back to the defaults
-below (echo the merged result with --print-effective-config).
+Unknown keys are rejected, and every value is checked at load against
+the kind of its default (see ``OPTIONAL_KINDS``); missing keys fall back
+to the defaults below (echo the merged result with
+--print-effective-config).
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -104,23 +105,63 @@ DEFAULTS = {
 }
 
 
+# The kinds of the keys whose default is null.  Every other key takes the
+# kind of its default: a real (float), a whole number (int), a switch
+# (bool), a path (str) or a list of reals (list).
+OPTIONAL_KINDS = {
+    "fiber.core_index": float,
+    "fiber.taper_csv": str,
+    "lattice.n_eff_override": float,
+    "coupler.g0_nm": float,
+}
+_KIND_NAMES = {float: "a real number", int: "a whole number", bool: "true or false",
+               str: "a path", list: "a list of real numbers"}
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(here: str, kind: type, value):
+    """``value`` as a ``kind``, else ConfigError naming ``here``.  A real
+    may be a YAML integer; a whole number may be a float with an integral
+    value; a path holds no NUL byte (no file name does)."""
+    try:
+        if kind is float and _is_real(value):
+            return float(value)
+        if kind is int and (type(value) is int or isinstance(value, float) and value.is_integer()):
+            return int(value)
+        if kind is list and isinstance(value, list) and all(map(_is_real, value)):
+            return [float(v) for v in value]
+        if kind is bool and isinstance(value, bool):
+            return value
+        if kind is str and isinstance(value, str) and "\0" not in value:
+            return value
+    except OverflowError:  # an integer past the float range
+        pass
+    raise ConfigError(f"config {here!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 def _merge_validate(defaults: dict, user: dict, path: str = "") -> dict:
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key: {here!r}")
-        if isinstance(defaults[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{here!r} must be a mapping")
-            merged[key] = _merge_validate(defaults[key], value, here)
+            merged[key] = _merge_validate(default, value, here)
+        elif default is None:
+            merged[key] = None if value is None else _typed(here, OPTIONAL_KINDS[here], value)
         else:
-            merged[key] = value
+            merged[key] = _typed(here, type(default), value)
     return merged
 
 
 def load_config(path=None) -> dict:
-    """Load a YAML config and merge it over the defaults."""
+    """Load a YAML config, check each value's kind, and merge it over the defaults."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
     import yaml
@@ -134,7 +175,9 @@ def load_config(path=None) -> dict:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except RecursionError as exc:  # PyYAML composes nested nodes recursively
         raise ConfigError(f"config {path} is nested too deeply") from exc
-    except yaml.YAMLError as exc:
+    # ValueError: a scalar PyYAML cannot construct (a date 2001-13-01, an
+    # integer past Python's digit limit)
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: top level must be a mapping of sections")
@@ -144,10 +187,7 @@ def load_config(path=None) -> dict:
 def effective_config_yaml(cfg: dict) -> str:
     import yaml
 
-    try:
-        return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
-    except RecursionError as exc:  # PyYAML represents nested nodes recursively
-        raise ConfigError("config is nested too deeply to echo") from exc
+    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
 
 
 # Bump whenever the bands a config yields change: older caches are then not read.
@@ -162,7 +202,7 @@ def bands_cache_key(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-# -- typed builders ----------------------------------------------------------
+# -- builders: range and cross-key checks -------------------------------------
 
 # Most points of any one grid: far above every default (at most 241), far
 # below a grid whose arrays no longer fit in memory.
@@ -176,33 +216,6 @@ def _check_points(count: float, keys: str) -> None:
     """ConfigError naming ``keys`` unless ``count`` is at most MAX_GRID_POINTS."""
     if not count <= MAX_GRID_POINTS:
         raise ConfigError(f"config {keys}: {count:.3g} grid points, over {MAX_GRID_POINTS}")
-
-
-def switch(cfg: dict, section: str, key: str) -> bool:
-    """The on/off value of ``section.key``: a YAML boolean, else ConfigError."""
-    value = cfg[section][key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"config '{section}.{key}' must be true or false, got {value!r}")
-    return value
-
-
-def _count(cfg: dict, section: str, key: str) -> int:
-    """The whole number at ``section.key``: an integer, or a float with an
-    integral value; a boolean, a string or a fraction is a ConfigError."""
-    value = cfg[section][key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"config '{section}.{key}' must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _path(cfg: dict, section: str, key: str) -> str:
-    """The file path at ``section.key``: a string holding no NUL byte (no
-    file name does), else ConfigError."""
-    value = cfg[section][key]
-    if not isinstance(value, str) or "\0" in value:
-        raise ConfigError(f"config '{section}.{key}' must be a path, got {value!r}")
-    return value
 
 
 def _section(name: str):
@@ -221,21 +234,13 @@ def _section(name: str):
     return decorate
 
 
-def build_out_dir(cfg: dict) -> Path:
-    """The output directory ``io.out_dir``."""
-    return Path(_path(cfg, "io", "out_dir"))
-
-
 @_section("fiber")
 def build_fiber(cfg: dict, d_um=None) -> FiberSpec:
     from .fiber import FiberSpec
 
     f = cfg["fiber"]
-    return FiberSpec(
-        d_um=float(d_um if d_um is not None else f["d_um"]),
-        core_index=None if f["core_index"] is None else float(f["core_index"]),
-        clad_index=float(f["clad_index"]),
-    )
+    return FiberSpec(d_um=f["d_um"] if d_um is None else d_um, core_index=f["core_index"],
+                     clad_index=f["clad_index"])
 
 
 @_section("fiber")
@@ -244,8 +249,8 @@ def build_taper(cfg: dict) -> TaperProfile:
 
     f = cfg["fiber"]
     if f["taper_csv"] is not None:
-        return TaperProfile.from_csv(_path(cfg, "fiber", "taper_csv"))
-    return TaperProfile.exponential(float(f["taper_waist_um"]), float(f["taper_pull_mm"]))
+        return TaperProfile.from_csv(f["taper_csv"])
+    return TaperProfile.exponential(f["taper_waist_um"], f["taper_pull_mm"])
 
 
 @_section("slab")
@@ -253,12 +258,8 @@ def build_slab(cfg: dict) -> SlabSpec:
     from .slab import SlabSpec
 
     s = cfg["slab"]
-    return SlabSpec(
-        t_nm=float(s["t_nm"]),
-        n_slab=float(s["n_si"]),
-        n_clad=float(s["n_clad"]),
-        effective_hole_fill=float(s["effective_hole_fill"]),
-    )
+    return SlabSpec(t_nm=s["t_nm"], n_slab=s["n_si"], n_clad=s["n_clad"],
+                    effective_hole_fill=s["effective_hole_fill"])
 
 
 @_section("lattice")
@@ -269,22 +270,20 @@ def build_lattice(cfg: dict):
 
     lat = cfg["lattice"]
     slab = build_slab(cfg)
-    lam_ref = float(lat["lam_ref_um"])
-    dispersive_on = switch(cfg, "lattice", "dispersive")
+    lam_ref = lat["lam_ref_um"]
     if lat["n_eff_override"] is not None:
-        n_eff = float(lat["n_eff_override"])
-        dispersive = None
+        n_eff, dispersive = lat["n_eff_override"], None
     else:
         n_eff = slab_effective_index(slab, lam_ref, 0)
-        dispersive = DispersiveIndex(slab, lam_ref) if dispersive_on else None
+        dispersive = DispersiveIndex(slab, lam_ref) if lat["dispersive"] else None
     spec = PCWaveguideSpec(
-        lam_z_nm=float(lat["lam_z_nm"]),
-        lam_x_nm=float(lat["lam_x_nm"]),
-        r_frac=float(lat["r_frac"]),
-        grading=tuple(float(v) for v in lat["grading"]),
-        supercell_rows=_count(cfg, "lattice", "supercell_rows"),
-        n_eff=float(n_eff),
-        pw_per_cell=_count(cfg, "lattice", "pw_per_cell"),
+        lam_z_nm=lat["lam_z_nm"],
+        lam_x_nm=lat["lam_x_nm"],
+        r_frac=lat["r_frac"],
+        grading=tuple(lat["grading"]),
+        supercell_rows=lat["supercell_rows"],
+        n_eff=n_eff,
+        pw_per_cell=lat["pw_per_cell"],
     )
     return spec, dispersive
 
@@ -292,38 +291,21 @@ def build_lattice(cfg: dict):
 @_section("lattice")
 def build_kpath(cfg: dict):
     lat = cfg["lattice"]
-    n = _count(cfg, "lattice", "k_points")
-    _check_points(n, "'lattice.k_points'")
-    return np.linspace(float(lat["k_start"]), float(lat["k_stop"]), n)
+    _check_points(lat["k_points"], "'lattice.k_points'")
+    return np.linspace(lat["k_start"], lat["k_stop"], lat["k_points"])
 
 
 @_section("coupler")
 def build_coupler(cfg: dict) -> CouplerConfig:
     from .coupling import CouplerConfig
 
-    c = cfg["coupler"]
-    return CouplerConfig(
-        gap_nm=float(c["gap_nm"]),
-        l_c_um=float(c["l_c_um"]),
-        kappa_ref_l=float(c["kappa_ref_l"]),
-        g_ref_nm=float(c["g_ref_nm"]),
-        d_ref_um=float(c["d_ref_um"]),
-        d_kappa_um=float(c["d_kappa_um"]),
-        g0_nm=None if c["g0_nm"] is None else float(c["g0_nm"]),
-        scatter_loss_ref=float(c["scatter_loss_ref"]),
-        scatter_g_scale_nm=float(c["scatter_g_scale_nm"]),
-        scatter_d_scale_um=float(c["scatter_d_scale_um"]),
-    )
+    return CouplerConfig(**{k: v for k, v in cfg["coupler"].items() if k != "include_loss"})
 
 
 @_section("grids")
 def build_lambda_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
-    start, stop, step = (
-        float(g["lambda_start_nm"]),
-        float(g["lambda_stop_nm"]),
-        float(g["lambda_step_nm"]),
-    )
+    start, stop, step = g["lambda_start_nm"], g["lambda_stop_nm"], g["lambda_step_nm"]
     if not (step > 0 and stop > start > 0):
         raise ConfigError(
             f"wavelength grid needs 0 < start < stop and step > 0: "
@@ -336,11 +318,11 @@ def build_lambda_grid(cfg: dict) -> np.ndarray:
 @_section("grids")
 def build_lc_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
-    n = _count(cfg, "grids", "lc_points")
+    n = g["lc_points"]
     _check_points(n, "'grids.lc_points'")
-    if n < 1 or float(g["lc_stop_mm"]) <= float(g["lc_start_mm"]):
+    if n < 1 or g["lc_stop_mm"] <= g["lc_start_mm"]:
         raise ConfigError("empty taper-position grid")
-    return np.linspace(float(g["lc_start_mm"]), float(g["lc_stop_mm"]), n)
+    return np.linspace(g["lc_start_mm"], g["lc_stop_mm"], n)
 
 
 def build_map_grids(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -357,20 +339,19 @@ def build_map_grids(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     return lam_nm, lc_mm
 
 
-@_section("grids")
 def build_noise_sigma(cfg: dict) -> float:
     """Relative noise of a synthesized map: finite and >= 0."""
     sigma = cfg["grids"]["noise_sigma"]
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 <= sigma < np.inf:
+    if not 0 <= sigma < np.inf:
         raise ConfigError(f"config 'grids.noise_sigma' must be a finite number >= 0, "
                           f"got {sigma!r}")
-    return float(sigma)
+    return sigma
 
 
 @_section("grids")
 def build_gap_grid(cfg: dict) -> np.ndarray:
     g = cfg["grids"]
-    start, stop, step = (float(g[k]) for k in ("gap_start_nm", "gap_stop_nm", "gap_step_nm"))
+    start, stop, step = g["gap_start_nm"], g["gap_stop_nm"], g["gap_step_nm"]
     if step <= 0 or stop <= start:
         raise ConfigError("empty gap grid")
     _check_points((stop - start) / step + 1, "'grids.gap_start_nm/stop_nm/step_nm'")
@@ -380,7 +361,7 @@ def build_gap_grid(cfg: dict) -> np.ndarray:
 @_section("grids")
 def build_sweep_fiber(cfg: dict, key: str) -> FiberSpec:
     """The fiber at the sweep diameter ``grids.<key>`` (um)."""
-    if not float(cfg["grids"][key]) > 0:
+    if not cfg["grids"][key] > 0:
         raise ConfigError(f"config 'grids.{key}': fiber diameter must be positive")
     return build_fiber(cfg, d_um=cfg["grids"][key])
 
@@ -389,10 +370,10 @@ def build_sweep_fiber(cfg: dict, key: str) -> FiberSpec:
 def build_lateral_probe(cfg: dict) -> tuple[FiberSpec, float, np.ndarray]:
     """Fiber, surface gap (nm) and lateral offsets (um) of the lateral sweep."""
     g = cfg["grids"]
-    gap_nm, span = float(g["lateral_gap_nm"]), float(g["dx_span_um"])
+    gap_nm, span = g["lateral_gap_nm"], g["dx_span_um"]
     if not 0.0 <= gap_nm < np.inf:
         raise ConfigError(f"config 'grids.lateral_gap_nm' must be finite and >= 0, got {gap_nm}")
-    n = _count(cfg, "grids", "dx_points")
+    n = g["dx_points"]
     _check_points(n, "'grids.dx_points'")
     if n < 5 or not 0.0 < span < np.inf:
         raise ConfigError("lateral sweep needs a finite span > 0 and >= 5 points")

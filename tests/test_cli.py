@@ -92,6 +92,19 @@ class TestFiberCommand:
         # a path is a string: a boolean or a number would be opened as a file descriptor
         ("fiber: {taper_csv: false}\n", "map synth", "'fiber.taper_csv'"),
         ("fiber: {taper_csv: [a]}\n", "map synth", "'fiber.taper_csv'"),
+        # kinds are checked at load: a date and a circular alias, which JSON cannot
+        # encode for the bands cache key, and a quoted element or optional real
+        ("lattice: {lam_z_nm: 2001-01-01}\n", "bands", "'lattice.lam_z_nm'"),
+        ("lattice: {grading: &a [*a]}\n", "bands", "'lattice.grading'"),
+        ("lattice: {grading: [0.31, '0.325', 0.34]}\n", "bands", "'lattice.grading'"),
+        ("coupler: {g0_nm: '300'}\n", "couple --sweep gap", "'coupler.g0_nm'"),
+        # an integer past the float range
+        pytest.param("slab: {t_nm: 1" + "0" * 400 + "}\n", "bands", "'slab.t_nm'",
+                     id="t_nm-401-digits"),
+        # scalars PyYAML cannot construct
+        ("lattice: {lam_z_nm: 2001-13-01}\n", "bands", "malformed YAML"),
+        pytest.param("slab: {t_nm: " + "1" * 5000 + "}\n", "bands", "malformed YAML",
+                     id="t_nm-5000-digits"),
     ])
     def test_invalid_config_value_exits_2(self, cli_out, capsys, yaml_text, command, key):
         cfg = cli_out / "cfg.yaml"
@@ -110,6 +123,21 @@ class TestFiberCommand:
         assert run(["--config", cfg, "--out", tmp_path, "couple", "--sweep", sweep]) == 2
         err = capsys.readouterr().err
         assert f"'grids.{key}'" in err and "Traceback" not in err
+        assert not (tmp_path / ".cache").exists()
+
+    @pytest.mark.parametrize("yaml_text, command, key", [
+        ("slab: {t_nm: '340'}\n", "couple --sweep lateral", "'slab.t_nm'"),
+        ("fiber: {d_um: true}\n", "fiber", "'fiber.d_um'"),
+        ("lattice: {lam_z_nm: '500'}\n", "bands", "'lattice.lam_z_nm'"),
+        # a key the command never reads
+        ("fiber: {taper_csv: false}\n", "bands", "'fiber.taper_csv'"),
+    ])
+    def test_each_value_kind_is_checked_at_load(self, tmp_path, capsys, yaml_text, command, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml_text)
+        assert run(["--config", cfg, "--out", tmp_path] + command.split()) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
         assert not (tmp_path / ".cache").exists()
 
     @pytest.mark.parametrize("d_um", [0.8, 1.0, 1.2, 1.5, 1.9, 2.4])
@@ -422,7 +450,9 @@ class TestBandsCache:
 
     def test_valid_typed_values_keep_the_cache_key(self, tmp_path, default_cfg):
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("lattice: {pw_per_cell: 7, supercell_rows: 17, dispersive: true}\n"
+        cfg.write_text("lattice: {pw_per_cell: 7, supercell_rows: 17, dispersive: true, "
+                       "k_points: 26.0}\n"
+                       "slab: {t_nm: 340}\n"
                        "io: {cache: true}\n")
         loaded = cfgmod.load_config(cfg)
         assert cfgmod.bands_cache_key(loaded) == cfgmod.bands_cache_key(default_cfg)
@@ -465,6 +495,33 @@ class TestBandsCache:
         assert run(["--out", cli_out, "couple", "--sweep", "gap"]) == 0
         assert len(solves) == 1
         assert (cache_dir / f"bands_{cfgmod.bands_cache_key(default_cfg)}.json").exists()
+
+
+class TestConfigSchema:
+    def test_every_key_has_one_kind(self):
+        # a key takes its default's kind; only the null defaults declare one
+        nulls = {f"{section}.{key}" for section, keys in cfgmod.DEFAULTS.items()
+                 for key, value in keys.items() if value is None}
+        assert set(cfgmod.OPTIONAL_KINDS) == nulls
+        kinds = {type(value) for keys in cfgmod.DEFAULTS.values() for value in keys.values()}
+        assert kinds - {type(None)} <= {float, int, bool, str, list}
+        assert set(cfgmod.OPTIONAL_KINDS.values()) <= {float, int, bool, str, list}
+
+    @pytest.mark.parametrize("yaml_text", ["", "slab: {t_nm: 340}\nlattice: {k_points: 26.0}\n"],
+                             ids=["defaults", "yaml-integer-real"])
+    def test_effective_config_loads_back_to_the_same_config(self, tmp_path, capsys, yaml_text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml_text)
+        assert run(["--config", cfg, "--print-effective-config"]) == 0
+        echo = capsys.readouterr().out
+        assert "t_nm: 340.0\n" in echo and "k_points: 26\n" in echo
+        (tmp_path / "echo.yaml").write_text(echo)
+        loaded, reloaded = cfgmod.load_config(cfg), cfgmod.load_config(tmp_path / "echo.yaml")
+        assert reloaded == loaded == cfgmod.DEFAULTS
+        assert cfgmod.effective_config_yaml(reloaded) == echo
+        assert cfgmod.bands_cache_key(reloaded) == cfgmod.bands_cache_key(loaded) == \
+            "288ba8a5bcde68ed"
+
 
 class TestGlobalFlags:
     def test_threads_flag_is_gone(self):

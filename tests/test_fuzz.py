@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pcwgprobe.cli import main
-from pcwgprobe.config import MAX_GRID_POINTS, MAX_MAP_CELLS
+from pcwgprobe.config import DEFAULTS, MAX_GRID_POINTS, MAX_MAP_CELLS
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -101,6 +101,29 @@ CONFIG_KEYS = {
     ("grids", "dx_points"): COUNT,
     ("lattice", "k_points"): COUNT,
     ("grids", "lc_points x lambda_step_nm"): MAP_PAST_CAP,  # the two map grids at once
+    ("fiber", "taper_waist_um"): ODD,
+    ("fiber", "taper_pull_mm"): ODD,
+    ("fiber", "taper_csv"): ODD,
+    ("slab", "t_nm"): ODD,
+    ("slab", "n_si"): ODD,
+    ("slab", "n_clad"): ODD,
+    ("slab", "effective_hole_fill"): ODD,
+    ("lattice", "lam_z_nm"): ODD,
+    ("lattice", "lam_x_nm"): ODD,
+    ("lattice", "r_frac"): ODD,
+    ("lattice", "grading"): ODD,
+    ("lattice", "supercell_rows"): ODD,
+    ("lattice", "pw_per_cell"): ODD,
+    ("lattice", "n_eff_override"): ODD,
+    ("lattice", "lam_ref_um"): ODD,
+    ("lattice", "dispersive"): ODD,
+    ("lattice", "k_start"): ODD,
+    ("lattice", "k_stop"): ODD,
+    ("grids", "lc_start_mm"): ODD,
+    ("grids", "lc_stop_mm"): ODD,
+    ("grids", "dx_span_um"): ODD,
+    ("io", "out_dir"): ODD,
+    ("io", "cache"): ODD,
 }
 COMMANDS = [["fiber"], ["couple", "--sweep", "gap"], ["couple", "--sweep", "lateral"],
             ["map", "synth"]]
@@ -125,6 +148,10 @@ def configs(draw):
         else:
             cfg.setdefault(section, {})[key] = value
     return cfg
+
+
+def test_config_keys_cover_every_default_key():
+    assert {(section, key) for section, keys in DEFAULTS.items() for key in keys} <= set(CONFIG_KEYS)
 
 
 @FUZZ

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -352,64 +351,54 @@ def _hold_blas_at_one_thread() -> bool:
     return held
 
 
-class _WindowEigh:
-    """One thread's dsyevr arrays for symmetric blocks of up to ``n`` rows.
+@functools.cache
+def _syevr_workspace(rows):
+    """dsyevr's (lwork, liwork) for ``rows`` rows from LAPACK's workspace
+    query: the sizes scipy.linalg.eigh queries and passes."""
+    return _syevr(np.empty((rows, rows)), count=1, query=True)
 
-    Each k-point and sector reuses them instead of allocating n x n ones
-    per solve; ``block(rows)`` is a reusable array to build Theta in.
+
+def _syevr(theta, bounds=None, count=None, query=False):
+    """Eigenvalues of the symmetric ``theta`` by LAPACK dsyevr, bit for bit as
+    scipy.linalg.eigh gives them: with ``bounds=(lo, hi)`` (values, vectors as
+    columns) with lo < value <= hi (JOBZ='V', RANGE='V'), as ``eigh(theta,
+    subset_by_value=(lo, hi))``; else (values, None) of the lowest ``count``,
+    at most all (JOBZ='N', RANGE='I'), as ``eigh(theta, eigvals_only=True,
+    subset_by_index=(0, min(count, rows) - 1))``.  With ``query``: only
+    LAPACK's workspace query, (lwork, liwork).
+
+    LAPACK reads the lower triangle of ``theta`` in column-major order and
+    overwrites it.  An empty window or a count below 1 is a ValueError
+    before LAPACK is called; a failed solve a LinAlgError.
     """
-
-    def __init__(self, n):
-        self._dsyevr = _dsyevr()
-        self._a, self._z = np.empty(n * n), np.empty(n * n)
-        self._w, self._isuppz = np.empty(n), np.empty(2 * n, np.intc)
-        # n, lda, il, iu, m, ldz, lwork, liwork, info; vl, vu, abstol
-        self._ints, self._reals = np.zeros(9, np.intc), np.zeros(3)
-        self._work, self._iwork = np.empty(1), np.empty(1, np.intc)
-        self._lwork = {}  # rows -> (lwork, liwork) from LAPACK's workspace query
-
-    def block(self, rows):
-        return self._a[: rows * rows].reshape(rows, rows)
-
-    def _call(self, a, rows, lo, hi, lwork, liwork):
-        ints, reals = self._ints, self._reals
-        ints[:] = rows, rows, 1, rows, 0, rows, lwork, liwork, 0
-        reals[:] = lo, hi, 0.0
-        i, r = ints.ctypes.data, reals.ctypes.data
-        self._dsyevr(b"V", b"V", b"L", i, a.ctypes.data, i + 4, r, r + 8, i + 8, i + 12,
-                     r + 16, i + 16, self._w.ctypes.data, self._z.ctypes.data, i + 20,
-                     self._isuppz.ctypes.data, self._work.ctypes.data, i + 24,
-                     self._iwork.ctypes.data, i + 28, i + 32)
-        return int(ints[4]), int(ints[8])
-
-    def solve(self, theta, lo, hi):
-        """(values, vectors) of the symmetric ``theta`` with lo < value <= hi,
-        bit for bit as ``scipy.linalg.eigh(theta, subset_by_value=(lo, hi))``
-        gives them.
-
-        LAPACK reads the lower triangle of ``theta`` in column-major order
-        and overwrites it.  Both results are views of this object's arrays,
-        valid until its next call.
-        """
-        rows = theta.shape[0]
-        if not (theta.dtype == np.float64 and theta.shape == (rows, rows)
-                and theta.flags.c_contiguous and theta.flags.writeable and rows <= self._w.size):
-            raise ValueError(f"need a writeable C-ordered float64 square block of at most "
-                             f"{self._w.size} rows, got {theta.dtype} {theta.shape}")
-        if not lo < hi:
-            raise ValueError(f"empty eigenvalue interval ({lo}, {hi}]")
-        if rows not in self._lwork:  # the sizes scipy's eigh queries and passes
-            self._call(theta, rows, lo, hi, -1, -1)
-            self._lwork[rows] = int(self._work[0]), int(self._iwork[0])
-        lwork, liwork = self._lwork[rows]
-        if self._work.size < lwork:
-            self._work = np.empty(lwork)
-        if self._iwork.size < liwork:
-            self._iwork = np.empty(liwork, np.intc)
-        m, info = self._call(theta, rows, lo, hi, lwork, liwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info={info})")
-        return self._w[:m], self._z[: rows * m].reshape(m, rows).T
+    rows, vectors = theta.shape[0], bounds is not None
+    if not (theta.dtype == np.float64 and theta.shape == (rows, rows)
+            and theta.flags.c_contiguous and theta.flags.writeable):
+        raise ValueError(f"need a writeable C-ordered float64 square block, "
+                         f"got {theta.dtype} {theta.shape}")
+    if vectors and not bounds[0] < bounds[1]:
+        raise ValueError(f"empty eigenvalue interval ({bounds[0]}, {bounds[1]}]")
+    if not vectors and not count >= 1:
+        raise ValueError(f"need at least 1 eigenvalue, got {count}")
+    lwork, liwork = (-1, -1) if query else _syevr_workspace(rows)
+    work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), np.intc)
+    w, isuppz = np.empty(rows), np.empty(2 * rows, np.intc)
+    z = np.empty(rows * rows if vectors else 1)
+    # n, lda, il, iu, m, ldz, lwork, liwork, info; vl, vu, abstol
+    ints = np.array([rows, rows, 1, rows if vectors else min(count, rows), 0,
+                     rows if vectors else 1, lwork, liwork, 0], np.intc)
+    reals = np.array([*(bounds if vectors else (0.0, 0.0)), 0.0])
+    i, r = ints.ctypes.data, reals.ctypes.data
+    _dsyevr()(b"V" if vectors else b"N", b"V" if vectors else b"I", b"L", i,
+              theta.ctypes.data, i + 4, r, r + 8, i + 8, i + 12, r + 16, i + 16, w.ctypes.data,
+              z.ctypes.data, i + 20, isuppz.ctypes.data, work.ctypes.data, i + 24,
+              iwork.ctypes.data, i + 28, i + 32)
+    m, info = int(ints[4]), int(ints[8])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info={info})")
+    if query:
+        return int(work[0]), int(iwork[0])
+    return w[:m], z[: rows * m].reshape(m, rows).T if vectors else None
 
 
 class PlaneWaveSolver:
@@ -475,13 +464,6 @@ class PlaneWaveSolver:
             m.size: np.sqrt(2.0) * w[: px + 1, None] * np.cos(arg),
             m.size - self._mz.size: np.sqrt(2.0) * np.sin(arg[1:]),
         }
-        self._threads = threading.local()  # each thread's _WindowEigh
-
-    def _window_eigh(self) -> _WindowEigh:
-        work = getattr(self._threads, "eigh", None)
-        if work is None:
-            work = self._threads.eigh = _WindowEigh(self._gz.size)
-        return work
 
     @property
     def n_pw(self):
@@ -494,8 +476,8 @@ class PlaneWaveSolver:
         Only the mirror sectors named in ``parities`` are solved; the
         sectors are independent, so leaving one out changes nothing in the
         other.  With ``num_bands``: the lowest ``num_bands`` of the solved
-        sectors, merged and sorted; a negative lowest eigenvalue raises
-        EigensolverError.  With ``window=(lo, hi)``, 0 <= lo < hi: only the
+        sectors, merged and sorted; fewer than 1 or a negative lowest
+        eigenvalue raises EigensolverError.  With ``window=(lo, hi)``, 0 <= lo < hi: only the
         states with lo < omega < hi (LAPACK dsyevr computes just those), as
         {parity: (omega, vecs)} per solved sector with the eigenvectors as
         columns in the sector basis.  A window cannot see the lowest
@@ -504,27 +486,20 @@ class PlaneWaveSolver:
         """
         kz = self._gz + beta_rad_per_um
         to_omega = self.spec.lam_z_um / (2.0 * np.pi)
+        bounds = None if window is None else (np.asarray(window) / to_omega) ** 2
         found = {}
         for parity in parities:
             rows, eta, x_term = self._sectors[parity]
             kzr = kz[rows]
-            work = None if window is None else self._window_eigh()
-            # a window's Theta is built in this thread's dsyevr array
-            theta = np.outer(kzr, kzr, out=None if work is None else work.block(kzr.size))
+            theta = np.outer(kzr, kzr)
             theta *= eta
             theta += x_term
             where = f"at beta={beta_rad_per_um:.6f} rad/um ({parity} sector, n_pw={self.n_pw})"
-            try:
-                if window is None:
-                    import scipy.linalg
-
-                    vals = scipy.linalg.eigh(theta, eigvals_only=True, subset_by_index=(
-                        0, min(num_bands, theta.shape[0]) - 1))
-                else:  # ValueError: not lo < hi, a stop band closed to rounding
-                    bounds = (np.asarray(window) / to_omega) ** 2
-                    vals, vecs = work.solve(theta, *bounds)
+            try:  # ValueError: not lo < hi (a stop band closed to rounding), or num_bands < 1
+                vals, vecs = _syevr(theta, bounds, num_bands)
             except (np.linalg.LinAlgError, ValueError) as exc:
                 raise EigensolverError(f"eigensolve failed {where}: {exc}") from exc
+            del theta  # overwritten; freed before the next sector's is built (peak RSS)
             if window is None:
                 scale = max(abs(vals[-1]), 1.0)
                 if vals[0] < -_NEG_EIG_TOL * scale:
@@ -534,7 +509,7 @@ class PlaneWaveSolver:
                 continue
             omega = np.sqrt(vals) * to_omega
             keep = (omega > window[0]) & (omega < window[1])  # syevr's interval is half-open
-            # copies out of the thread's arrays, which the next solve overwrites
+            # copies that own their memory: a view would keep dsyevr's n x n array alive
             vals, vecs = vals[keep], vecs.compress(keep, axis=1)
             # dsyevr has overwritten Theta, so Theta v is formed from the stored
             # blocks, k_z o (eta (k_z o v)) + (x term) v, one state at a time: where

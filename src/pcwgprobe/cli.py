@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ConfigError, MapFormatError, PcwgProbeError, ProfileRangeError
-from .fileio import atomic_write
+from .fileio import atomic_write, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,7 +43,7 @@ def _write_csv(path: Path, header: str, rows):
 
 
 def _write_json(path: Path, payload):
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
     print(f"wrote {path}")
 
 
@@ -64,27 +64,35 @@ def _bands_payload(cfg):
 
 
 def _bands_cached(cfg, out_dir: Path, use_cache: bool):
+    """The bands payload and its curves, from the cache when it holds them."""
     key = cfgmod.bands_cache_key(cfg)
     cache_file = out_dir / ".cache" / f"bands_{key}.json"
     if use_cache and cache_file.exists():
-        payload = _read_cache(cache_file)
-        if payload is not None:
-            return payload
+        cached = _read_cache(cache_file)
+        if cached is not None:
+            return cached
         print(f"bands cache {cache_file} is corrupt; recomputing", file=sys.stderr)
     payload = _bands_payload(cfg)
     if use_cache:
-        atomic_write(cache_file, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
+        write_json(cache_file, payload)
+    return payload, _curves_from_payload(payload)
 
 
 def _read_cache(cache_file: Path):
-    """The cached bands payload, or None if the file does not hold one."""
+    """The cached bands payload and its curves, or None if the file does not
+    hold them: JSON with the four keys, a gap of two reals or null, and
+    curves that rebuild."""
     try:
         payload = json.loads(cache_file.read_text())
-    except (OSError, ValueError):
+        if not {"lam_z_nm", "n_eff", "gap_norm", "curves"} <= payload.keys():
+            return None
+        if payload["gap_norm"] is not None:
+            lo, hi = payload["gap_norm"]
+            payload["gap_norm"] = [float(lo), float(hi)]
+        return payload, _curves_from_payload(payload)
+    except (OSError, ValueError, TypeError, LookupError, AttributeError, OverflowError,
+            RecursionError):  # a JSON integer past the float range, or nesting too deep
         return None
-    keys = {"lam_z_nm", "n_eff", "gap_norm", "curves"}
-    return payload if isinstance(payload, dict) and keys <= payload.keys() else None
 
 
 def _curves_from_payload(payload):
@@ -138,8 +146,7 @@ def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
 
     if args.thinned is not None and not (np.isfinite(args.thinned) and args.thinned > 0):
         raise ConfigError(f"--thinned T_NM must be a finite thickness > 0 nm, got {args.thinned}")
-    payload = _bands_cached(cfg, out_dir, use_cache)
-    curves = _curves_from_payload(payload)
+    payload, curves = _bands_cached(cfg, out_dir, use_cache)
     fiber = cfgmod.build_fiber(cfg)
     try:
         pm = phase_match_crossing(_te1(curves), fiber)
@@ -183,8 +190,7 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
     else:
         fiber, gap_nm, dx_um = cfgmod.build_lateral_probe(cfg)
         spec, _ = cfgmod.build_lattice(cfg)
-    payload = _bands_cached(cfg, out_dir, use_cache)
-    te1 = _te1(_curves_from_payload(payload))
+    te1 = _te1(_bands_cached(cfg, out_dir, use_cache)[1])
 
     if args.sweep == "gap":
         from .pipeline import gap_sweep
@@ -261,8 +267,7 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
     if args.mode == "synth":
         lam_nm, lc_mm = cfgmod.build_map_grids(cfg)
         noise_sigma = cfgmod.build_noise_sigma(cfg)
-        payload = _bands_cached(cfg, out_dir, use_cache)
-        te1 = _te1(_curves_from_payload(payload))
+        te1 = _te1(_bands_cached(cfg, out_dir, use_cache)[1])
         taper = cfgmod.build_taper(cfg)
         coupler = cfgmod.build_coupler(cfg)
         fiber = cfgmod.build_fiber(cfg)

@@ -215,7 +215,7 @@ MAX_MAP_CELLS = 10_000_000
 def _check_points(count: float, keys: str) -> None:
     """ConfigError naming ``keys`` unless ``count`` is at most MAX_GRID_POINTS."""
     if not count <= MAX_GRID_POINTS:
-        raise ConfigError(f"config {keys}: {count:.3g} grid points, over {MAX_GRID_POINTS}")
+        raise ConfigError(f"config {keys}: more than {MAX_GRID_POINTS} grid points")
 
 
 def _section(name: str):

@@ -6,6 +6,7 @@ modules it runs.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -25,3 +26,9 @@ def atomic_write(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload):
+    """Write ``payload`` as indented JSON with sorted keys and one final
+    newline, atomically."""
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

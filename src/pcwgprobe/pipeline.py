@@ -26,7 +26,7 @@ from .bands import BandCurve, phase_match_crossing
 from .coupling import CouplerConfig, co_transmission, contra_transmission
 from .errors import BandCoverageError, MapFormatError
 from .fiber import C_UM_PER_S, FiberSpec, TaperProfile, he11_neff
-from .fileio import atomic_write
+from .fileio import atomic_write, write_json
 
 MAP_HEADER_CELL = "lc_mm\\lambda_nm"
 
@@ -61,7 +61,7 @@ class TransmissionMap:
                   for row in np.column_stack([self.lc_mm, self.t]).tolist()]
         atomic_write(path, "\r\n".join(lines) + "\r\n")
         if meta_path is not None:
-            atomic_write(meta_path, json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
+            write_json(meta_path, self.meta)
 
     @classmethod
     def from_csv(cls, path, meta_path=None):

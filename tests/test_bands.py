@@ -8,11 +8,11 @@ from pcwgprobe.bands import (
     BandCurve,
     PCWaveguideSpec,
     PlaneWaveSolver,
-    _WindowEigh,
     _basis,
     _defect_windows,
     _epsilon_table,
     _hole_factor,
+    _syevr,
     bulk_bands,
     defect_profile,
     local_gap,
@@ -470,12 +470,19 @@ class TestWindowSolve:
                 np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-10)
 
     def test_factored_blocks_equal_the_reference_formula(self, default_spec, monkeypatch):
+        from pcwgprobe import bands
+
         kpath = np.linspace(0.30, 0.50, 26)  # the default path
         _, windows = _defect_windows(default_spec, kpath)
         solver = PlaneWaveSolver(default_spec)
-        factored, solve = [], _WindowEigh.solve  # copies: dsyevr overwrites Theta
-        monkeypatch.setattr(_WindowEigh, "solve", lambda self, a, lo, hi: factored.append(
-            a.copy()) or solve(self, a, lo, hi))
+        factored = []  # copies: dsyevr overwrites Theta
+
+        def record(a, bounds=None, count=None, query=False):
+            if not query:  # not LAPACK's workspace query
+                factored.append(a.copy())
+            return _syevr(a, bounds, count, query)
+
+        monkeypatch.setattr(bands, "_syevr", record)
         for bn, window in zip(kpath, windows):
             beta = bn * 2 * np.pi / default_spec.lam_z_um
             factored.clear()
@@ -526,22 +533,36 @@ class TestWindowSolve:
             solver.solve_k(0.42 * 2 * np.pi / default_spec.lam_z_um, window=window)
 
     def test_binding_equals_scipy_eigh_bit_for_bit(self, default_spec):
+        # the window solves, and the lowest-count solves of the supercell (42
+        # states) and of the bulk bands and the thinning edge (2 and 6)
         import scipy.linalg
 
         kpath = np.linspace(0.30, 0.50, 26)[::5]  # on the default path
         _, windows = _defect_windows(default_spec, kpath)
-        solver = PlaneWaveSolver(default_spec)
-        work = _WindowEigh(solver._gz.size)
+        solver, bulk = PlaneWaveSolver(default_spec), PlaneWaveSolver(default_spec.bulk())
         to_omega = default_spec.lam_z_um / (2 * np.pi)
         for bn, window in zip(kpath, windows):
+            beta = bn * 2 * np.pi / default_spec.lam_z_um
             lo, hi = (np.asarray(window) / to_omega) ** 2
-            for theta in sector_blocks(solver, bn * 2 * np.pi / default_spec.lam_z_um).values():
+            for theta in sector_blocks(solver, beta).values():
                 ref_vals, ref_vecs = scipy.linalg.eigh(theta, subset_by_value=(lo, hi))
-                block = work.block(theta.shape[0])
-                block[...] = theta
-                vals, vecs = work.solve(block, lo, hi)
+                vals, vecs = _syevr(theta.copy(), (lo, hi))
                 assert vals.size > 0
                 assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+            for blocks, count in ((solver, 42), (bulk, 2), (bulk, 6)):
+                for theta in sector_blocks(blocks, beta).values():
+                    ref = scipy.linalg.eigh(theta, eigvals_only=True,
+                                            subset_by_index=(0, count - 1))
+                    vals, vecs = _syevr(theta.copy(), count=count)
+                    assert vecs is None and np.array_equal(vals, ref)
+
+    @pytest.mark.parametrize("num_bands", [0, -1])
+    def test_no_bands_raises_before_lapack(self, default_spec, num_bands, capfd):
+        # LAPACK reports an illegal count on stderr; the solver rejects it first
+        solver = PlaneWaveSolver(default_spec.bulk())
+        with pytest.raises(EigensolverError, match="eigensolve failed .*at least 1"):
+            solver.solve_k(2.0, num_bands)
+        assert capfd.readouterr().err == ""
 
     def test_binding_checks_the_capsule_signature(self):
         import ctypes
@@ -586,14 +607,16 @@ class TestSectorSelection:
                                   getattr(both.curve("TE-1"), name))
 
     def test_thinning_and_profile_skip_the_unread_sector(self, default_spec, te1, monkeypatch):
-        import scipy.linalg
+        from pcwgprobe import bands
 
-        calls, eigh = [], scipy.linalg.eigh  # (rows, windowed) of every eigensolve
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda a, **kw: calls.append(
-            (a.shape[0], "subset_by_value" in kw)) or eigh(a, **kw))
-        solve = _WindowEigh.solve  # the window solves
-        monkeypatch.setattr(_WindowEigh, "solve", lambda self, a, lo, hi: calls.append(
-            (a.shape[0], True)) or solve(self, a, lo, hi))
+        calls = []  # (rows, windowed) of every eigensolve
+
+        def record(a, bounds=None, count=None, query=False):
+            if not query:  # not LAPACK's workspace query
+                calls.append((a.shape[0], bounds is not None))
+            return _syevr(a, bounds, count, query)
+
+        monkeypatch.setattr(bands, "_syevr", record)
         thinning_shift(default_spec, SlabSpec(340.0), 300.0, LAM_REF_UM)
         assert not any(rows == 357 for rows, _ in calls)  # the odd supercell block
         assert sum(windowed for _, windowed in calls) == 2 * 13  # one even solve per k

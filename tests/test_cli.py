@@ -66,6 +66,13 @@ class TestFiberCommand:
         ("grids: {lc_points: 100000000000}\n", "map synth", "grids.lc_points"),
         ("grids: {dx_points: 100000000000}\n", "couple --sweep lateral", "grids.dx_points"),
         ("grids: {gap_step_nm: 1.0e-12}\n", "couple --sweep gap", "gap_start_nm/stop_nm/step_nm"),
+        # counts past the float range
+        pytest.param("lattice: {k_points: 1" + "0" * 400 + "}\n", "bands", "'lattice.k_points'",
+                     id="k_points-401-digits"),
+        pytest.param("grids: {lc_points: 1" + "0" * 400 + "}\n", "map synth", "'grids.lc_points'",
+                     id="lc_points-401-digits"),
+        pytest.param("grids: {dx_points: 1" + "0" * 400 + "}\n", "couple --sweep lateral",
+                     "'grids.dx_points'", id="dx_points-401-digits"),
         # the lateral offset is the lateral sweep's own grid, not a coupler key
         ("coupler: {dx_um: 1.5}\n", "map synth", "'coupler.dx_um'"),
         ("coupler: {scatter_g_scale_nm: 0.0}\n", "map synth", "scatter_g_scale_nm"),
@@ -414,11 +421,18 @@ class TestMapCommand:
 
 
 class TestBandsCache:
-    @pytest.mark.parametrize("garbage", ["{\"curves\": [", "[]", "\xff\xfe"])
+    # raw text, or keys that replace those of a valid payload: JSON with the
+    # four keys whose values do not rebuild
+    @pytest.mark.parametrize("garbage", ["{\"curves\": [", "[]", "\xff\xfe", {"curves": 5},
+                                         {"curves": [{"label": "TE-1"}]}, {"lam_z_nm": "x"},
+                                         {"gap_norm": [0.3]}, {"lam_z_nm": 10**400},
+                                         "[" * 100_000 + "]" * 100_000])
     def test_corrupt_cache_is_recomputed(self, cli_out, bands_payload, monkeypatch,
                                          garbage, capsys):
         from pcwgprobe import cli
 
+        if isinstance(garbage, dict):
+            garbage = json.dumps({**bands_payload, **garbage})
         cache = next((cli_out / ".cache").iterdir())
         cache.write_text(garbage, encoding="latin-1")
         solves = []
@@ -434,6 +448,17 @@ class TestBandsCache:
         assert json.loads(cache.read_text()) == json.loads(json.dumps(bands_payload))
         assert run(["--out", cli_out, "couple", "--sweep", "gap"]) == 0
         assert len(solves) == 1  # the rewritten cache is read back
+
+    def test_cold_bands_make_no_scipy_eigh_call(self, tmp_path, monkeypatch):
+        # every plane-wave eigensolve goes through the one dsyevr binding
+        import scipy.linalg
+
+        def eigh(*args, **kwargs):
+            raise AssertionError("scipy.linalg.eigh called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        assert run(["--out", tmp_path, "--no-cache", "bands", "--thinned", "300"]) == 0
+        assert json.loads((tmp_path / "bands.json").read_text())["thinning"]
 
     def test_unversioned_cache_is_not_read(self, cli_out, bands_payload, default_cfg,
                                            monkeypatch):

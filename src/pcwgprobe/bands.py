@@ -629,11 +629,13 @@ class WaveguideBandsResult:
     curves: list  # labeled defect BandCurves
     gap_norm: tuple | None
 
-    def curve(self, label: str) -> BandCurve:
-        for c in self.curves:
-            if c.label == label:
-                return c
-        raise KeyError(f"no branch labeled {label!r}; have {[c.label for c in self.curves]}")
+
+def find_branch(curves, label: str) -> BandCurve:
+    """The curve labeled ``label`` ("TE-1"); NoDefectModeError if the bands hold none."""
+    for c in curves:
+        if c.label == label:
+            return c
+    raise NoDefectModeError(f"no {label} branch in the bands; have {[c.label for c in curves]}")
 
 
 @dataclass(frozen=True)
@@ -662,6 +664,12 @@ class DispersiveIndex:
 
 
 _LOCALIZATION_THRESHOLD = 0.5  # |H|^2 fraction on the graded rows of a defect state
+
+
+def _defect_states(solver: PlaneWaveSolver, omega, vecs):
+    """The defect states, as (omega, vec), of one sector's window states."""
+    return [(w, v) for w, v in zip(omega, vecs.T)
+            if solver.localization(v) > _LOCALIZATION_THRESHOLD]
 
 
 def _map_on_cores(fn, *args):
@@ -742,10 +750,8 @@ def waveguide_bands(
         beta = bn * 2.0 * np.pi / spec.lam_z_um
         return {parity: [
             (w, v, solver.sensitivity(beta, w, v) if dispersive is not None else np.nan)
-            for w, v in zip(omega, vecs.T)
-            if solver.localization(v) > _LOCALIZATION_THRESHOLD
-        ] for parity, (omega, vecs) in solver.solve_k(beta, window=window,
-                                                      parities=parities).items()}
+            for w, v in _defect_states(solver, *states)
+        ] for parity, states in solver.solve_k(beta, window=window, parities=parities).items()}
 
     per_k = _map_on_cores(candidates, kpath_norm, windows)
     cand_per_k = {parity: [cands[parity] for cands in per_k] for parity in parities}
@@ -800,31 +806,31 @@ def _label_defect_curves(curves):
         c.label = f"defect-{i}"
 
 
-def defect_profile(spec: PCWaveguideSpec, curve: BandCurve, beta_norm: float):
+def defect_profile(spec: PCWaveguideSpec, curve: BandCurve, beta_norm: float,
+                   dispersive: DispersiveIndex | None = None):
     """Signed lateral amplitude of a defect branch at one k-point.
 
     Returns (x_um, u) with u the m_z = 0 harmonic of H (the component
     that phase-matches a co-reduced external wave), normalized to unit
-    power: integral |u|^2 dx = 1.  The state is the localized one of the
-    curve's own mirror sector (odd for an odd curve, even otherwise), the
-    only sector solved, inside the stop-band window of ``waveguide_bands``,
-    nearest the curve's frequency; u keeps the lateral sign, so odd
-    branches yield an antisymmetric profile.
+    power: integral |u|^2 dx = 1; odd branches yield an antisymmetric u.
+    The state is the defect state (``_defect_states``) nearest the
+    curve's omega there, in the window of ``waveguide_bands`` and the
+    curve's own sector (odd, or else even; the only one solved); with
+    the curve's ``dispersive`` index it is solved at n_eff(L_z / omega).
     """
+    target = float(np.interp(beta_norm, curve.beta_norm, curve.omega_norm))
+    if dispersive is not None:
+        spec = spec.with_n_eff(float(dispersive.n(spec.lam_z_um / target)))
     _, (window,) = _defect_windows(spec, [beta_norm])
     solver = PlaneWaveSolver(spec)
     parity = "odd" if curve.parity == "odd" else "even"
     states = solver.solve_k(beta_norm * 2.0 * np.pi / spec.lam_z_um, window=window,
                             parities=(parity,))
-    omega, vecs = states[parity]
-    target = float(np.interp(beta_norm, curve.beta_norm, curve.omega_norm))
-    # 0.4, not _LOCALIZATION_THRESHOLD: at the default probe point (beta_norm 0.358) the nearest
-    # state is one of a near-degenerate even pair, localized 0.48 (taken) and 0.91
-    localized = [j for j in range(omega.size) if solver.localization(vecs[:, j]) >= 0.4]
+    localized = _defect_states(solver, *states[parity])
     if not localized:
         raise NoDefectModeError(f"no localized {curve.parity} state at beta_norm={beta_norm:.4f}")
-    best = min(localized, key=lambda j: abs(omega[j] - target))
-    x, _, amp = solver.field_profile_x(vecs[:, best])
+    _, vec = min(localized, key=lambda state: abs(state[0] - target))
+    x, _, amp = solver.field_profile_x(vec)
     u = amp[(solver._mz.size - 1) // 2]
     # fix the arbitrary sign so u is positive at its peak
     u = u * np.sign(u[np.argmax(np.abs(u))])
@@ -925,16 +931,14 @@ def thinning_shift(
     n1_thick = slab_effective_index(slab, lam_um, 1)
     n1_thin = slab_effective_index(thin, lam_um, 1)
 
-    te1 = {}
-    for tag, n_eff in (("thick", n0_thick), ("thin", n0_thin)):
-        res = waveguide_bands(spec.with_n_eff(n_eff), kpath_norm=_THINNING_KPATH,
-                              parities=("even",))
-        te1[tag] = res.curve("TE-1")
-    k_thick, k_thin = (np.round(te1[tag].beta_norm, 9) for tag in ("thick", "thin"))
+    solves = (waveguide_bands(spec.with_n_eff(n), kpath_norm=_THINNING_KPATH, parities=("even",))
+              for n in (n0_thick, n0_thin))
+    te1_thick, te1_thin = (find_branch(res.curves, "TE-1") for res in solves)
+    k_thick, k_thin = np.round(te1_thick.beta_norm, 9), np.round(te1_thin.beta_norm, 9)
     common, i_thick, i_thin = np.intersect1d(k_thick, k_thin, return_indices=True)
     if common.size == 0:
         raise NoDefectModeError("TE-1 branches at the two thicknesses share no k-points")
-    shift_te1 = float(np.mean(te1["thin"].omega_norm[i_thin] - te1["thick"].omega_norm[i_thick]))
+    shift_te1 = float(np.mean(te1_thin.omega_norm[i_thin] - te1_thick.omega_norm[i_thick]))
 
     # band 1 rises monotonically along Gamma-X, so its edge is the one solve at X
     edge = [float(PlaneWaveSolver(spec.bulk().with_n_eff(n)).solve_k(np.pi / spec.lam_z_um, 2)[0])

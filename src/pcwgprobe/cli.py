@@ -102,14 +102,6 @@ def _curves_from_payload(payload):
     return [BandCurve.from_dict(d, lam_z_um) for d in payload["curves"]]
 
 
-def _te1(curves):
-    """The TE-1 curve; PcwgProbeError if the bands hold none."""
-    te1 = next((c for c in curves if c.label == "TE-1"), None)
-    if te1 is None:
-        raise PcwgProbeError("bands contain no TE-1 branch")
-    return te1
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -142,14 +134,14 @@ def cmd_fiber(cfg, args, out_dir: Path) -> int:
 
 
 def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
-    from .bands import phase_match_crossing, thinning_shift
+    from .bands import find_branch, phase_match_crossing, thinning_shift
 
     if args.thinned is not None and not (np.isfinite(args.thinned) and args.thinned > 0):
         raise ConfigError(f"--thinned T_NM must be a finite thickness > 0 nm, got {args.thinned}")
     payload, curves = _bands_cached(cfg, out_dir, use_cache)
     fiber = cfgmod.build_fiber(cfg)
     try:
-        pm = phase_match_crossing(_te1(curves), fiber)
+        pm = phase_match_crossing(find_branch(curves, "TE-1"), fiber)
         payload["phase_match"] = {
             "fiber_d_um": fiber.d_um,
             "lambda_nm": pm.lambda_nm,
@@ -183,14 +175,16 @@ def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
 
 
 def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
+    from .bands import defect_profile, find_branch, phase_match_crossing
+
     # every input is checked before the bands solve
     coupler = cfgmod.build_coupler(cfg)
     if args.sweep == "gap":
         fiber, gaps_nm = cfgmod.build_sweep_fiber(cfg, "gap_sweep_d_um"), cfgmod.build_gap_grid(cfg)
     else:
         fiber, gap_nm, dx_um = cfgmod.build_lateral_probe(cfg)
-        spec, _ = cfgmod.build_lattice(cfg)
-    te1 = _te1(_bands_cached(cfg, out_dir, use_cache)[1])
+        spec, dispersive = cfgmod.build_lattice(cfg)
+    te1 = find_branch(_bands_cached(cfg, out_dir, use_cache)[1], "TE-1")
 
     if args.sweep == "gap":
         from .pipeline import gap_sweep
@@ -207,13 +201,12 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
         return EXIT_OK
 
     # lateral sweep at the near-field probe geometry
-    from .bands import defect_profile, phase_match_crossing
     from .coupling import WaveguideProfile, lateral_profile
     from .fiber import ModeField
 
     pm = phase_match_crossing(te1, fiber)
     beta_norm = pm.beta_rad_per_um * spec.lam_z_um / (2.0 * np.pi)
-    x, u = defect_profile(spec, te1, beta_norm)
+    x, u = defect_profile(spec, te1, beta_norm, dispersive)
     wg = WaveguideProfile(
         x_um=x,
         u=u,
@@ -256,6 +249,7 @@ def cmd_couple(cfg, args, out_dir: Path, use_cache: bool) -> int:
 
 
 def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
+    from .bands import find_branch
     from .pipeline import (
         TransmissionMap,
         extract_resonances,
@@ -267,7 +261,7 @@ def cmd_map(cfg, args, out_dir: Path, use_cache: bool, seed) -> int:
     if args.mode == "synth":
         lam_nm, lc_mm = cfgmod.build_map_grids(cfg)
         noise_sigma = cfgmod.build_noise_sigma(cfg)
-        te1 = _te1(_bands_cached(cfg, out_dir, use_cache)[1])
+        te1 = find_branch(_bands_cached(cfg, out_dir, use_cache)[1], "TE-1")
         taper = cfgmod.build_taper(cfg)
         coupler = cfgmod.build_coupler(cfg)
         fiber = cfgmod.build_fiber(cfg)

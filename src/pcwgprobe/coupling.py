@@ -248,11 +248,13 @@ def kappa_overlap(fiber_mode: ModeField, wg: WaveguideProfile, gap_nm: float,
 # ---------------------------------------------------------------------------
 
 
-def ideality_from_transmission(t_min: float, t_max: float) -> float:
-    """Gamma = (1 - T_min) - (1 - T_max): resonant dip minus broadband loss."""
-    if not 0.0 <= t_min <= t_max <= 1.0:
-        raise ValueError(f"need 0 <= T_min <= T_max <= 1, got ({t_min}, {t_max})")
-    return t_max - t_min
+def ideality_from_transmission(t_min, t_max):
+    """Gamma = (1 - T_min) - (1 - T_max): resonant dip minus broadband loss, per element."""
+    t_min, t_max = np.broadcast_arrays(np.asarray(t_min, float), np.asarray(t_max, float))
+    bad = ~((0.0 <= t_min) & (t_min <= t_max) & (t_max <= 1.0))
+    if bad.any():
+        raise ValueError(f"need 0 <= T_min <= T_max <= 1, got ({t_min[bad][0]}, {t_max[bad][0]})")
+    return float(t_max - t_min) if t_max.ndim == 0 else t_max - t_min
 
 
 def ideality_from_reflection(r_max: float, r_sq: float) -> float:

@@ -27,7 +27,7 @@ class ProfileRangeError(PcwgProbeError):
 
 
 class NoDefectModeError(PcwgProbeError):
-    """No localized defect branch found inside the bulk gap."""
+    """No localized defect branch inside the bulk gap, or none with the wanted label."""
 
 
 class EigensolverError(PcwgProbeError):

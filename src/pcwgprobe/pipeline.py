@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .bands import BandCurve, phase_match_crossing
-from .coupling import CouplerConfig, co_transmission, contra_transmission
+from .coupling import (CouplerConfig, co_transmission, contra_transmission,
+                       ideality_from_transmission)
 from .errors import BandCoverageError, MapFormatError
 from .fiber import C_UM_PER_S, FiberSpec, TaperProfile, he11_neff
 from .fileio import atomic_write, write_json
@@ -539,6 +540,5 @@ def gap_sweep(
     with np.errstate(divide="ignore", invalid="ignore"):  # T_max = 0: ratio 1
         ratio = np.where(t_max > 0, np.maximum(1.0 - t_min / t_max, 0.0), 1.0)
     kappa_l = np.arctanh(np.sqrt(np.minimum(ratio, 1.0 - 1e-15)))
-    return [GapSweepRow(*row) for row in
-            zip(gaps_nm.tolist(), t_min.tolist(), t_max.tolist(), (t_max - t_min).tolist(),
-                kappa_l.tolist())]
+    columns = (gaps_nm, t_min, t_max, ideality_from_transmission(t_min, t_max), kappa_l)
+    return [GapSweepRow(*row) for row in zip(*(c.tolist() for c in columns))]

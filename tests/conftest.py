@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pcwgprobe import config as cfgmod
-from pcwgprobe.bands import waveguide_bands
+from pcwgprobe.bands import find_branch, waveguide_bands
 from pcwgprobe.fiber import TaperProfile
 
 
@@ -32,18 +32,24 @@ def bands_result(default_cfg):
 
 @pytest.fixture(scope="session")
 def te1(bands_result):
-    return bands_result[0].curve("TE-1")
+    return find_branch(bands_result[0].curves, "TE-1")
 
 
 @pytest.fixture(scope="session")
 def te1_odd(bands_result):
-    return bands_result[0].curve("TE-1-odd")
+    return find_branch(bands_result[0].curves, "TE-1-odd")
 
 
 @pytest.fixture(scope="session")
 def default_spec(default_cfg):
     spec, _ = cfgmod.build_lattice(default_cfg)
     return spec
+
+
+@pytest.fixture(scope="session")
+def default_dispersive(default_cfg):
+    """The default lattice's DispersiveIndex, as its bands are solved with."""
+    return cfgmod.build_lattice(default_cfg)[1]
 
 
 @pytest.fixture(scope="session")

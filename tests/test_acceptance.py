@@ -17,6 +17,7 @@ from pcwgprobe.bands import (
     PCWaveguideSpec,
     PlaneWaveSolver,
     defect_profile,
+    find_branch,
     phase_match_crossing,
     thinning_shift,
 )
@@ -106,7 +107,7 @@ def test_criterion_04_empty_lattice_exactness():
 
 def test_criterion_05_phase_matching_design(bands_result):
     res, elapsed = bands_result
-    pm = phase_match_crossing(res.curve("TE-1"), FiberSpec(1.5))
+    pm = phase_match_crossing(find_branch(res.curves, "TE-1"), FiberSpec(1.5))
     lam_ok = abs(pm.lambda_nm - 1600.0) <= 0.05 * 1600.0
     ng_ok = pm.n_g_branch < 0 and 3.0 <= abs(pm.n_g_branch) <= 8.0
     check(
@@ -179,7 +180,7 @@ def test_criterion_09_exponential_gap_law(te1):
     check(9, "exponential gap law", rms < 0.05, f"ln(kappa L) linear fit RMS {rms:.2%}")
 
 
-def test_criterion_10_lateral_probe(default_spec, te1, te1_odd):
+def test_criterion_10_lateral_probe(default_spec, default_dispersive, te1, te1_odd):
     coupler = CouplerConfig()
     fiber = FiberSpec(1.0)
     pm = phase_match_crossing(te1, fiber)
@@ -187,7 +188,7 @@ def test_criterion_10_lateral_probe(default_spec, te1, te1_odd):
     beta_norm = pm.beta_rad_per_um * default_spec.lam_z_um / (2 * np.pi)
 
     def profile(curve):
-        x, u = defect_profile(default_spec, curve, beta_norm)
+        x, u = defect_profile(default_spec, curve, beta_norm, default_dispersive)
         return WaveguideProfile(
             x_um=x,
             u=u,

@@ -5,6 +5,7 @@ import pytest
 
 from pcwgprobe import config as cfgmod
 from pcwgprobe.bands import (
+    _LOCALIZATION_THRESHOLD,
     BandCurve,
     PCWaveguideSpec,
     PlaneWaveSolver,
@@ -15,6 +16,7 @@ from pcwgprobe.bands import (
     _syevr,
     bulk_bands,
     defect_profile,
+    find_branch,
     local_gap,
     phase_match_crossing,
     thinning_shift,
@@ -155,7 +157,7 @@ class TestWaveguideBands:
         kp = np.array([0.40, 0.44, 0.48])
         r13 = waveguide_bands(PCWaveguideSpec(supercell_rows=13), kpath_norm=kp)
         r27 = waveguide_bands(PCWaveguideSpec(supercell_rows=27), kpath_norm=kp)
-        c13, c27 = r13.curve("TE-1"), r27.curve("TE-1")
+        c13, c27 = find_branch(r13.curves, "TE-1"), find_branch(r27.curves, "TE-1")
         common, i13, i27 = np.intersect1d(
             np.round(c13.beta_norm, 9), np.round(c27.beta_norm, 9), return_indices=True
         )
@@ -169,14 +171,15 @@ class TestWaveguideBands:
         with pytest.raises(NoDefectModeError):
             waveguide_bands(spec, kpath_norm=np.linspace(0.38, 0.48, 5))
 
-    def test_defect_profile_parity_and_norm(self, default_spec, te1, te1_odd):
-        x, u = defect_profile(default_spec, te1, 0.40)
+    def test_defect_profile_parity_and_norm(self, default_spec, default_dispersive, te1,
+                                            te1_odd):
+        x, u = defect_profile(default_spec, te1, 0.40, default_dispersive)
         dx = float(np.mean(np.diff(x)))
         assert np.sum(np.abs(u) ** 2) * dx == pytest.approx(1.0, abs=1e-9)
         sym = np.sum(np.abs(u + u[::-1]) ** 2)
         anti = np.sum(np.abs(u - u[::-1]) ** 2)
         assert sym > 100 * anti  # even branch
-        xo, uo = defect_profile(default_spec, te1_odd, 0.40)
+        xo, uo = defect_profile(default_spec, te1_odd, 0.40, default_dispersive)
         sym_o = np.sum(np.abs(uo + uo[::-1]) ** 2)
         anti_o = np.sum(np.abs(uo - uo[::-1]) ** 2)
         assert anti_o > 100 * sym_o  # odd branch
@@ -338,17 +341,18 @@ class TestSectorSolve:
                          0.2846133432428801, 0.28170560947575546],
         }
         for label, omega in expected.items():
-            curve = res.curve(label)
+            curve = find_branch(res.curves, label)
             assert curve.beta_norm.size == 26
             np.testing.assert_allclose(curve.omega_norm[[0, 13, 21, 25]], omega, rtol=1e-10)
         shift = thinning_shift(default_spec, SlabSpec(340.0), 300.0, LAM_REF_UM)
         assert shift.d_omega_norm["TE-1"] == pytest.approx(0.00676761159380856, rel=1e-10)
         assert shift.d_omega_norm["TE-2"] == pytest.approx(0.07292320983276274, rel=1e-10)
 
-    def test_lateral_fwhm_equals_complex_solver(self, default_spec, te1):
+    def test_lateral_fwhm_equals_complex_solver(self, default_spec, default_dispersive, te1):
         # criterion 10's geometry at the phase-match point of the complex solver
         beta, lam_nm = 4.503143398584199, 1613.9727459194082
-        x, u = defect_profile(default_spec, te1, beta * default_spec.lam_z_um / (2 * np.pi))
+        x, u = defect_profile(default_spec, te1, beta * default_spec.lam_z_um / (2 * np.pi),
+                              default_dispersive)
         assert np.isrealobj(u)
         wg = WaveguideProfile(x_um=x, u=u, beta_rad_per_um=beta, lam_um=lam_nm * 1e-3,
                               slab_t_um=0.34, eps_bg=default_spec.n_eff**2)
@@ -358,11 +362,11 @@ class TestSectorSolve:
             np.linspace(-4.0, 4.0, 81),
             kappa_at_center=coupler.kappa_perp(fiber, lam_nm * 1e-3, 400.0),
         )
-        assert result.fwhm_um == pytest.approx(2.5510035301570917, rel=1e-10)
+        assert result.fwhm_um == pytest.approx(2.4771932421995153, rel=1e-10)
 
     def test_sensitivity_matches_central_difference(self, default_spec):
         kpath = np.linspace(0.30, 0.50, 26)[14:]
-        te1 = waveguide_bands(default_spec, kpath_norm=kpath).curve("TE-1")
+        te1 = find_branch(waveguide_bands(default_spec, kpath_norm=kpath).curves, "TE-1")
         h = 1e-5
         solver, up, down = (
             PlaneWaveSolver(default_spec.with_n_eff(default_spec.n_eff * f))
@@ -387,7 +391,7 @@ class TestSectorSolve:
 
         monkeypatch.setattr(PlaneWaveSolver, "sensitivity", fail)
         res = waveguide_bands(default_spec, kpath_norm=np.linspace(0.38, 0.48, 5))
-        assert np.isfinite(res.curve("TE-1").omega_norm).all()
+        assert np.isfinite(find_branch(res.curves, "TE-1").omega_norm).all()
 
     def test_te1_sample_at_the_avoided_crossing(self, te1):
         # beta_norm 0.468 sits at an avoided crossing of TE-1 with another
@@ -603,10 +607,11 @@ class TestSectorSelection:
         even = waveguide_bands(spec, kpath_norm=_THINNING_KPATH, parities=("even",))
         assert {c.parity for c in even.curves} == {"even"}
         for name in ("beta_rad_per_um", "omega_norm"):
-            assert np.array_equal(getattr(even.curve("TE-1"), name),
-                                  getattr(both.curve("TE-1"), name))
+            assert np.array_equal(getattr(find_branch(even.curves, "TE-1"), name),
+                                  getattr(find_branch(both.curves, "TE-1"), name))
 
-    def test_thinning_and_profile_skip_the_unread_sector(self, default_spec, te1, monkeypatch):
+    def test_thinning_and_profile_skip_the_unread_sector(self, default_spec, default_dispersive,
+                                                          te1, monkeypatch):
         from pcwgprobe import bands
 
         calls = []  # (rows, windowed) of every eigensolve
@@ -621,19 +626,58 @@ class TestSectorSelection:
         assert not any(rows == 357 for rows, _ in calls)  # the odd supercell block
         assert sum(windowed for _, windowed in calls) == 2 * 13  # one even solve per k
         calls.clear()
-        defect_profile(default_spec, te1, 0.358)
+        defect_profile(default_spec, te1, 0.358, default_dispersive)
         assert [rows for rows, windowed in calls if windowed] == [364]
 
     @pytest.mark.parametrize("beta_norm", [0.358, 0.40])
-    def test_profile_equals_the_state_of_a_two_sector_solve(self, default_spec, te1, te1_odd,
-                                                            beta_norm, monkeypatch):
-        one = [defect_profile(default_spec, c, beta_norm) for c in (te1, te1_odd)]
+    def test_profile_equals_the_state_of_a_two_sector_solve(self, default_spec, default_dispersive,
+                                                            te1, te1_odd, beta_norm, monkeypatch):
+        one = [defect_profile(default_spec, c, beta_norm, default_dispersive)
+               for c in (te1, te1_odd)]
         solve_k = PlaneWaveSolver.solve_k  # every call solves both sectors
         monkeypatch.setattr(PlaneWaveSolver, "solve_k", lambda self, beta, num_bands=None,
                             window=None, parities=None: solve_k(self, beta, num_bands, window))
         for (x, u), curve in zip(one, (te1, te1_odd)):
-            x2, u2 = defect_profile(default_spec, curve, beta_norm)
+            x2, u2 = defect_profile(default_spec, curve, beta_norm, default_dispersive)
             assert np.array_equal(x, x2) and np.array_equal(u, u2)
+
+
+class TestProbeState:
+    """The lateral probe reads TE-1: the state defect_profile hands to
+    field_profile_x is a defect state by waveguide_bands' rule, at the
+    curve's frequency."""
+
+    @pytest.mark.parametrize("at", ["beta_norm 0.358", "default phase match"])
+    def test_probe_state_is_on_the_te1_branch(self, default_cfg, default_spec, default_dispersive,
+                                              te1, at, monkeypatch):
+        beta_norm = 0.358
+        if at == "default phase match":
+            fiber = cfgmod.build_lateral_probe(default_cfg)[0]
+            pm = phase_match_crossing(te1, fiber)
+            beta_norm = pm.beta_rad_per_um * default_spec.lam_z_um / (2 * np.pi)
+        windows, profiles = [], []  # (solver, states) of window solves; (solver, vec)
+        solve_k, field_profile_x = PlaneWaveSolver.solve_k, PlaneWaveSolver.field_profile_x
+
+        def record_solve(self, beta, num_bands=None, window=None, parities=("even", "odd")):
+            states = solve_k(self, beta, num_bands, window, parities)
+            if window is not None:
+                windows.append((self, states))
+            return states
+
+        def record_profile(self, vec):
+            profiles.append((self, vec))
+            return field_profile_x(self, vec)
+
+        monkeypatch.setattr(PlaneWaveSolver, "solve_k", record_solve)
+        monkeypatch.setattr(PlaneWaveSolver, "field_profile_x", record_profile)
+        defect_profile(default_spec, te1, beta_norm, default_dispersive)
+        (solver, states), = windows
+        omega, vecs = states["even"]
+        probe_solver, vec = profiles[-1]  # the earlier calls are the localization measures
+        assert probe_solver is solver
+        j, = [j for j in range(omega.size) if np.array_equal(vecs[:, j], vec)]
+        assert solver.localization(vec) > _LOCALIZATION_THRESHOLD
+        assert abs(omega[j] - np.interp(beta_norm, te1.beta_norm, te1.omega_norm)) < 2e-4
 
 
 class TestSolveOnCores:

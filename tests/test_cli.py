@@ -284,7 +284,7 @@ class TestCoupleCommand:
 
     @pytest.mark.parametrize("yaml_text, sweep, code", [
         # no half-maximum crossing: a dip saturated over the sweep, an all-zero one
-        ("coupler: {kappa_ref_l: 599.0}\n", "lateral", 3),
+        ("coupler: {kappa_ref_l: 5990.0}\n", "lateral", 3),
         ("coupler: {d_kappa_um: 0.001953125}\n", "lateral", 3),
         # sinh(sL)^2 past the float range: T = 0 and C = 1 inside the stop band
         ("coupler: {kappa_ref_l: 356.0}\n", "gap", 0),
@@ -497,6 +497,16 @@ class TestBandsCache:
             assert run(["--out", tmp_path] + command.split()) == 3
             err = capsys.readouterr().err
             assert "no TE-1 branch" in err and "Traceback" not in err
+
+    def test_thinned_bands_without_te1_exit_3(self, tmp_path, capsys):
+        # a valid lattice whose bands and thinning solves hold 'defect-1' but no TE-1
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("lattice: {r_frac: 0.336, supercell_rows: 11, pw_per_cell: 3, "
+                       "lam_x_nm: 449.2, grading: [0.372, 0.426], k_points: 51, "
+                       "dispersive: true}\n")
+        assert run(["--config", cfg, "--out", tmp_path, "bands", "--thinned", "300"]) == 3
+        err = capsys.readouterr().err
+        assert "computation failed: no TE-1 branch" in err and "Traceback" not in err
 
     @staticmethod
     def check_old_cache_is_not_read(cli_out, bands_payload, default_cfg, monkeypatch, keyed):

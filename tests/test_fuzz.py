@@ -9,12 +9,14 @@ are bounded; a fuzzed step or point count is either small or past the
 config's grid cap, never a large grid that is still allowed, and a pair of
 map grids under that cap is drawn only with a cell count past the map's
 cap.  Any RuntimeWarning (an overflow or invalid value inside a kernel)
-fails a test.
+fails a test.  One test draws valid lattice, slab and fiber values instead
+and runs every command that reads the bands on them.
 """
 
 import contextlib
 import csv
 import io
+import json
 import math
 
 import pytest
@@ -280,3 +282,62 @@ def test_map_cells_keep_the_exit_code_contract(cli_out, edits, truncate, raw, si
     code, text = run_main(["--out", cli_out, "map", "analyze", "--in", path])
     assert code in (0, 2, 3), text
     assert "Traceback" not in text
+
+
+# valid physics in the ranges of the ROADMAP's random-config survey, kept to
+# pw <= 5 and <= 13 k-points so each example takes a fraction of a second
+RADIUS = st.floats(0.2, 0.45)
+PHYSICS = st.fixed_dictionaries(
+    {"lattice": st.fixed_dictionaries({
+        "r_frac": RADIUS,
+        "supercell_rows": st.sampled_from([9, 11, 13, 15, 17, 19]),
+        "pw_per_cell": st.sampled_from([3, 5]),
+        "lam_x_nm": st.floats(340.0, 460.0),
+        "grading": st.lists(RADIUS, min_size=1, max_size=3),
+        "k_points": st.integers(8, 13),
+        "dispersive": st.booleans(),
+    })},
+    optional={"slab": st.fixed_dictionaries({"t_nm": st.floats(200.0, 400.0)}),
+              "fiber": st.fixed_dictionaries({"d_um": st.floats(0.8, 3.0)})},
+)
+# each command and the files it writes
+PHYSICS_COMMANDS = [
+    (["bands"], ["bands.json"]),
+    (["bands", "--thinned", "300"], ["bands.json"]),
+    (["couple", "--sweep", "gap"], ["gap_sweep.csv"]),
+    (["couple", "--sweep", "lateral"],
+     ["lateral_profile.csv", "lateral_kappa.csv", "lateral_summary.json"]),
+    (["map", "synth"], ["map.csv", "map.meta.json"]),
+]
+
+
+def parse_output(path):
+    """A JSON output's value, or a CSV output's body rows as floats."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)
+    return [[float(cell) for cell in row] for row in list(csv.reader(io.StringIO(text)))[1:]]
+
+
+@settings(FUZZ, max_examples=4)
+@given(physics=PHYSICS)
+# the default lattice at pw 5 and 13 k: every command exits 0
+@example(physics={"lattice": {"pw_per_cell": 5, "k_points": 13}})
+# a lattice whose bands hold 'defect-1' but no TE-1: bands --thinned 300
+# ended in a KeyError traceback, exit 1
+@example(physics={"lattice": {"r_frac": 0.336, "supercell_rows": 11, "pw_per_cell": 3,
+                              "lam_x_nm": 449.2, "grading": [0.372, 0.426], "k_points": 51,
+                              "dispersive": True}})
+def test_valid_physics_keeps_the_exit_code_contract(tmp_path_factory, physics):
+    out = tmp_path_factory.mktemp("physics")
+    path = out / "physics.yaml"
+    path.write_text(yaml.safe_dump({"grids": dict(SMALL_GRIDS), **physics}))
+    for command, outputs in PHYSICS_COMMANDS:
+        for name in outputs:
+            (out / name).unlink(missing_ok=True)
+        code, text = run_main(["--config", path, "--out", out] + command)
+        assert code in (0, 2, 3), text
+        assert "Traceback" not in text
+        if code == 0:
+            for name in outputs:
+                assert parse_output(out / name), (command, name)

@@ -36,8 +36,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import BandCoverageError, ConvergenceError, EigensolverError, NoDefectModeError
-from .fiber import C_UM_PER_S, he11_neff
+from .fiber import he11_neff
 from .roots import bracketed_roots
 
 if TYPE_CHECKING:  # a warm bands run never loads the slab solver
@@ -45,6 +46,7 @@ if TYPE_CHECKING:  # a warm bands run never loads the slab solver
 
 _NEG_EIG_TOL = 1e-8
 _EIG_RESIDUAL_TOL = 1e-9
+_LATTICE = DEFAULTS["lattice"]
 
 
 @dataclass(frozen=True)
@@ -54,16 +56,17 @@ class PCWaveguideSpec:
     ``grading`` lists per-row hole radii (fractions of the transverse
     lattice constant) from the center row outward; rows beyond it carry
     the bulk radius ``r_frac``.  The physical row list is symmetric
-    about the center row by construction.
+    about the center row by construction.  The defaults are those of
+    ``config.DEFAULTS["lattice"]``, at a fixed in-plane index.
     """
 
-    lam_z_nm: float = 500.0
-    lam_x_nm: float = 400.0
-    r_frac: float = 0.35
-    grading: tuple = (0.31, 0.325, 0.34)
-    supercell_rows: int = 17
+    lam_z_nm: float = _LATTICE["lam_z_nm"]
+    lam_x_nm: float = _LATTICE["lam_x_nm"]
+    r_frac: float = _LATTICE["r_frac"]
+    grading: tuple = tuple(_LATTICE["grading"])
+    supercell_rows: int = _LATTICE["supercell_rows"]
     n_eff: float = 2.60
-    pw_per_cell: int = 7
+    pw_per_cell: int = _LATTICE["pw_per_cell"]
 
     def __post_init__(self):
         if self.lam_z_nm <= 0 or self.lam_x_nm <= 0:
@@ -125,11 +128,6 @@ class PCWaveguideSpec:
         if not self.grading:
             return 0.0
         return (len(self.grading) - 0.5) * self.lam_x_um
-
-    def fill_fraction(self) -> float:
-        """Area fraction of air in the supercell."""
-        radii = self.row_radii_um()
-        return float(np.sum(np.pi * radii**2) / (self.lam_z_um * self.width_um))
 
 
 @dataclass
@@ -195,7 +193,7 @@ class BandCurve:
             beta_rad_per_um=np.array([s["beta_rad_per_um"] for s in samples]),
             omega_norm=np.array([s["omega_norm"] for s in samples]),
             lam_z_um=lam_z_um,
-            parity=data.get("parity", "none"),
+            parity=data["parity"],
         )
 
 
@@ -848,7 +846,6 @@ class PhaseMatchPoint:
     lambda_nm: float
     omega_norm: float
     n_g_branch: float
-    fiber_d_um: float
 
 
 def phase_match_crossing(curve: BandCurve, fiber_spec) -> PhaseMatchPoint:
@@ -883,7 +880,6 @@ def phase_match_crossing(curve: BandCurve, fiber_spec) -> PhaseMatchPoint:
         lambda_nm=1e3 * curve.lam_z_um / omega,
         omega_norm=omega,
         n_g_branch=ng_star,
-        fiber_d_um=fiber_spec.d_um,
     )
 
 
@@ -892,25 +888,15 @@ def phase_match_crossing(curve: BandCurve, fiber_spec) -> PhaseMatchPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ThinningShift:
-    """Per-branch frequency shift when the membrane is thinned."""
-
-    d_omega_norm: dict  # label -> shift in L_z/lambda units
-    lam_z_um: float
-
-    def d_omega_rad_per_s(self, label: str) -> float:
-        return 2.0 * np.pi * C_UM_PER_S * self.d_omega_norm[label] / self.lam_z_um
-
-
 _THINNING_KPATH = np.linspace(0.34, 0.5, 13)  # normalized beta of the TE-1 comparison
 
 
 def thinning_shift(
     spec: PCWaveguideSpec, slab: SlabSpec, t_thin_nm: float, lam_um: float
-) -> ThinningShift:
-    """Band shifts for thinning the membrane from slab.t_nm to t_thin_nm,
-    with the slab indices taken at ``lam_um``.
+) -> dict:
+    """Band shifts, in L_z/lambda, for thinning the membrane from slab.t_nm
+    to t_thin_nm, with the slab indices taken at ``lam_um``: the dict
+    ``{"TE-1": ..., "TE-2": ...}`` that ``bands.json`` writes.
 
     TE-1: mean shift of the supercell defect branch, recomputed with the
     order-0 effective index of each thickness; TE-1 is even, so only the
@@ -923,7 +909,7 @@ def thinning_shift(
     from .slab import slab_effective_index
 
     if t_thin_nm == slab.t_nm:
-        return ThinningShift({"TE-1": 0.0, "TE-2": 0.0}, spec.lam_z_um)
+        return {"TE-1": 0.0, "TE-2": 0.0}
 
     thin = slab.thinned(t_thin_nm)
     n0_thick = slab_effective_index(slab, lam_um, 0)
@@ -934,8 +920,9 @@ def thinning_shift(
     solves = (waveguide_bands(spec.with_n_eff(n), kpath_norm=_THINNING_KPATH, parities=("even",))
               for n in (n0_thick, n0_thin))
     te1_thick, te1_thin = (find_branch(res.curves, "TE-1") for res in solves)
-    k_thick, k_thin = np.round(te1_thick.beta_norm, 9), np.round(te1_thin.beta_norm, 9)
-    common, i_thick, i_thin = np.intersect1d(k_thick, k_thin, return_indices=True)
+    # both betas are _THINNING_KPATH * 2 pi / L_z, bit for bit
+    common, i_thick, i_thin = np.intersect1d(te1_thick.beta_rad_per_um, te1_thin.beta_rad_per_um,
+                                             return_indices=True)
     if common.size == 0:
         raise NoDefectModeError("TE-1 branches at the two thicknesses share no k-points")
     shift_te1 = float(np.mean(te1_thin.omega_norm[i_thin] - te1_thick.omega_norm[i_thick]))
@@ -945,4 +932,4 @@ def thinning_shift(
             for n in (n1_thick, n1_thin)]
     shift_te2 = edge[1] - edge[0]
 
-    return ThinningShift({"TE-1": shift_te1, "TE-2": shift_te2}, spec.lam_z_um)
+    return {"TE-1": shift_te1, "TE-2": shift_te2}

@@ -163,11 +163,8 @@ def cmd_bands(cfg, args, out_dir: Path, use_cache: bool) -> int:
         spec, _ = cfgmod.build_lattice(cfg)
         shift = thinning_shift(spec, cfgmod.build_slab(cfg), float(args.thinned),
                                cfg["lattice"]["lam_ref_um"])
-        payload["thinning"] = {
-            "t_thin_nm": float(args.thinned),
-            "d_omega_norm": shift.d_omega_norm,
-        }
-        for label, val in sorted(shift.d_omega_norm.items()):
+        payload["thinning"] = {"t_thin_nm": float(args.thinned), "d_omega_norm": shift}
+        for label, val in sorted(shift.items()):
             print(f"thinning shift {label}: {val:+.5f} (L_z/lambda)")
 
     _write_json(out_dir / "bands.json", payload)

@@ -5,7 +5,8 @@ Sections ``fiber``, ``slab``, ``lattice``, ``coupler``, ``grids``,
 Unknown keys are rejected, and every value is checked at load against
 the kind of its default (see ``OPTIONAL_KINDS``); missing keys fall back
 to the defaults below (echo the merged result with
---print-effective-config).
+--print-effective-config).  ``DEFAULTS`` is the one place a default is
+written: the field defaults of the spec dataclasses read it.
 """
 
 from __future__ import annotations
@@ -23,22 +24,6 @@ if TYPE_CHECKING:  # each builder imports its class when it is called
     from .fiber import FiberSpec, TaperProfile
     from .slab import SlabSpec
 
-# Reference coupling amplitude: kappa_perp * L_c = 4.0 at the reference
-# point (g = 250 nm gap, d = 1.9 um taper), which puts the on-resonance
-# transmission floor well below 1% there.  The gap law away from the
-# reference follows the fiber mode's own evanescent decay constant; the
-# diameter factor exp(-(d_ref - d)/d_kappa) is calibrated so a 1.0 um
-# taper at g = 400 nm reaches a resonant dip of ~0.9 (kappa L_c = 1.82).
-KAPPA_REF_L = 4.0
-G_REF_NM = 250.0
-D_REF_UM = 1.9
-D_KAPPA_UM = 2.0393
-
-# Mode-weighted air fill of the perforated membrane; see the slab module's
-# docstring for the calibration (order-0 index 2.6000 at t=340 nm,
-# n_Si=3.4, 1.6 um).
-DEFAULT_EFFECTIVE_HOLE_FILL = 0.238287
-
 DEFAULTS = {
     "fiber": {
         "core_index": None,  # null: fused-silica Sellmeier at each wavelength
@@ -52,7 +37,10 @@ DEFAULTS = {
         "t_nm": 340.0,
         "n_si": 3.4,
         "n_clad": 1.0,
-        "effective_hole_fill": DEFAULT_EFFECTIVE_HOLE_FILL,
+        # mode-weighted air fill of the perforated membrane; see the slab
+        # module's docstring for the calibration (order-0 index 2.6000 at
+        # t=340 nm, n_Si=3.4, 1.6 um)
+        "effective_hole_fill": 0.238287,
     },
     "lattice": {
         "lam_z_nm": 500.0,
@@ -71,10 +59,16 @@ DEFAULTS = {
     "coupler": {
         "gap_nm": 700.0,
         "l_c_um": 60.0,
-        "kappa_ref_l": KAPPA_REF_L,
-        "g_ref_nm": G_REF_NM,
-        "d_ref_um": D_REF_UM,
-        "d_kappa_um": D_KAPPA_UM,
+        # kappa_perp * L_c = 4.0 at the reference point (g = 250 nm gap,
+        # d = 1.9 um taper), which puts the on-resonance transmission floor
+        # well below 1% there.  The gap law away from the reference follows
+        # the fiber mode's own evanescent decay constant; the diameter
+        # factor exp(-(d_ref - d)/d_kappa) is calibrated so a 1.0 um taper
+        # at g = 400 nm reaches a resonant dip of ~0.9 (kappa L_c = 1.82).
+        "kappa_ref_l": 4.0,
+        "g_ref_nm": 250.0,
+        "d_ref_um": 1.9,
+        "d_kappa_um": 2.0393,
         "g0_nm": None,  # null: use the fiber evanescent decay constant
         "scatter_loss_ref": 0.10,
         "scatter_g_scale_nm": 250.0,
@@ -269,6 +263,9 @@ def build_lattice(cfg: dict):
     from .slab import slab_effective_index
 
     lat = cfg["lattice"]
+    if not lat["grading"]:
+        raise ConfigError("config 'lattice.grading' must list the radius of at least one "
+                          "graded row: the waveguide is the graded defect")
     slab = build_slab(cfg)
     lam_ref = lat["lam_ref_um"]
     if lat["n_eff_override"] is not None:
@@ -292,7 +289,12 @@ def build_lattice(cfg: dict):
 def build_kpath(cfg: dict):
     lat = cfg["lattice"]
     _check_points(lat["k_points"], "'lattice.k_points'")
-    return np.linspace(lat["k_start"], lat["k_stop"], lat["k_points"])
+    kpath = np.linspace(lat["k_start"], lat["k_stop"], lat["k_points"])
+    # beta = 2 pi k / L_z rounds twice, so k-points a few ulps apart can share a beta
+    if not np.all(np.diff(np.sort(kpath)) > 8 * np.spacing(np.max(np.abs(kpath), initial=0.0))):
+        raise ConfigError(f"config 'lattice.k_start/k_stop/k_points': the {kpath.size} k-points "
+                          f"from {lat['k_start']!r} to {lat['k_stop']!r} are not all distinct")
+    return kpath
 
 
 @_section("coupler")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import D_KAPPA_UM, D_REF_UM, G_REF_NM, KAPPA_REF_L  # calibration: see config
+from .config import DEFAULTS
 from .errors import (
     InsufficientFringesError,
     NonPhysicalContrastError,
@@ -25,23 +25,25 @@ from .errors import (
 )
 from .fiber import FiberSpec, ModeField, exterior_decay
 
+_COUPLER = DEFAULTS["coupler"]
+
 
 @dataclass(frozen=True)
 class CouplerConfig:
-    """Taper-PCWG junction parameters and calibrated coupling defaults."""
+    """Taper-PCWG junction parameters; the defaults are ``config.DEFAULTS["coupler"]``."""
 
-    gap_nm: float = 700.0
-    l_c_um: float = 60.0
-    kappa_ref_l: float = KAPPA_REF_L
-    g_ref_nm: float = G_REF_NM
-    d_ref_um: float = D_REF_UM
-    d_kappa_um: float = D_KAPPA_UM
-    g0_nm: float | None = None  # None: derive 1/gamma from the fiber solve
+    gap_nm: float = _COUPLER["gap_nm"]
+    l_c_um: float = _COUPLER["l_c_um"]
+    kappa_ref_l: float = _COUPLER["kappa_ref_l"]
+    g_ref_nm: float = _COUPLER["g_ref_nm"]
+    d_ref_um: float = _COUPLER["d_ref_um"]
+    d_kappa_um: float = _COUPLER["d_kappa_um"]
+    g0_nm: float | None = _COUPLER["g0_nm"]  # None: derive 1/gamma from the fiber solve
     # broadband scattering loss: fraction lost at (g = 400 nm, d = 1.0 um),
     # growing exponentially toward small gaps and small diameters
-    scatter_loss_ref: float = 0.10
-    scatter_g_scale_nm: float = 250.0
-    scatter_d_scale_um: float = 0.55
+    scatter_loss_ref: float = _COUPLER["scatter_loss_ref"]
+    scatter_g_scale_nm: float = _COUPLER["scatter_g_scale_nm"]
+    scatter_d_scale_um: float = _COUPLER["scatter_d_scale_um"]
 
     def __post_init__(self):
         for f in fields(self):
@@ -181,7 +183,7 @@ class WaveguideProfile:
     u: np.ndarray
     beta_rad_per_um: float
     lam_um: float
-    slab_t_um: float = 0.34
+    slab_t_um: float = DEFAULTS["slab"]["t_nm"] * 1e-3
     eps_bg: float = 2.60**2
 
     def __post_init__(self):

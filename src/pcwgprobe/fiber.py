@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULTS
 from .errors import ConvergenceError, NoGuidedModeError, ProfileRangeError
 from .roots import bracketed_roots, opposite_signs
 
@@ -130,7 +131,7 @@ class FiberSpec:
 
     d_um: float
     core_index: float | None = None
-    clad_index: float = 1.0
+    clad_index: float = DEFAULTS["fiber"]["clad_index"]
 
     def __post_init__(self):
         if not 0 < self.d_um < np.inf:
@@ -382,10 +383,6 @@ class ModeField:
         # K0(w rho)/K0(w) via scaled Bessels to stay finite for large rho.
         out[~inside] = _k01e(self.w * ro)[0] / self._k0w * np.exp(-self.w * (ro - 1.0))
         return self._amp * out
-
-    def __call__(self, x_um, y_um):
-        """Complex field amplitude at transverse position (x, y) from the axis."""
-        return self.radial(np.hypot(x_um, y_um)).astype(complex)
 
 
 def _pchip_slopes(x, y):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_EFFECTIVE_HOLE_FILL
+from .config import DEFAULTS
 from .errors import ConvergenceError, ModeCutoffError
 from .roots import bracketed_roots
 
@@ -33,9 +33,9 @@ class SlabSpec:
     """Suspended (air-clad) membrane of thickness ``t_nm``."""
 
     t_nm: float
-    n_slab: float = 3.4
-    n_clad: float = 1.0
-    effective_hole_fill: float = DEFAULT_EFFECTIVE_HOLE_FILL
+    n_slab: float = DEFAULTS["slab"]["n_si"]
+    n_clad: float = DEFAULTS["slab"]["n_clad"]
+    effective_hole_fill: float = DEFAULTS["slab"]["effective_hole_fill"]
 
     def __post_init__(self):
         if self.t_nm <= 0:

@@ -1,7 +1,7 @@
-"""Shared fixtures: the default bandstructure is expensive (~20 s), so it
-is computed once per session and reused; its wall time feeds the
-runtime acceptance criterion.  CLI tests get a work directory with the
-bands cache pre-seeded from the same computation.
+"""Shared fixtures: the default bandstructure and thinning shifts are
+expensive, so each is computed once per session and reused; the bands'
+wall time feeds the runtime acceptance criterion.  CLI tests get a work
+directory with the bands cache pre-seeded from the same computation.
 """
 
 import json
@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from pcwgprobe import config as cfgmod
-from pcwgprobe.bands import find_branch, waveguide_bands
+from pcwgprobe.bands import find_branch, thinning_shift, waveguide_bands
 from pcwgprobe.fiber import TaperProfile
+from pcwgprobe.slab import SlabSpec
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +51,14 @@ def default_spec(default_cfg):
 def default_dispersive(default_cfg):
     """The default lattice's DispersiveIndex, as its bands are solved with."""
     return cfgmod.build_lattice(default_cfg)[1]
+
+
+@pytest.fixture(scope="session")
+def default_thinning(default_spec, default_cfg):
+    """Thinning shifts of the default lattice from 340 to 300 nm at the
+    reference wavelength (criterion 06's inputs)."""
+    return thinning_shift(default_spec, SlabSpec(340.0), 300.0,
+                          default_cfg["lattice"]["lam_ref_um"])
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from pcwgprobe.bands import (
     defect_profile,
     find_branch,
     phase_match_crossing,
-    thinning_shift,
 )
 from pcwgprobe.coupling import (
     CouplerConfig,
@@ -119,10 +118,8 @@ def test_criterion_05_phase_matching_design(bands_result):
     )
 
 
-def test_criterion_06_thinning_ordering(default_spec, default_cfg):
-    lam_ref_um = default_cfg["lattice"]["lam_ref_um"]
-    shift = thinning_shift(default_spec, SlabSpec(340.0), 300.0, lam_ref_um)
-    d1, d2 = shift.d_omega_norm["TE-1"], shift.d_omega_norm["TE-2"]
+def test_criterion_06_thinning_ordering(default_thinning):
+    d1, d2 = default_thinning["TE-1"], default_thinning["TE-2"]
     check(
         6,
         "thinning ordering",

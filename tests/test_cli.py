@@ -105,6 +105,13 @@ class TestFiberCommand:
         ("lattice: {grading: &a [*a]}\n", "bands", "'lattice.grading'"),
         ("lattice: {grading: [0.31, '0.325', 0.34]}\n", "bands", "'lattice.grading'"),
         ("coupler: {g0_nm: '300'}\n", "couple --sweep gap", "'coupler.g0_nm'"),
+        # no graded row: no waveguide; equal k ends: every k-point the same
+        ("lattice: {grading: []}\n", "bands", "'lattice.grading'"),
+        ("lattice: {grading: []}\n", "bands --thinned 300", "'lattice.grading'"),
+        ("lattice: {k_start: 0.4, k_stop: 0.4}\n", "bands", "'lattice.k_start/k_stop/k_points'"),
+        # 26 distinct k-points one ulp apart share betas
+        ("lattice: {k_start: 0.4, k_stop: 0.4000000000000014}\n", "bands",
+         "'lattice.k_start/k_stop/k_points'"),
         # an integer past the float range
         pytest.param("slab: {t_nm: 1" + "0" * 400 + "}\n", "bands", "'slab.t_nm'",
                      id="t_nm-401-digits"),
@@ -219,6 +226,12 @@ class TestBandsCommand:
         assert set(sample) == {"beta_rad_per_um", "omega_norm", "lambda_nm", "n_g"}
         assert payload["phase_match"]["lambda_nm"] == pytest.approx(1600.0, rel=0.05)
 
+    def test_descending_k_path_is_accepted(self):
+        # the k-points need only be distinct, in either order
+        cfg = cfgmod.load_config(None)
+        cfg["lattice"].update(k_start=0.5, k_stop=0.3)
+        np.testing.assert_array_equal(cfgmod.build_kpath(cfg), np.linspace(0.5, 0.3, 26))
+
     def test_thinned_reports_positive_shifts(self, cli_out, capsys):
         assert run(["--out", cli_out, "bands", "--thinned", "300"]) == 0
         payload = json.loads((cli_out / "bands.json").read_text())
@@ -240,7 +253,7 @@ class TestBandsCommand:
         shifts = json.loads((tmp_path / "bands.json").read_text())["thinning"]["d_omega_norm"]
         config = cfgmod.load_config(cfg)
         spec, _ = cfgmod.build_lattice(config)
-        expected = thinning_shift(spec, cfgmod.build_slab(config), 300.0, 1.55).d_omega_norm
+        expected = thinning_shift(spec, cfgmod.build_slab(config), 300.0, 1.55)
         assert shifts == expected
         assert shifts["TE-1"] == pytest.approx(0.006502, abs=1e-6)
 
@@ -426,11 +439,16 @@ class TestBandsCache:
     @pytest.mark.parametrize("garbage", ["{\"curves\": [", "[]", "\xff\xfe", {"curves": 5},
                                          {"curves": [{"label": "TE-1"}]}, {"lam_z_nm": "x"},
                                          {"gap_norm": [0.3]}, {"lam_z_nm": 10**400},
-                                         "[" * 100_000 + "]" * 100_000])
+                                         "[" * 100_000 + "]" * 100_000,
+                                         pytest.param(lambda p: {"curves": [
+                                             {k: v for k, v in c.items() if k != "parity"}
+                                             for c in p["curves"]]}, id="no-parity")])
     def test_corrupt_cache_is_recomputed(self, cli_out, bands_payload, monkeypatch,
                                          garbage, capsys):
         from pcwgprobe import cli
 
+        if callable(garbage):
+            garbage = garbage(bands_payload)
         if isinstance(garbage, dict):
             garbage = json.dumps({**bands_payload, **garbage})
         cache = next((cli_out / ".cache").iterdir())

@@ -544,12 +544,6 @@ class TestModeField:
                        kve(0, w * rho) / kve(0, w) * np.exp(-w * (rho - 1.0)))
         assert mode.radial(r) == pytest.approx(ref / np.sqrt(power), rel=1e-13, abs=0)
 
-    def test_cartesian_evaluation_is_complex_and_radial(self):
-        mode = ModeField(FiberSpec(1.1), 1.55)
-        field = mode(np.array([0.3, 0.0]), np.array([0.0, 0.3]))
-        assert field.dtype.kind == "c"
-        assert field[0] == pytest.approx(field[1])
-
 
 class TestTaperProfile:
     def test_exact_at_samples_and_bounded_between(self):

@@ -149,6 +149,8 @@ class BandCurve:
             raise ValueError("samples must be ordered in beta")
         if np.any(self.omega_norm < 0):
             raise ValueError("frequencies must be non-negative")
+        if self.parity not in ("even", "odd", "none"):
+            raise ValueError(f"parity must be 'even', 'odd' or 'none', got {self.parity!r}")
 
     @property
     def beta_norm(self):
@@ -636,32 +638,8 @@ def find_branch(curves, label: str) -> BandCurve:
     raise NoDefectModeError(f"no {label} branch in the bands; have {[c.label for c in curves]}")
 
 
-@dataclass(frozen=True)
-class DispersiveIndex:
-    """Wavelength-dependent slab effective index for the 2D model.
-
-    The vertical mode of the membrane is strongly dispersive (its group
-    index is well above its phase index), which flattens the in-plane
-    defect branches.  Solving the 2D bands self-consistently with
-    n_eff(lambda) restores that flattening; a fixed-index solve
-    systematically overestimates the defect-mode group velocity.
-    """
-
-    slab: SlabSpec
-    lam_ref_um: float
-
-    def n(self, lam_um):
-        """Order-0 slab index at scalar or array wavelengths."""
-        from .slab import slab_effective_index
-
-        return slab_effective_index(self.slab, lam_um)
-
-    @property
-    def n_ref(self) -> float:
-        return self.n(self.lam_ref_um)
-
-
 _LOCALIZATION_THRESHOLD = 0.5  # |H|^2 fraction on the graded rows of a defect state
+MIN_BRANCH_SAMPLES = 3  # k-points of the shortest branch that waveguide_bands keeps
 
 
 def _defect_states(solver: PlaneWaveSolver, omega, vecs):
@@ -713,7 +691,7 @@ def _track_branches(cand_per_k):
 def waveguide_bands(
     spec: PCWaveguideSpec,
     kpath_norm,
-    dispersive: DispersiveIndex | None = None,
+    dispersive: SlabSpec | None = None,
     parities=("even", "odd"),
 ) -> WaveguideBandsResult:
     """Supercell bands with the graded-defect branches identified and labeled.
@@ -728,14 +706,12 @@ def waveguide_bands(
     within a sector, so each branch of a solved sector is the same as with
     both (``("even",)`` gives the same TE-1 and no odd branch).
 
-    With ``dispersive`` given, the bands are solved at its reference
-    index and each defect sample then solves the fixed point
-    omega = omega_ref (n_ref / n_eff(lambda(omega)))^S, with
-    S = -d ln(omega)/d ln(n_eff) from its own eigenvector
-    (``PlaneWaveSolver.sensitivity``).
+    The bands are solved at n_ref = ``spec.n_eff``.  The membrane's strongly
+    dispersive vertical mode flattens the defect branches: with it given as
+    ``dispersive``, each defect sample solves omega = omega_ref (n_ref /
+    n(lambda(omega)))^S, n its order-0 slab index and S = -d ln(omega)/d ln(n_eff)
+    from the sample's own eigenvector (``PlaneWaveSolver.sensitivity``).
     """
-    if dispersive is not None:
-        spec = spec.with_n_eff(dispersive.n_ref)
     if not spec.grading:
         raise ValueError("waveguide_bands needs a graded defect")
     kpath_norm = np.asarray(kpath_norm, dtype=float)
@@ -756,7 +732,7 @@ def waveguide_bands(
 
     branches = sorted(  # by first k-point, then frequency
         ((parity, samples) for parity, cands in cand_per_k.items()
-         for samples in _track_branches(cands) if len(samples) >= 3),
+         for samples in _track_branches(cands) if len(samples) >= MIN_BRANCH_SAMPLES),
         key=lambda b: b[1][0][:2],
     )
     if not branches:
@@ -775,11 +751,12 @@ def waveguide_bands(
 
     _label_defect_curves(curves)
     if dispersive is not None:
-        n_ref = dispersive.n_ref
+        from .slab import slab_effective_index
+
         w1, sens = np.concatenate([c.omega_norm for c in curves]), np.concatenate(sensitivities)
 
         def fixed_point(w, w1, s):
-            return w - w1 * (n_ref / dispersive.n(spec.lam_z_um / w)) ** s
+            return w - w1 * (spec.n_eff / slab_effective_index(dispersive, spec.lam_z_um / w)) ** s
 
         # all samples of all curves at once
         w = bracketed_roots(fixed_point, 0.6 * w1, 1.6 * w1, (w1, sens), xtol=1e-13)
@@ -805,7 +782,7 @@ def _label_defect_curves(curves):
 
 
 def defect_profile(spec: PCWaveguideSpec, curve: BandCurve, beta_norm: float,
-                   dispersive: DispersiveIndex | None = None):
+                   dispersive: SlabSpec | None = None):
     """Signed lateral amplitude of a defect branch at one k-point.
 
     Returns (x_um, u) with u the m_z = 0 harmonic of H (the component
@@ -814,11 +791,14 @@ def defect_profile(spec: PCWaveguideSpec, curve: BandCurve, beta_norm: float,
     The state is the defect state (``_defect_states``) nearest the
     curve's omega there, in the window of ``waveguide_bands`` and the
     curve's own sector (odd, or else even; the only one solved); with
-    the curve's ``dispersive`` index it is solved at n_eff(L_z / omega).
+    the curve's ``dispersive`` membrane it is solved at that membrane's
+    order-0 index at L_z / omega.
     """
     target = float(np.interp(beta_norm, curve.beta_norm, curve.omega_norm))
     if dispersive is not None:
-        spec = spec.with_n_eff(float(dispersive.n(spec.lam_z_um / target)))
+        from .slab import slab_effective_index
+
+        spec = spec.with_n_eff(slab_effective_index(dispersive, spec.lam_z_um / target))
     _, (window,) = _defect_windows(spec, [beta_norm])
     solver = PlaneWaveSolver(spec)
     parity = "odd" if curve.parity == "odd" else "even"

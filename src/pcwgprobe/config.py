@@ -258,8 +258,9 @@ def build_slab(cfg: dict) -> SlabSpec:
 
 @_section("lattice")
 def build_lattice(cfg: dict):
-    """PCWaveguideSpec plus the dispersive-index handle (or None)."""
-    from .bands import DispersiveIndex, PCWaveguideSpec
+    """PCWaveguideSpec, and the membrane whose dispersion its bands follow
+    (None for fixed-index bands)."""
+    from .bands import PCWaveguideSpec
     from .slab import slab_effective_index
 
     lat = cfg["lattice"]
@@ -267,12 +268,13 @@ def build_lattice(cfg: dict):
         raise ConfigError("config 'lattice.grading' must list the radius of at least one "
                           "graded row: the waveguide is the graded defect")
     slab = build_slab(cfg)
-    lam_ref = lat["lam_ref_um"]
+    # an override fixes the index, and the dispersive correction stays off:
+    # it is 1 at lam_ref only where n_eff is the slab's own index there
     if lat["n_eff_override"] is not None:
         n_eff, dispersive = lat["n_eff_override"], None
     else:
-        n_eff = slab_effective_index(slab, lam_ref, 0)
-        dispersive = DispersiveIndex(slab, lam_ref) if lat["dispersive"] else None
+        n_eff = slab_effective_index(slab, lat["lam_ref_um"], 0)
+        dispersive = slab if lat["dispersive"] else None
     spec = PCWaveguideSpec(
         lam_z_nm=lat["lam_z_nm"],
         lam_x_nm=lat["lam_x_nm"],
@@ -287,8 +289,13 @@ def build_lattice(cfg: dict):
 
 @_section("lattice")
 def build_kpath(cfg: dict):
+    from .bands import MIN_BRANCH_SAMPLES
+
     lat = cfg["lattice"]
     _check_points(lat["k_points"], "'lattice.k_points'")
+    if lat["k_points"] < MIN_BRANCH_SAMPLES:
+        raise ConfigError(f"config 'lattice.k_points' must be at least {MIN_BRANCH_SAMPLES}, "
+                          f"the fewest samples of a kept branch, got {lat['k_points']}")
     kpath = np.linspace(lat["k_start"], lat["k_stop"], lat["k_points"])
     # beta = 2 pi k / L_z rounds twice, so k-points a few ulps apart can share a beta
     if not np.all(np.diff(np.sort(kpath)) > 8 * np.spacing(np.max(np.abs(kpath), initial=0.0))):

@@ -49,7 +49,7 @@ def default_spec(default_cfg):
 
 @pytest.fixture(scope="session")
 def default_dispersive(default_cfg):
-    """The default lattice's DispersiveIndex, as its bands are solved with."""
+    """The default membrane (a SlabSpec), whose index the default bands follow."""
     return cfgmod.build_lattice(default_cfg)[1]
 
 

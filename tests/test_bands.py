@@ -799,16 +799,41 @@ class TestDispersiveFixedPoint:
         ],
     }
 
-    def test_unbracketed_sample_raises(self, default_spec):
-        class TenthIndex:  # n(lambda) = n_ref / 10 puts the root near 8x omega_norm
-            n_ref = default_spec.n_eff
+    def test_unbracketed_sample_raises(self, default_spec, default_dispersive, monkeypatch):
+        from pcwgprobe import slab
 
-            def n(self, lam_um):
-                return np.full(np.shape(lam_um), self.n_ref / 10)
+        def tenth_index(membrane, lam_um, vertical_order=0):
+            # n(lambda) = n_ref / 10 puts the root near 8x omega_norm
+            return np.full(np.shape(lam_um), default_spec.n_eff / 10)
 
+        monkeypatch.setattr(slab, "slab_effective_index", tenth_index)
         with pytest.raises(ConvergenceError, match="no dispersive fixed point for .* at beta = "):
             waveguide_bands(default_spec, kpath_norm=np.linspace(0.38, 0.48, 5),
-                            dispersive=TenthIndex())
+                            dispersive=default_dispersive)
+
+    def test_bands_are_solved_at_the_spec_index(self, default_spec, monkeypatch):
+        # n_ref is spec.n_eff, not the slab's index at a reference wavelength:
+        # with n(lambda) = n_ref the fixed point leaves every sample where it is
+        from pcwgprobe import slab
+
+        spec, kpath = default_spec.with_n_eff(2.55), np.linspace(0.38, 0.48, 5)
+        fixed = waveguide_bands(spec, kpath_norm=kpath).curves
+        solved_at, init = [], PlaneWaveSolver.__init__
+
+        def record(self, spec):
+            solved_at.append(spec.n_eff)
+            init(self, spec)
+
+        def index(membrane, lam_um, vertical_order=0):
+            return np.full(np.shape(lam_um), 2.55)
+
+        monkeypatch.setattr(PlaneWaveSolver, "__init__", record)
+        monkeypatch.setattr(slab, "slab_effective_index", index)
+        curves = waveguide_bands(spec, kpath_norm=kpath, dispersive=SlabSpec(340.0)).curves
+        assert solved_at == [2.55, 2.55]  # the bulk stop band, then the supercell
+        assert [c.label for c in curves] == [c.label for c in fixed]
+        for c, f in zip(curves, fixed):
+            np.testing.assert_allclose(c.omega_norm, f.omega_norm, rtol=0, atol=1e-12)
 
     def test_samples_equal_the_per_sample_solve(self, te1, te1_odd):
         for curve in (te1, te1_odd):

@@ -63,6 +63,10 @@ class TestFiberCommand:
         ("grids: {lambda_step_nm: 1.0e-12}\n", "fiber", "lambda_start_nm/stop_nm/step_nm"),
         ("lattice: {k_points: 100000000000}\n", "bands", "lattice.k_points"),
         ("lattice: {k_points: .inf}\n", "bands", "lattice.k_points"),
+        # a branch is kept only with at least 3 samples
+        ("lattice: {k_points: 0}\n", "bands", "'lattice.k_points'"),
+        ("lattice: {k_points: 1}\n", "bands", "'lattice.k_points'"),
+        ("lattice: {k_points: 2}\n", "bands", "'lattice.k_points'"),
         ("grids: {lc_points: 100000000000}\n", "map synth", "grids.lc_points"),
         ("grids: {dx_points: 100000000000}\n", "couple --sweep lateral", "grids.dx_points"),
         ("grids: {gap_step_nm: 1.0e-12}\n", "couple --sweep gap", "gap_start_nm/stop_nm/step_nm"),
@@ -225,6 +229,23 @@ class TestBandsCommand:
         sample = payload["curves"][0]["samples"][0]
         assert set(sample) == {"beta_rad_per_um", "omega_norm", "lambda_nm", "n_g"}
         assert payload["phase_match"]["lambda_nm"] == pytest.approx(1600.0, rel=0.05)
+
+    def test_three_k_points_hold_a_branch(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("lattice: {k_points: 3}\n")
+        assert run(["--config", cfg, "--out", tmp_path, "--no-cache", "bands"]) == 0
+        curves = json.loads((tmp_path / "bands.json").read_text())["curves"]
+        assert "TE-1" in [c["label"] for c in curves]
+
+    def test_index_override_turns_the_dispersive_correction_off(self, tmp_path):
+        written = []
+        for dispersive in ("true", "false"):
+            out = tmp_path / dispersive
+            cfg = tmp_path / f"{dispersive}.yaml"
+            cfg.write_text(f"lattice: {{n_eff_override: 2.6, dispersive: {dispersive}}}\n")
+            assert run(["--config", cfg, "--out", out, "--no-cache", "bands"]) == 0
+            written.append((out / "bands.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_descending_k_path_is_accepted(self):
         # the k-points need only be distinct, in either order
@@ -442,7 +463,10 @@ class TestBandsCache:
                                          "[" * 100_000 + "]" * 100_000,
                                          pytest.param(lambda p: {"curves": [
                                              {k: v for k, v in c.items() if k != "parity"}
-                                             for c in p["curves"]]}, id="no-parity")])
+                                             for c in p["curves"]]}, id="no-parity"),
+                                         pytest.param(lambda p: {"curves": [
+                                             dict(c, parity="sideways") if c["label"] == "TE-1"
+                                             else c for c in p["curves"]]}, id="unknown-parity")])
     def test_corrupt_cache_is_recomputed(self, cli_out, bands_payload, monkeypatch,
                                          garbage, capsys):
         from pcwgprobe import cli

@@ -141,10 +141,14 @@ class BandCurve:
     parity: str = "none"
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a string, got {self.label!r}")
         self.beta_rad_per_um = np.asarray(self.beta_rad_per_um, dtype=float)
         self.omega_norm = np.asarray(self.omega_norm, dtype=float)
         if self.beta_rad_per_um.shape != self.omega_norm.shape:
             raise ValueError("beta and omega sample arrays must match")
+        if not (np.isfinite(self.beta_rad_per_um).all() and np.isfinite(self.omega_norm).all()):
+            raise ValueError("samples must be finite")
         if np.any(np.diff(self.beta_rad_per_um) <= 0):
             raise ValueError("samples must be ordered in beta")
         if np.any(self.omega_norm < 0):
@@ -217,15 +221,63 @@ def _basis(spec: PCWaveguideSpec):
     return g, mz, mx
 
 
+# Cephes j1, highest power first; a leading 1.0 stands for p1evl's implied one.
+_J1_RP = (-8.99971225705559398224E8, 4.52228297998194034323E11, -7.27494245221818276015E13,
+          3.68295732863852883286E15)
+_J1_RQ = (1.0, 6.20836478118054335476E2, 2.56987256757748830383E5, 8.35146791431949253037E7,
+          2.21511595479792499675E10, 4.74914122079991414898E12, 7.84369607876235854894E14,
+          8.95222336184627338078E16, 5.32278620332680085395E18)
+_J1_PP = (7.62125616208173112003E-4, 7.31397056940917570436E-2, 1.12719608129684925192E0,
+          5.11207951146807644818E0, 8.42404590141772420927E0, 5.21451598682361504063E0,
+          1.00000000000000000254E0)
+_J1_PQ = (5.71323128072548699714E-4, 6.88455908754495404082E-2, 1.10514232634061696926E0,
+          5.07386386128601488557E0, 8.39985554327604159757E0, 5.20982848682361821619E0,
+          9.99999999999999997461E-1)
+_J1_QP = (5.10862594750176621635E-2, 4.98213872951233449420E0, 7.58238284132545283818E1,
+          3.66779609360150777800E2, 7.10856304998926107277E2, 5.97489612400613639965E2,
+          2.11688757100572135698E2, 2.52070205858023719784E1)
+_J1_QQ = (1.0, 7.42373277035675149943E1, 1.05644886038262816351E3, 4.98641058337653607651E3,
+          9.56231892404756170795E3, 7.99704160447350683650E3, 2.82619278517639096600E3,
+          3.36093607810698293419E2)
+_J1_Z1, _J1_Z2 = 1.46819706421238932572E1, 4.92184563216946036703E1  # squared J1 zeros
+_J1_THPIO4, _J1_SQ2OPI = 2.35619449019234492885, 7.9788456080286535587989E-1
+
+
+def _polevl(z, coef):
+    """Cephes polevl: Horner from the highest power, ``a = a*z + c``."""
+    a = coef[0]
+    for c in coef[1:]:
+        a = a * z + c
+    return a
+
+
+def _j1(x):
+    """J1 at ``x`` >= 0 by Cephes ``j1``, the code scipy.special.j1 runs: its
+    rational form up to 5, its phase-amplitude form above, with its
+    coefficients and operation order, so the two agree bit for bit."""
+    out = np.empty_like(x)
+    small = x <= 5.0
+    xs = x[small]
+    z = xs * xs
+    w = _polevl(z, _J1_RP) / _polevl(z, _J1_RQ)
+    out[small] = w * xs * (z - _J1_Z1) * (z - _J1_Z2)
+    xb = x[~small]
+    w = 5.0 / xb
+    z = w * w
+    p = _polevl(z, _J1_PP) / _polevl(z, _J1_PQ)
+    q = _polevl(z, _J1_QP) / _polevl(z, _J1_QQ)
+    xn = xb - _J1_THPIO4
+    out[~small] = (p * np.cos(xn) - w * q * np.sin(xn)) * _J1_SQ2OPI / np.sqrt(xb)
+    return out
+
+
 def _hole_factor(q, radius_um, cell_area_um2):
     """Fourier factor of one circular hole: 2 f J1(qR)/(qR); f at q=0."""
-    from scipy.special import j1  # J1 at any argument; every caller eigensolves anyway
-
     f = np.pi * radius_um**2 / cell_area_um2
     qr = q * radius_um
     out = np.full(np.shape(qr), f, dtype=float)
     nz = qr > 1e-12
-    out[nz] = 2.0 * f * j1(qr[nz]) / qr[nz]
+    out[nz] = 2.0 * f * _j1(qr[nz]) / qr[nz]
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -80,11 +81,16 @@ def _bands_cached(cfg, out_dir: Path, use_cache: bool):
 
 def _read_cache(cache_file: Path):
     """The cached bands payload and its curves, or None if the file does not
-    hold them: JSON with the four keys, a gap of two reals or null, and
-    curves that rebuild."""
+    hold them: JSON with the four keys, finite real numbers (not booleans)
+    for ``lam_z_nm``, ``n_eff`` and a gap of two or null, and curves that
+    rebuild."""
     try:
         payload = json.loads(cache_file.read_text())
         if not {"lam_z_nm", "n_eff", "gap_norm", "curves"} <= payload.keys():
+            return None
+        scalars = [payload["lam_z_nm"], payload["n_eff"], *(payload["gap_norm"] or ())]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                   for v in scalars):
             return None
         if payload["gap_norm"] is not None:
             lo, hi = payload["gap_norm"]

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,37 @@ class TestEpsilonFourier:
         assert table.dtype == np.float64
         np.testing.assert_array_equal(table, table[::-1, :])
         np.testing.assert_array_equal(table, table[:, ::-1])
+
+
+def assert_bits_equal(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestJ1:
+    # the hole factor's J1 is Cephes j1, the code scipy.special.j1 runs
+    def test_equals_scipy_bit_for_bit_on_a_dense_grid(self):
+        from scipy.special import j1
+
+        from pcwgprobe import bands
+
+        five = [np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, 6.0)]
+        x = np.concatenate([np.linspace(0.0, 60.0, 600_001), five])
+        assert_bits_equal(bands._j1(x), j1(x))
+
+    @pytest.mark.parametrize("pw_per_cell", [7, 13])
+    def test_equals_scipy_on_every_epsilon_table_argument(self, default_spec, pw_per_cell,
+                                                          monkeypatch):
+        from scipy.special import j1
+
+        from pcwgprobe import bands
+
+        spec = replace(default_spec, pw_per_cell=pw_per_cell)
+        seen, ours = [], bands._j1
+        monkeypatch.setattr(bands, "_j1", lambda x: seen.append(x) or ours(x))
+        table_of(spec)
+        x = np.concatenate(seen)
+        assert x.max() > 2.3 * pw_per_cell  # qR reaches about 17 and 34
+        assert_bits_equal(ours(x), j1(x))
 
 
 class TestBulkBands:

@@ -466,7 +466,17 @@ class TestBandsCache:
                                              for c in p["curves"]]}, id="no-parity"),
                                          pytest.param(lambda p: {"curves": [
                                              dict(c, parity="sideways") if c["label"] == "TE-1"
-                                             else c for c in p["curves"]]}, id="unknown-parity")])
+                                             else c for c in p["curves"]]}, id="unknown-parity"),
+                                         {"n_eff": "abc"}, {"n_eff": True}, {"lam_z_nm": True},
+                                         pytest.param(lambda p: {"curves": [
+                                             dict(c, label=5) if c["label"] == "TE-1"
+                                             else c for c in p["curves"]]}, id="numeric-label"),
+                                         pytest.param(lambda p: {"curves": [
+                                             dict(c, samples=[dict(c["samples"][0],
+                                                                   omega_norm=float("nan")),
+                                                              *c["samples"][1:]])
+                                             if c["label"] == "TE-1" else c
+                                             for c in p["curves"]]}, id="nan-omega")])
     def test_corrupt_cache_is_recomputed(self, cli_out, bands_payload, monkeypatch,
                                          garbage, capsys):
         from pcwgprobe import cli
@@ -639,7 +649,8 @@ class TestGlobalFlags:
                      "pcwgprobe.pipeline", "yaml", "hashlib"}, {"pcwgprobe.fiber"}),
         (["bands"], {"pcwgprobe.coupling", "pcwgprobe.pipeline", "pcwgprobe.slab", "yaml",
                      "concurrent.futures"}, {"pcwgprobe.bands"}),
-    ], ids=["import", "print-effective-config", "fiber", "warm-bands"])
+        (["--no-cache", "bands"], {"scipy.special"}, {"scipy.linalg"}),
+    ], ids=["import", "print-effective-config", "fiber", "warm-bands", "cold-bands"])
     def test_each_command_loads_only_the_modules_it_runs(self, cli_out, argv, unloaded, loaded):
         script = (
             "import contextlib, io, json, sys\n"

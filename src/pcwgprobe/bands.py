@@ -313,94 +313,64 @@ def _spd_inverse(eps, parity):
     (EigensolverError) unless the block is positive definite.
 
     ``eps`` is symmetric and C-ordered, so ``eps.T`` is the same matrix in
-    Fortran order and LAPACK factors and inverts it in place.
+    Fortran order and LAPACK factors and inverts its upper triangle in place.
     """
-    from scipy.linalg import lapack
-
-    chol, info = lapack.dpotrf(eps.T, overwrite_a=1)
-    inv, info = lapack.dpotri(chol, overwrite_c=1) if info == 0 else (None, info)
-    if info != 0:
-        raise EigensolverError(f"{parity}-sector EPS block is not positive definite")
-    # dpotrf zeroed the other triangle, and dpotri left it so
-    diagonal = inv.diagonal().copy()
-    inv += inv.T
-    np.fill_diagonal(inv, diagonal)
-    return inv.T
-
-
-# The dsyevr parameter list that scipy.linalg.cython_lapack exports, with its
-# double typedef written out: the counts are C ints (LP64 LAPACK).
-_DSYEVR_SIGNATURE = (
-    "void (char *, char *, char *, int *, double *, int *, double *, double *, int *, int *, "
-    "double *, int *, double *, double *, int *, int *, double *, int *, int *, int *, int *)"
-)
+    args = np.array([eps.shape[0], 0], np.int64)  # n (also lda), info
+    n, info = args.ctypes.data, args.ctypes.data + 8
+    for routine in (_lapack().scipy_dpotrf_64_, _lapack().scipy_dpotri_64_):
+        routine(b"U", n, eps.ctypes.data, n, info, 1)
+        if args[1] != 0:
+            raise EigensolverError(f"{parity}-sector EPS block is not positive definite")
+    # LAPACK left the other triangle as it was: mirror the computed one onto it
+    lower = np.tril_indices(eps.shape[0], -1)
+    eps.T[lower] = eps[lower]
+    return eps
 
 
-def _bind_dsyevr(capsule):
-    """ctypes function of the dsyevr pointer in a scipy.linalg.cython_lapack
-    capsule, after checking the capsule's signature string against
-    ``_DSYEVR_SIGNATURE``.
-
-    ctypes releases the GIL for the call.  Every argument is a pointer: the
-    three ``char *`` ones as bytes, the others as addresses.
-    """
-    import ctypes
-    import re
-
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    name = get_name(capsule)
-    found = re.sub(r"__pyx_t_\w+_d \*", "double *", (name or b"").decode())
-    if found != _DSYEVR_SIGNATURE:
-        raise EigensolverError(f"unexpected dsyevr signature from scipy: {found!r}")
-    params = found[found.index("(") + 1:-1].split(", ")
-    types = [ctypes.c_char_p if p == "char *" else ctypes.c_void_p for p in params]
-    return ctypes.CFUNCTYPE(None, *types)(get_pointer(capsule, name))
+# (name, Fortran CHARACTER arguments, other arguments) of each LAPACK routine
+# the solver calls; each CHARACTER argument adds a hidden trailing length
+_LAPACK_ROUTINES = (("dsyevr", 3, 18), ("dpotrf", 1, 4), ("dpotri", 1, 4))
 
 
 @functools.cache
-def _dsyevr():
-    """LAPACK dsyevr through the function pointer scipy.linalg.cython_lapack
-    exports (numba binds LAPACK through the same capsules)."""
-    from scipy.linalg import cython_lapack
+def _lapack():
+    """ctypes handle of the ILP64 LAPACK in numpy's scipy-openblas64, the
+    library numpy's wheel bundles and has loaded, held at one thread for the
+    rest of the process.
 
-    return _bind_dsyevr(cython_lapack.__pyx_capi__["dsyevr"])
-
-
-@functools.cache
-def _hold_blas_at_one_thread() -> bool:
-    """Hold every loaded scipy-openblas (numpy's and scipy's) at one thread
-    for the rest of the process.
-
-    ``waveguide_bands`` solves its k-points on one thread per core, and
-    OpenBLAS's own workers, which spin while they wait, would compete with
-    them for the same cores.  Restoring the pools after each call would
-    restart those workers.  False where no scipy-openblas is found (no
-    ``/proc/self/maps``, or another BLAS); nothing is changed then.
+    Its routines are ``scipy_<name>_64_`` with 64-bit integer arguments,
+    all passed by address, and one trailing length per CHARACTER argument;
+    ctypes releases the GIL for each call.  ``waveguide_bands`` solves its
+    k-points on one thread per core, and OpenBLAS's own workers, which spin
+    while they wait, would compete with them for the same cores; restoring
+    the pool after each call would restart those workers.  The library is
+    found in ``/proc/self/maps``; where it is not (another platform, or a
+    numpy built against another BLAS), EigensolverError.
     """
     import ctypes
 
-    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
-
+    need = ("the plane-wave eigensolve needs the ILP64 OpenBLAS that numpy's Linux wheels "
+            "bundle (numpy >= 2.0: libscipy_openblas64_ with scipy_dsyevr_64_, "
+            "scipy_dpotrf_64_ and scipy_dpotri_64_)")
     try:
         with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return False
-    paths = {f[5].rstrip("\n") for f in fields
-             if len(f) == 6 and os.path.basename(f[5]).startswith("libscipy_openblas")}
-    held = False
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
-                setter(1)
-                held = True
-    return held
+            paths = sorted({f[5].rstrip("\n") for f in (line.split(maxsplit=5) for line in fh)
+                            if len(f) == 6
+                            and os.path.basename(f[5]).startswith("libscipy_openblas64_")})
+        if not paths:
+            raise EigensolverError(f"{need}; numpy has loaded none")
+        lib = ctypes.CDLL(paths[0])
+        hold = lib.scipy_openblas_set_num_threads64_
+        for name, chars, others in _LAPACK_ROUTINES:
+            routine = getattr(lib, f"scipy_{name}_64_")
+            routine.argtypes = ((ctypes.c_char_p,) * chars + (ctypes.c_void_p,) * others
+                                + (ctypes.c_size_t,) * chars)
+            routine.restype = None
+    except (OSError, AttributeError) as exc:  # no /proc/self/maps, or a missing symbol
+        raise EigensolverError(f"{need}; {exc}") from exc
+    hold.argtypes, hold.restype = (ctypes.c_int,), None
+    hold(1)
+    return lib
 
 
 @functools.cache
@@ -411,8 +381,8 @@ def _syevr_workspace(rows):
 
 
 def _syevr(theta, bounds=None, count=None, query=False):
-    """Eigenvalues of the symmetric ``theta`` by LAPACK dsyevr, bit for bit as
-    scipy.linalg.eigh gives them: with ``bounds=(lo, hi)`` (values, vectors as
+    """Eigenvalues of the symmetric ``theta`` by LAPACK dsyevr, called as
+    scipy.linalg.eigh calls it: with ``bounds=(lo, hi)`` (values, vectors as
     columns) with lo < value <= hi (JOBZ='V', RANGE='V'), as ``eigh(theta,
     subset_by_value=(lo, hi))``; else (values, None) of the lowest ``count``,
     at most all (JOBZ='N', RANGE='I'), as ``eigh(theta, eigvals_only=True,
@@ -433,18 +403,18 @@ def _syevr(theta, bounds=None, count=None, query=False):
     if not vectors and not count >= 1:
         raise ValueError(f"need at least 1 eigenvalue, got {count}")
     lwork, liwork = (-1, -1) if query else _syevr_workspace(rows)
-    work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), np.intc)
-    w, isuppz = np.empty(rows), np.empty(2 * rows, np.intc)
+    work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), np.int64)
+    w, isuppz = np.empty(rows), np.empty(2 * rows, np.int64)
     z = np.empty(rows * rows if vectors else 1)
     # n, lda, il, iu, m, ldz, lwork, liwork, info; vl, vu, abstol
     ints = np.array([rows, rows, 1, rows if vectors else min(count, rows), 0,
-                     rows if vectors else 1, lwork, liwork, 0], np.intc)
+                     rows if vectors else 1, lwork, liwork, 0], np.int64)
     reals = np.array([*(bounds if vectors else (0.0, 0.0)), 0.0])
     i, r = ints.ctypes.data, reals.ctypes.data
-    _dsyevr()(b"V" if vectors else b"N", b"V" if vectors else b"I", b"L", i,
-              theta.ctypes.data, i + 4, r, r + 8, i + 8, i + 12, r + 16, i + 16, w.ctypes.data,
-              z.ctypes.data, i + 20, isuppz.ctypes.data, work.ctypes.data, i + 24,
-              iwork.ctypes.data, i + 28, i + 32)
+    _lapack().scipy_dsyevr_64_(
+        b"V" if vectors else b"N", b"V" if vectors else b"I", b"L", i, theta.ctypes.data, i + 8,
+        r, r + 8, i + 16, i + 24, r + 16, i + 32, w.ctypes.data, z.ctypes.data, i + 40,
+        isuppz.ctypes.data, work.ctypes.data, i + 48, iwork.ctypes.data, i + 56, i + 64, 1, 1, 1)
     m, info = int(ints[4]), int(ints[8])
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info={info})")
@@ -477,7 +447,7 @@ class PlaneWaveSolver:
     def __init__(self, spec: PCWaveguideSpec):
         from numpy.lib.stride_tricks import as_strided
 
-        _hold_blas_at_one_thread()
+        _lapack()  # found, or EigensolverError before any work; and held at one thread
         self.spec = spec
         self.g, self._mz, self._mx = _basis(spec)
         p, px = self._mz[-1], self._mx[-1]
@@ -563,14 +533,13 @@ class PlaneWaveSolver:
             keep = (omega > window[0]) & (omega < window[1])  # syevr's interval is half-open
             # copies that own their memory: a view would keep dsyevr's n x n array alive
             vals, vecs = vals[keep], vecs.compress(keep, axis=1)
-            # dsyevr has overwritten Theta, so Theta v is formed from the stored
-            # blocks, k_z o (eta (k_z o v)) + (x term) v, one state at a time: where
-            # the BLAS is not held at one thread, a matrix product would wake numpy's
-            # OpenBLAS pool, whose spinning threads slow scipy's
-            res = [np.linalg.norm(kzr * (eta @ (kzr * v)) + x_term @ v - w * v) / w
-                   for w, v in zip(vals, vecs.T)]
-            if not all(r <= _EIG_RESIDUAL_TOL for r in res):
-                raise EigensolverError(f"eigenvector residual {max(res):.3e} {where}")
+            # dsyevr has overwritten Theta, so Theta V is formed from the stored
+            # blocks, k_z o (eta (k_z o V)) + (x term) V, for all states at once
+            kzc = kzr[:, None]
+            res = np.linalg.norm(kzc * (eta @ (kzc * vecs)) + x_term @ vecs - vals * vecs,
+                                 axis=0) / vals
+            if not np.all(res <= _EIG_RESIDUAL_TOL):
+                raise EigensolverError(f"eigenvector residual {res.max():.3e} {where}")
             found[parity] = (omega[keep], vecs)
         if window is not None:
             return found
@@ -704,12 +673,10 @@ def _map_on_cores(fn, *args):
     """``[fn(*a) for a in zip(*args)]`` on one thread per usable core, never
     more threads than calls, all of them ended when this returns.
 
-    The window eigensolves release the GIL.  Where the BLAS cannot be held
-    at one thread (see ``_hold_blas_at_one_thread``), the calls run here in
-    order.
+    The window eigensolves release the GIL, and the BLAS is held at one
+    thread (``_lapack``).
     """
-    calls = len(args[0])
-    workers = min(calls, len(os.sched_getaffinity(0))) if _hold_blas_at_one_thread() else 1
+    workers = min(len(args[0]), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [fn(*a) for a in zip(*args)]
     from concurrent.futures import ThreadPoolExecutor

@@ -1,3 +1,4 @@
+import functools
 import os
 from dataclasses import replace
 
@@ -38,6 +39,27 @@ LAM_REF_UM = cfgmod.DEFAULTS["lattice"]["lam_ref_um"]
 
 def bulk_spec(**kw):
     return PCWaveguideSpec(grading=(), supercell_rows=1, **kw)
+
+
+@pytest.fixture
+def scipy_blas_at_one_thread():
+    """scipy's own OpenBLAS pool held at one thread during the test."""
+    import ctypes
+
+    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
+
+    with open("/proc/self/maps") as fh:
+        libs = [ctypes.CDLL(path) for path in {
+            line.split(maxsplit=5)[5].strip() for line in fh
+            if line.split("/")[-1].startswith("libscipy_openblas-")}]
+    pools = [lib.scipy_openblas_get_num_threads() for lib in libs]
+    for lib in libs:
+        lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        for lib, threads in zip(libs, pools):
+            lib.scipy_openblas_set_num_threads(threads)
 
 
 def lowest_states(solver, beta, n=42):
@@ -456,8 +478,9 @@ class TestSolverSetUp:
 
     def test_sectors_equal_the_gathered_formula(self, default_spec):
         # the sector blocks as built with boolean-mask odd blocks and a
-        # zero-padded odd eta in the even basis
-        from scipy.linalg import lapack
+        # zero-padded odd eta in the even basis, each block inverted by the
+        # solver's own library's dpotrf and dpotri on a Fortran-ordered copy
+        from pcwgprobe.bands import _lapack
 
         solver = PlaneWaveSolver(default_spec)
         p, px = solver._mz[-1], solver._mx[-1]
@@ -470,7 +493,10 @@ class TestSolverSetUp:
         odd = np.ix_(m > 0, m > 0)
 
         def spd(eps):
-            inv = lapack.dpotri(lapack.dpotrf(eps)[0])[0]
+            inv, n, info = np.asfortranarray(eps), np.array(eps.shape[0]), np.array(-1)
+            for routine in (_lapack().scipy_dpotrf_64_, _lapack().scipy_dpotri_64_):
+                routine(b"U", n.ctypes.data, inv.ctypes.data, n.ctypes.data, info.ctypes.data, 1)
+                assert info == 0
             return np.triu(inv) + np.triu(inv, 1).T
 
         eta_o = np.zeros((m.size, m.size))
@@ -567,9 +593,11 @@ class TestWindowSolve:
         with pytest.raises(EigensolverError, match="eigensolve failed .*empty"):
             solver.solve_k(0.42 * 2 * np.pi / default_spec.lam_z_um, window=window)
 
-    def test_binding_equals_scipy_eigh_bit_for_bit(self, default_spec):
+    def test_binding_equals_scipy_eigh_bit_for_bit(self, default_spec, scipy_blas_at_one_thread):
         # the window solves, and the lowest-count solves of the supercell (42
-        # states) and of the bulk bands and the thinning edge (2 and 6)
+        # states) and of the bulk bands and the thinning edge (2 and 6); the
+        # program holds numpy's OpenBLAS at one thread, and the reference runs
+        # on scipy's own OpenBLAS, held here at one thread too
         import scipy.linalg
 
         kpath = np.linspace(0.30, 0.50, 26)[::5]  # on the default path
@@ -599,23 +627,42 @@ class TestWindowSolve:
             solver.solve_k(2.0, num_bands)
         assert capfd.readouterr().err == ""
 
-    def test_binding_checks_the_capsule_signature(self):
-        import ctypes
+    @pytest.mark.parametrize("maps", ["unreadable", "no-library", "no-symbol"])
+    def test_missing_lapack_raises_and_bands_exits_3(self, default_spec, maps, tmp_path,
+                                                     monkeypatch, capsys):
+        # the locator finds nothing: no /proc/self/maps, no libscipy_openblas64_
+        # in it, or one that lacks the LAPACK symbols (an extension module
+        # under that name)
+        import _ctypes
+        import builtins
+        import io
 
-        from scipy.linalg import cython_lapack
+        from pcwgprobe import bands
+        from pcwgprobe.cli import main
 
-        from pcwgprobe.bands import _DSYEVR_SIGNATURE, _bind_dsyevr
+        fake = tmp_path / "libscipy_openblas64_-0.so"
+        fake.symlink_to(_ctypes.__file__)
+        real_open = builtins.open
 
-        assert _bind_dsyevr(cython_lapack.__pyx_capi__["dsyevr"]) is not None
-        new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
-                                ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
-        target = ctypes.c_int()  # a valid pointer that is never called
-        for wrong in (_DSYEVR_SIGNATURE.replace("int *", "long *"),  # 64-bit counts
-                      _DSYEVR_SIGNATURE.replace(", int *)", ")"),  # 20 parameters
-                      _DSYEVR_SIGNATURE.replace("double *", "float *")):
-            name = wrong.encode()  # the capsule keeps only a pointer to its name
-            with pytest.raises(EigensolverError, match="signature"):
-                _bind_dsyevr(new(ctypes.addressof(target), name, None))
+        def fake_maps(path, *args, **kwargs):
+            if path != "/proc/self/maps":
+                return real_open(path, *args, **kwargs)
+            if maps == "unreadable":
+                raise FileNotFoundError(2, "No such file or directory", path)
+            line = f"7f00-7f01 r-xp 00000000 00:00 0 {fake}\n" if maps == "no-symbol" else ""
+            return io.StringIO("7f02-7f03 r--p 00000000 00:00 0 /usr/lib/libc.so.6\n" + line)
+
+        monkeypatch.setattr(builtins, "open", fake_maps)
+        monkeypatch.setattr(bands, "_lapack", functools.cache(bands._lapack.__wrapped__))
+        message = {"unreadable": "No such file", "no-library": "numpy has loaded none",
+                   "no-symbol": "undefined symbol: scipy_openblas_set_num_threads64_"}[maps]
+        with pytest.raises(EigensolverError, match=f"needs the ILP64 OpenBLAS.*{message}"):
+            PlaneWaveSolver(default_spec.bulk())
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path), "--no-cache", "bands"]) == 3
+        err = capsys.readouterr().err
+        assert "needs the ILP64 OpenBLAS" in err and "Traceback" not in err
+        assert not (tmp_path / "bands.json").exists()
 
     def test_lowest_eigenvalue_check_raises(self, default_spec):
         solver = PlaneWaveSolver(default_spec.bulk())
@@ -717,8 +764,6 @@ class TestSolveOnCores:
     def test_one_worker_gives_the_same_bands(self, default_cfg, monkeypatch):
         import threading
 
-        from pcwgprobe import bands
-
         spec, dispersive = cfgmod.build_lattice(default_cfg)
         kpath = np.linspace(0.30, 0.50, 26)  # the default path
         sensitivity = PlaneWaveSolver.sensitivity
@@ -743,11 +788,8 @@ class TestSolveOnCores:
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0})
             runs["one core"] = run()
-        with monkeypatch.context() as patch:
-            patch.setattr(bands, "_hold_blas_at_one_thread", lambda: False)
-            runs["BLAS not held"] = run()
         curves, samples, threads = runs.pop("default")
-        if cores > 1 and bands._hold_blas_at_one_thread():
+        if cores > 1:
             assert len(threads) > 1
         for name, (other_curves, other_samples, other_threads) in runs.items():
             assert len(other_threads) == 1, name
@@ -775,9 +817,7 @@ class TestSolveOnCores:
             waveguide_bands(default_spec, kpath_norm=np.linspace(0.30, 0.50, 26))
         assert threading.active_count() == before
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
-    def test_blas_is_held_at_one_thread_after_a_solve(self, default_spec, monkeypatch):
-        import builtins
+    def test_blas_is_held_at_one_thread_after_a_solve(self, default_spec):
         import ctypes
 
         from pcwgprobe import bands
@@ -785,22 +825,9 @@ class TestSolveOnCores:
         PlaneWaveSolver(default_spec.bulk())
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[5].strip() for line in fh
-                     if "libscipy_openblas" in line.split("/")[-1]}
-        assert bands._hold_blas_at_one_thread() is bool(paths)
-        for path in paths:
-            lib = ctypes.CDLL(path)
-            getter = getattr(lib, "scipy_openblas_get_num_threads64_", None) or getattr(
-                lib, "scipy_openblas_get_num_threads")
-            assert getter() == 1, path
-        real_open = builtins.open
-
-        def no_maps(path, *args, **kwargs):
-            if path == "/proc/self/maps":
-                raise FileNotFoundError(path)
-            return real_open(path, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", no_maps)
-        assert bands._hold_blas_at_one_thread.__wrapped__() is False
+                     if "libscipy_openblas64_" in line.split("/")[-1]}
+        assert paths == {bands._lapack()._name}  # numpy's library, the one bound
+        assert ctypes.CDLL(bands._lapack()._name).scipy_openblas_get_num_threads64_() == 1
 
 
 class TestDispersiveFixedPoint:
